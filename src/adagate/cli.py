@@ -180,7 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--oracle", choices=("rules", "live"), default="rules")
     p_run.add_argument("--embedder", choices=("hash", "remote"), default=None)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker threads; they speed up only I/O-bound runs (--oracle live or a remote embedder)",
+    )
     p_run.add_argument("--limit", type=int, default=None)
     p_run.add_argument("--trace", choices=("summary", "full"), default="summary")
     p_run.add_argument("--log-oracle", dest="log_oracle", default=None)
@@ -279,9 +284,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         oracle = _make_oracle(args.oracle, config, args.log_oracle)
         try:
             trace = run_example(example, controller_config, index, oracle)
+            correct = oracle.judge_answer(example.question, example.gold_answer, trace.final_answer)
         except AdagateError as exc:
             return {"example_id": example.id, "error": str(exc)}
-        correct = oracle.judge_answer(example.question, example.gold_answer, trace.final_answer)
         precision, recall, f1 = evidence_prf(trace.final_titles, example.gold_titles)
         record = {
             "schema": RESULT_SCHEMA,

@@ -16,19 +16,24 @@ dimension, which keeps very large dims cheap; ``densify`` expands one to
 its full component list. Hash collisions are acceptable; determinism is
 the requirement. A remote HTTP backend implementing the common embeddings
 wire format can be substituted via configuration; no test requires it.
+
+Retrieval is exact either way. Hashed vectors are sparse and non-negative,
+so their namespaces are scored term-at-a-time over postings lists
+(coordinate -> chunk ids); see Zobel & Moffat, "Inverted files for text
+search engines", ACM Computing Surveys 2006. Remote vectors are dense and
+may be negative, so their namespaces are scanned.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .corpus import Chunk, chunk_from_record, chunk_to_record
 from .errors import (
@@ -38,6 +43,9 @@ from .errors import (
     TransportError,
     UnknownNamespaceError,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -50,6 +58,10 @@ DEFAULT_DIM = 256
 
 # Sparse unit vector: coordinate -> component, zero coordinates omitted.
 Vector = dict[int, float]
+# Namespace postings: coordinate -> the one chunk id holding it, or a list of
+# ids when several chunks share it, plus the chunk id -> vector map they were
+# built from, where the components are read.
+Postings = tuple[dict[int, "str | list[str]"], dict[str, Vector]]
 
 
 def fnv1a64(data: bytes) -> int:
@@ -116,7 +128,15 @@ class HashingEmbedder:
             coord = fnv1a64(token.encode("utf-8")) % self.dim
             counts[coord] = counts.get(coord, 0.0) + 1.0
         norm = math.sqrt(sum(v * v for v in counts.values()))
-        vector = {coord: value / norm for coord, value in sorted(counts.items())} if norm else {}
+        # One float object per distinct count: most coordinates count 1, and
+        # a large index holds millions of components.
+        shared: dict[float, float] = {}
+        vector = {}
+        for coord, count in sorted(counts.items()):
+            value = shared.get(count)
+            if value is None:
+                value = shared[count] = count / norm
+            vector[coord] = value
         self._cache[text] = vector
         return vector
 
@@ -150,7 +170,11 @@ class RemoteEmbedder:
         self.model = model
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
         self._cache: dict[str, Vector] = {}
 
     def embed(self, texts: Sequence[str]) -> list[Vector]:
@@ -172,6 +196,8 @@ class RemoteEmbedder:
         return self.embed([text])[0]
 
     def _request(self, texts: list[str]) -> list[list[float]]:
+        import requests
+
         headers = {}
         key = os.environ.get(self.key_env, "")
         if key:
@@ -221,15 +247,19 @@ class RetrievalHit:
 
 
 class VectorIndex:
-    """In-memory vector store with isolated namespaces.
+    """In-memory vector store with isolated namespaces and exact top-k queries.
 
-    Reads are lock-free; writes take a lock per index. Pools stay small
-    (tens of thousands of chunks), so queries are an exact scan.
+    Reads are lock-free; writes take a lock per index. A namespace of
+    hashed vectors is scored over postings built by its first query after
+    a write; a namespace of remote (dense) vectors is scanned. Both paths
+    return the same hits with bit-identical scores.
     """
 
     def __init__(self, embedder: HashingEmbedder | RemoteEmbedder):
         self.embedder = embedder
         self._spaces: dict[str, dict[str, tuple[Chunk, Vector]]] = {}
+        # Derived from the vectors: built lazily, dropped by every upsert.
+        self._postings: dict[str, Postings] = {}
         self._lock = threading.Lock()
 
     def namespaces(self) -> list[str]:
@@ -253,6 +283,7 @@ class VectorIndex:
             space = self._spaces.setdefault(namespace, {})
             for chunk, vec in zip(chunks, vectors):
                 space[chunk.chunk_id] = (chunk, vec)
+            self._postings.pop(namespace, None)
         return len(chunks)
 
     def query_top_k(self, namespace: str, query_text: str, k: int) -> list[RetrievalHit]:
@@ -261,12 +292,52 @@ class VectorIndex:
             raise ValueError("k must be positive")
         space = self._space(namespace)
         query = self.embedder.embed_one(query_text)
-        scored = [(chunk_id, cosine(vec, query)) for chunk_id, (_, vec) in space.items()]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        if self.embedder.backend == HashingEmbedder.backend:
+            ranked = self._postings_top_k(namespace, space, query, k)
+        else:
+            ranked = _scan_top_k(space, query, k)
         return [
-            RetrievalHit(chunk_id=chunk_id, score=score, namespace=namespace)
-            for chunk_id, score in scored[:k]
+            RetrievalHit(chunk_id=chunk_id, score=score, namespace=namespace) for chunk_id, score in ranked
         ]
+
+    def _postings_top_k(
+        self, namespace: str, space: dict[str, tuple[Chunk, Vector]], query: Vector, k: int
+    ) -> list[tuple[str, float]]:
+        """Term-at-a-time scoring, bit-identical to ``_scan_top_k`` for non-negative vectors.
+
+        Each chunk's products are summed from 0.0 in ascending coordinate
+        order, exactly as ``cosine`` sums the intersection, so the scores
+        are the same floats. Chunks sharing no coordinate with the query
+        score 0.0, below every touched chunk, and fill the remaining places
+        in ascending id order, as the scan's sort puts them. A query sees
+        the namespace as it was when the postings were built, even while an
+        upsert replaces vectors.
+        """
+        built = self._postings.get(namespace)
+        if built is None:
+            with self._lock:
+                built = self._postings.get(namespace)
+                if built is None:
+                    built = self._postings[namespace] = _build_postings(space)
+        postings, vectors = built
+        acc: dict[str, float] = {}
+        for coord in sorted(query):
+            held = postings.get(coord)
+            if held is None:
+                continue
+            qv = query[coord]
+            for chunk_id in (held,) if type(held) is str else held:
+                acc[chunk_id] = acc.get(chunk_id, 0.0) + vectors[chunk_id][coord] * qv
+        ranked = [
+            (chunk_id, -neg)
+            for neg, chunk_id in heapq.nsmallest(
+                k, ((-max(-1.0, min(1.0, score)), chunk_id) for chunk_id, score in acc.items())
+            )
+        ]
+        if len(ranked) < k:
+            untouched = (chunk_id for chunk_id in vectors if chunk_id not in acc)
+            ranked += [(chunk_id, 0.0) for chunk_id in heapq.nsmallest(k - len(ranked), untouched)]
+        return ranked
 
     def get_chunk(self, namespace: str, chunk_id: str) -> Chunk:
         space = self._space(namespace)
@@ -333,6 +404,12 @@ class VectorIndex:
                 embedder = HashingEmbedder(dim=dim)
             elif embedder.dim != dim:
                 raise SchemaError(f"snapshot dim {dim} does not match embedder dim {embedder.dim}")
+            elif header.get("embedder") != embedder.backend:
+                # The query path is chosen by backend and relies on its vectors.
+                raise SchemaError(
+                    f"snapshot was built with the {header.get('embedder')!r} embedder, "
+                    f"not {embedder.backend!r}"
+                )
             index = cls(embedder)
             for i, line in enumerate(handle, start=1):
                 if not line.strip():
@@ -347,6 +424,28 @@ class VectorIndex:
                     raise ParseError(f"snapshot record {i}: {exc}") from exc
                 index._spaces.setdefault(namespace, {})[chunk.chunk_id] = (chunk, vec)
         return index
+
+
+def _scan_top_k(space: dict[str, tuple[Chunk, Vector]], query: Vector, k: int) -> list[tuple[str, float]]:
+    """Exact cosine scan over every chunk of a namespace."""
+    scored = [(chunk_id, cosine(vec, query)) for chunk_id, (_, vec) in space.items()]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+def _build_postings(space: dict[str, tuple[Chunk, Vector]]) -> Postings:
+    vectors = {chunk_id: vec for chunk_id, (_, vec) in space.items()}
+    postings: dict[int, str | list[str]] = {}
+    for chunk_id, vec in vectors.items():
+        for coord in vec:
+            held = postings.get(coord)
+            if held is None:
+                postings[coord] = chunk_id
+            elif type(held) is str:
+                postings[coord] = [held, chunk_id]
+            else:
+                held.append(chunk_id)
+    return postings, vectors
 
 
 def brute_force_top_k(

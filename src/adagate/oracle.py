@@ -24,12 +24,13 @@ import re
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .corpus import Chunk
 from .errors import TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 ABSTAIN = "I don't know"
 
@@ -315,7 +316,11 @@ class LiveOracle:
     def __init__(self, config: LiveOracleConfig, session: requests.Session | None = None):
         self.config = config
         self.warnings: list[str] = []
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
 
     def extract_ledger(self, evidence: Sequence[Chunk]) -> Ledger:
         ledger = Ledger()
@@ -402,6 +407,8 @@ class LiveOracle:
         return len([t for t in named if t not in seen]) / len(named)
 
     def _complete(self, model: str, prompt: str) -> str:
+        import requests
+
         headers = {}
         key = os.environ.get(self.config.key_env, "")
         if key:

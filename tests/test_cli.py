@@ -158,3 +158,40 @@ def test_jobs_parallel_run_matches_serial(tmp_path):
     assert main(base + [str(serial)]) == 0
     assert main(base[:-1] + ["--jobs", "4", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_judging_error_becomes_error_record_not_lost_batch(tmp_path, monkeypatch, capsys):
+    from adagate import cli
+    from adagate.errors import TransportError
+    from adagate.oracle import RuleBasedOracle
+
+    class FailingJudge(RuleBasedOracle):
+        def judge_answer(self, question, gold, predicted):
+            raise TransportError("judge endpoint unreachable", retriable=True, attempts=3)
+
+    monkeypatch.setattr(cli, "_make_oracle", lambda kind, config, log_path: FailingJudge())
+    data = str(builtin_fixture_path())
+    chunks = tmp_path / "chunks.jsonl"
+    store = tmp_path / "store.jsonl"
+    out = tmp_path / "r.jsonl"
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", DIM]) == 0
+    code = main(["run", "--data", data, "--store", str(store), "--namespace", "clean", "--out", str(out)])
+    assert code == 1
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 2
+    assert all("judge endpoint unreachable" in r["error"] for r in records)
+    assert "2 examples failed" in capsys.readouterr().err
+
+
+def test_importing_cli_does_not_import_requests():
+    import os
+    import subprocess
+    import sys
+
+    import adagate
+
+    src = str(Path(adagate.__file__).resolve().parents[1])
+    code = "import sys, adagate.cli; sys.exit('requests' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0

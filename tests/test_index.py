@@ -3,9 +3,14 @@ from __future__ import annotations
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adagate.corpus import make_chunk
 from adagate.errors import DuplicateIdError, SchemaError, TransportError, UnknownNamespaceError
 from adagate.index import (
     HashingEmbedder,
@@ -16,7 +21,7 @@ from adagate.index import (
     densify,
 )
 
-from helpers import sized_chunk
+from helpers import build_world, sized_chunk
 
 
 def reference_dense_vector(text: str, dim: int) -> list[float]:
@@ -168,6 +173,8 @@ def test_snapshot_schema_and_dim_checks(tmp_path):
     index.save(path)
     with pytest.raises(SchemaError):
         VectorIndex.load(path, embedder=HashingEmbedder(dim=32))
+    with pytest.raises(SchemaError):  # the query path depends on the backend
+        VectorIndex.load(path, embedder=RemoteEmbedder(url="http://svc", dim=64, session=_FakeSession([])))
 
 
 class _FakeResponse:
@@ -216,3 +223,139 @@ def test_remote_embedder_rejects_wrong_dim():
     embedder = RemoteEmbedder(url="http://svc", dim=3, session=session)
     with pytest.raises(TransportError):
         embedder.embed_one("x")
+
+
+# A small vocabulary makes shared coordinates, equal texts (tied scores) and,
+# at dim 64, hash collisions common; "unseen" words appear in no chunk.
+_VOCAB = ["alpha", "beta", "gamma", "delta", "born", "in", "the", "city", "x1", "x2", "x3", "x4"]
+_words = st.lists(st.sampled_from(_VOCAB), max_size=6).map(" ".join)
+_query_words = st.lists(st.sampled_from(_VOCAB + ["unseen", "nowhere"]), max_size=6).map(" ".join)
+
+
+def _hits(index: VectorIndex, namespace: str, query: str, k: int) -> list[tuple[str, float]]:
+    return [(h.chunk_id, h.score) for h in index.query_top_k(namespace, query, k)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bodies=st.lists(_words, min_size=1, max_size=25),
+    order=st.randoms(use_true_random=False),
+    queries=st.lists(_query_words, min_size=1, max_size=4),
+    dim=st.sampled_from([64, 2**20]),
+    k=st.sampled_from([1, 3, 20]),
+    replaced=st.integers(min_value=0),
+    new_body=_words,
+)
+def test_query_top_k_equals_brute_force_exactly(bodies, order, queries, dim, k, replaced, new_body):
+    # Insertion order differs from id order, so the zero-score fill must sort.
+    ids = [f"c{i:02d}" for i in range(len(bodies))]
+    order.shuffle(ids)
+    chunks = [make_chunk(cid, "page", body, "ex") for cid, body in zip(ids, bodies)]
+    embedder = HashingEmbedder(dim=dim)
+    index = VectorIndex(embedder)
+    index.upsert("ns", chunks)
+    # A chunk's own text can sum past 1.0 by rounding, so the clamp matters.
+    queries = queries + ["", chunks[0].text]
+    for query in queries:
+        assert _hits(index, "ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
+    # Re-upserting an id with new text must drop the postings built above.
+    j = replaced % len(chunks)
+    chunks[j] = make_chunk(chunks[j].chunk_id, "page", new_body + " fresh words", "ex")
+    index.upsert("ns", [chunks[j]])
+    for query in queries + ["fresh"]:
+        assert _hits(index, "ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
+
+
+def test_loaded_snapshot_matches_brute_force_exactly():
+    examples, chunks, index = build_world(20)
+    queries = [e.question for e in examples] + [f"{e.gold_answer} born in" for e in examples] + ["", "unseen"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.jsonl"
+        index.save(path)
+        loaded = VectorIndex.load(path)
+    for query in queries:
+        for k in (1, 3, 20):
+            expected = brute_force_top_k(loaded.embedder, chunks, query, k)
+            assert _hits(loaded, "clean", query, k) == expected
+            assert _hits(index, "clean", query, k) == expected
+
+
+class _SignedEmbeddingSession:
+    """Embeddings service double: dense vectors with negative parts; zero for "blank" texts."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        data = []
+        for text in json["input"]:
+            seed = 0 if "blank" in text else sum(text.encode("utf-8"))
+            data.append({"embedding": [float((seed * (i + 3)) % 7 - 3) if seed else 0.0 for i in range(self.dim)]})
+        return _FakeResponse(200, {"data": data})
+
+
+def test_remote_index_keeps_exact_scan_with_negative_components():
+    embedder = RemoteEmbedder(url="http://svc", dim=6, session=_SignedEmbeddingSession(6))
+    index = VectorIndex(embedder)
+    chunks = [sized_chunk(f"c{i}", 4 + i) for i in range(12)] + [make_chunk("c99", "blank", "blank", "ex")]
+    index.upsert("ns", chunks)
+    for query in ("c0w1", "title c3 c5w2", "something else", ""):
+        expected = brute_force_top_k(embedder, chunks, query, len(chunks))
+        assert _hits(index, "ns", query, len(chunks)) == expected
+        assert _hits(index, "ns", query, 3) == expected[:3]
+    # The zero-vector chunk outranks every negative score, which a postings
+    # walk that appends untouched chunks last would get wrong.
+    ranked = brute_force_top_k(embedder, chunks, "c0w1", len(chunks))
+    assert ranked[-1][1] < 0 and ("c99", 0.0) in ranked[:-1]
+
+
+def test_queries_racing_upserts_see_one_consistent_namespace():
+    import sys
+    import threading
+
+    embedder = HashingEmbedder(dim=2**20)
+    index = VectorIndex(embedder)
+    old = [sized_chunk(f"c{i}", 12) for i in range(40)]
+    new = [make_chunk(c.chunk_id, "fresh", f"fresh {c.chunk_id}w0 {c.chunk_id}w1", "ex") for c in old]
+    index.upsert("ns", old)
+    queries = [c.text for c in old[:6]] + ["fresh c3w0", "title c5 c7w1", ""]
+    allowed = {
+        q: {tuple(brute_force_top_k(embedder, old, q, 3)), tuple(brute_force_top_k(embedder, new, q, 3))}
+        for q in queries
+    }
+    errors: list[Exception] = []
+    readers_done = threading.Event()
+
+    def write():
+        i = 0
+        while not readers_done.is_set():
+            index.upsert("ns", new if i % 2 == 0 else old)
+            i += 1
+
+    def read():
+        try:
+            for _ in range(100):
+                for q in queries:
+                    hits = tuple(_hits(index, "ns", q, 3))
+                    if hits not in allowed[q]:
+                        raise AssertionError(f"{q!r} saw a mixed namespace: {hits}")
+        except Exception as exc:  # reported to the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer = threading.Thread(target=write)
+        readers = [threading.Thread(target=read) for _ in range(6)]
+        threads = [writer] + readers
+        for t in threads:
+            t.start()
+        for t in readers:
+            t.join(timeout=60)
+        readers_done.set()
+        writer.join(timeout=60)
+    finally:
+        readers_done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
