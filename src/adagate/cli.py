@@ -21,20 +21,33 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import __version__
 from .controller import MODES, ControllerConfig, run_example
 from .corpus import chunk_corpus, load_examples, read_chunks, write_chunks
 from .errors import AdagateError
-from .evaluate import RESULT_SCHEMA, aggregate, evidence_prf, read_results, render_csv, render_table
+from .evaluate import ExampleResult, aggregate, evidence_prf, read_results, render_csv, render_table
 from .index import HashingEmbedder, RemoteEmbedder, VectorIndex
 from .oracle import LiveOracle, LiveOracleConfig, RuleBasedOracle
 from .perturb import KIND_NOISE, PerturbConfig, inject_noise, inject_redundancy
-from .scoring import UtilityWeights
+from .scoring import DEFAULT_WEIGHTS, UtilityWeights
 
 MANIFEST_SCHEMA = "manifest@1"
 MANIFEST_SUFFIX = ".manifest.json"
+
+
+class UsageError(Exception):
+    """Invalid flag value or combination caught after parsing."""
+
+
+def _checked(build, *args, **kwargs):
+    """Build a parameter object, reporting a value it rejects as a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -54,18 +67,14 @@ def _cfg(config: dict, dotted: str, default):
 
 
 def _parse_weights(text: str | None, config: dict) -> UtilityWeights:
+    names = [f.name for f in fields(UtilityWeights)]
     if text:
-        parts = [float(p) for p in text.split(",")]
-        if len(parts) != 5:
-            raise ValueError("--weights needs five comma-separated values")
-        return UtilityWeights(*parts)
-    return UtilityWeights(
-        lambda1=float(_cfg(config, "weights.lambda1", 0.30)),
-        lambda2=float(_cfg(config, "weights.lambda2", 0.15)),
-        lambda3=float(_cfg(config, "weights.lambda3", 0.15)),
-        lambda4=float(_cfg(config, "weights.lambda4", 0.25)),
-        lambda5=float(_cfg(config, "weights.lambda5", 0.15)),
-    )
+        values = text.split(",")
+        if len(values) != len(names):
+            raise UsageError("--weights needs five comma-separated values")
+    else:
+        values = [_cfg(config, f"weights.{name}", getattr(DEFAULT_WEIGHTS, name)) for name in names]
+    return _checked(lambda: UtilityWeights(*(float(v) for v in values)))
 
 
 def _resolve_embedder_kind(flag_value: str | None, config: dict) -> str:
@@ -77,7 +86,7 @@ def _resolve_embedder_kind(flag_value: str | None, config: dict) -> str:
 
 def _make_embedder(kind: str, dim: int, config: dict):
     if kind == "hash":
-        return HashingEmbedder(dim=dim)
+        return _checked(HashingEmbedder, dim=dim)
     if kind == "remote":
         url = _cfg(config, "index.remote.url", None)
         if not url:
@@ -172,10 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--store", required=True, help="index snapshot")
     p_run.add_argument("--namespace", default="clean")
     p_run.add_argument("--mode", choices=MODES, default="adagate")
-    p_run.add_argument("--L", dest="max_iterations", type=int, default=1, help="repair iterations")
-    p_run.add_argument("--k", type=int, default=3, help="retrieval depth per query")
-    p_run.add_argument("--budget", "--B", dest="budget", type=int, default=None, help="token budget (default 3000)")
-    p_run.add_argument("--buffer", type=int, default=None, help="capacity buffer (default 2)")
+    defaults = ControllerConfig  # a dataclass keeps each field's default as a class attribute
+    p_run.add_argument("--L", dest="max_iterations", type=int, default=defaults.max_iterations, help="repair iterations")
+    p_run.add_argument("--k", type=int, default=defaults.k, help="retrieval depth per query")
+    p_run.add_argument(
+        "--budget", "--B", dest="budget", type=int, default=None, help=f"token budget (default {defaults.budget})"
+    )
+    p_run.add_argument("--buffer", type=int, default=None, help=f"capacity buffer (default {defaults.buffer})")
     p_run.add_argument("--weights", default=None, help="five comma-separated lambda values")
     p_run.add_argument("--oracle", choices=("rules", "live"), default="rules")
     p_run.add_argument("--embedder", choices=("hash", "remote"), default=None)
@@ -236,7 +248,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     examples = load_examples(args.data)
     chunks = chunk_corpus(examples)
-    perturb_config = PerturbConfig(kind=args.kind, rho=args.rho, seed=args.seed, variant_cap=args.cap)
+    perturb_config = _checked(PerturbConfig, kind=args.kind, rho=args.rho, seed=args.seed, variant_cap=args.cap)
     if args.kind == KIND_NOISE:
         perturbed = inject_noise(examples, chunks, perturb_config)
     else:
@@ -255,27 +267,20 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    budget = args.budget if args.budget is not None else int(_cfg(config, "controller.budget", 3000))
-    buffer = args.buffer if args.buffer is not None else int(_cfg(config, "controller.buffer", 2))
-    if args.max_iterations < 1:
-        raise UsageError("--L must be >= 1")
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
-    if budget <= 0:
-        raise UsageError("--budget must be positive")
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
-    weights = _parse_weights(args.weights, config)
-    controller_config = ControllerConfig(
+    defaults = ControllerConfig
+    controller_config = _checked(
+        ControllerConfig,
         mode=args.mode,
         max_iterations=args.max_iterations,
         k=args.k,
-        budget=budget,
-        buffer=buffer,
-        weights=weights,
+        budget=args.budget if args.budget is not None else int(_cfg(config, "controller.budget", defaults.budget)),
+        buffer=args.buffer if args.buffer is not None else int(_cfg(config, "controller.buffer", defaults.buffer)),
+        weights=_parse_weights(args.weights, config),
         namespace=args.namespace,
-        adaptive_pool=int(_cfg(config, "adaptive_k.pool", 20)),
-        dedup_threshold=float(_cfg(config, "controller.dedup_threshold", 0.95)),
+        adaptive_pool=int(_cfg(config, "adaptive_k.pool", defaults.adaptive_pool)),
+        dedup_threshold=float(_cfg(config, "controller.dedup_threshold", defaults.dedup_threshold)),
     )
     index = _open_store(args.store, None, _resolve_embedder_kind(args.embedder, config), config)
     examples = load_examples(args.data, limit=args.limit)
@@ -288,21 +293,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except AdagateError as exc:
             return {"example_id": example.id, "error": str(exc)}
         precision, recall, f1 = evidence_prf(trace.final_titles, example.gold_titles)
-        record = {
-            "schema": RESULT_SCHEMA,
-            "example_id": example.id,
-            "condition": args.namespace,
-            "mode": args.mode,
-            "correct": correct,
-            "precision": precision,
-            "recall": recall,
-            "f1": f1,
-            "input_tokens": trace.input_tokens,
-            "docs_passed": trace.docs_passed,
-            "termination_reason": trace.termination_reason,
-            "answer": trace.final_answer,
-            "gold_answer": example.gold_answer,
-        }
+        record = ExampleResult(
+            example_id=example.id,
+            condition=args.namespace,
+            mode=args.mode,
+            correct=correct,
+            precision=precision,
+            recall=recall,
+            f1=f1,
+            input_tokens=trace.input_tokens,
+            docs_passed=trace.docs_passed,
+            termination_reason=trace.termination_reason,
+        ).to_record()
+        record["answer"] = trace.final_answer
+        record["gold_answer"] = example.gold_answer
         if args.trace == "full":
             record["trace"] = trace.as_dict(full=True)
         return record
@@ -320,9 +324,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for key, value in vars(args).items()
         if key not in ("command", "func") and value is not None
     }
-    snapshot["budget"] = budget
-    snapshot["buffer"] = buffer
-    snapshot["weights"] = [weights.lambda1, weights.lambda2, weights.lambda3, weights.lambda4, weights.lambda5]
+    snapshot["budget"] = controller_config.budget
+    snapshot["buffer"] = controller_config.buffer
+    snapshot["weights"] = list(astuple(controller_config.weights))
     _write_manifest(out_path, snapshot, args.seed, _sha256_file(args.data), args.namespace)
 
     failures = sum(1 for r in records if "error" in r)
@@ -335,7 +339,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     for path in args.inputs:
-        has_records = any(line.strip() for line in Path(path).open("r", encoding="utf-8"))
+        with Path(path).open("r", encoding="utf-8") as handle:
+            has_records = any(line.strip() for line in handle)
         manifest = Path(str(path) + MANIFEST_SUFFIX)
         if has_records and not manifest.exists() and not args.force:
             raise AdagateError(
@@ -347,10 +352,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _atomic_write(Path(args.out), render_csv(report))
         print(f"csv -> {args.out}")
     return 0
-
-
-class UsageError(Exception):
-    """Invalid flag combination caught after parsing."""
 
 
 _COMMANDS = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import Chunk, Example, Tokenizer, count_tokens
+from .corpus import Chunk, Example, count_tokens
 from .index import RetrievalHit, VectorIndex, cosine
 from .oracle import Gap, Ledger, OracleBackend
 from .scoring import DEFAULT_WEIGHTS, TermBreakdown, UtilityWeights, score_candidate
@@ -125,16 +125,7 @@ class ControllerTrace:
 
 def adaptive_cut(scores: Sequence[float]) -> int:
     """Prefix length ending at the largest adjacent drop in sorted scores."""
-    if len(scores) < 2:
-        return len(scores)
-    best_drop = None
-    cut = 1
-    for i in range(len(scores) - 1):
-        drop = scores[i] - scores[i + 1]
-        if best_drop is None or drop > best_drop:
-            best_drop = drop
-            cut = i + 1
-    return cut
+    return effective_capacity(scores, 0) if scores else 0
 
 
 def _assemble_candidates(
@@ -178,7 +169,6 @@ def run_adagate(
     config: ControllerConfig,
     index: VectorIndex,
     oracle: OracleBackend,
-    tokenizer: Tokenizer | None = None,
 ) -> ControllerTrace:
     embedder = index.embedder
     question = example.question
@@ -278,7 +268,7 @@ def run_adagate(
 
     trace.termination_reason = reason
     trace.final_answer = oracle.generate_answer(question, state.selected)
-    _finalize(trace, state.selected, question, tokenizer, oracle)
+    _finalize(trace, state.selected, question, oracle)
     return trace
 
 
@@ -287,7 +277,6 @@ def run_baseline(
     config: ControllerConfig,
     index: VectorIndex,
     oracle: OracleBackend,
-    tokenizer: Tokenizer | None = None,
 ) -> ControllerTrace:
     question = example.question
     trace = ControllerTrace(example_id=example.id, mode=config.mode, namespace=config.namespace)
@@ -317,7 +306,7 @@ def run_baseline(
 
     trace.termination_reason = REASON_NONE
     trace.final_answer = oracle.generate_answer(question, evidence)
-    _finalize(trace, evidence, question, tokenizer, oracle)
+    _finalize(trace, evidence, question, oracle)
     return trace
 
 
@@ -349,23 +338,20 @@ def run_example(
     config: ControllerConfig,
     index: VectorIndex,
     oracle: OracleBackend,
-    tokenizer: Tokenizer | None = None,
 ) -> ControllerTrace:
     if config.mode == MODE_ADAGATE:
-        return run_adagate(example, config, index, oracle, tokenizer)
-    return run_baseline(example, config, index, oracle, tokenizer)
+        return run_adagate(example, config, index, oracle)
+    return run_baseline(example, config, index, oracle)
 
 
 def _finalize(
     trace: ControllerTrace,
     evidence: Sequence[Chunk],
     question: str,
-    tokenizer: Tokenizer | None,
-    oracle: OracleBackend | None = None,
+    oracle: OracleBackend,
 ) -> None:
     trace.final_chunk_ids = [c.chunk_id for c in evidence]
     trace.final_titles = [c.title for c in evidence]
     trace.docs_passed = len(evidence)
-    trace.input_tokens = count_tokens(question, tokenizer) + sum(c.token_len for c in evidence)
-    if oracle is not None:
-        trace.warnings = list(getattr(oracle, "warnings", []))
+    trace.input_tokens = count_tokens(question) + sum(c.token_len for c in evidence)
+    trace.warnings = list(getattr(oracle, "warnings", []))

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .errors import ParseError, ValidationError
 
@@ -29,29 +29,14 @@ PROVENANCES = (
 )
 
 
-class Tokenizer(Protocol):
-    def count(self, text: str) -> int: ...
-
-
-class WhitespaceTokenizer:
-    """Counts whitespace-delimited tokens.
+def count_tokens(text: str) -> int:
+    """Number of whitespace-delimited tokens in ``text``.
 
     Deterministic and additive over concatenation with a space:
-    ``count(a + " " + b) == count(a) + count(b)`` for non-empty ``a``, ``b``.
-    Live runs may substitute a model tokenizer implementing the same
-    protocol; every offline test relies on this default.
+    ``count_tokens(a + " " + b) == count_tokens(a) + count_tokens(b)`` for
+    non-empty ``a``, ``b``.
     """
-
-    def count(self, text: str) -> int:
-        return len(text.split())
-
-
-DEFAULT_TOKENIZER = WhitespaceTokenizer()
-
-
-def count_tokens(text: str, tokenizer: Tokenizer | None = None) -> int:
-    """Token length of ``text`` under the given (default: whitespace) tokenizer."""
-    return (tokenizer or DEFAULT_TOKENIZER).count(text)
+    return len(text.split())
 
 
 @dataclass(frozen=True)
@@ -106,15 +91,13 @@ def make_chunk(
     body: str,
     source_example: str,
     provenance: str = PROVENANCE_ORIGINAL,
-    tokenizer: Tokenizer | None = None,
 ) -> Chunk:
     """Build a chunk with ``token_len`` recomputed from its text."""
-    token_len = count_tokens(f"{title}\n{body}", tokenizer)
     return Chunk(
         chunk_id=chunk_id,
         title=title,
         body=body,
-        token_len=token_len,
+        token_len=count_tokens(f"{title}\n{body}"),
         source_example=source_example,
         provenance=provenance,
     )
@@ -171,7 +154,7 @@ def _example_from_record(record: dict, index: int) -> Example:
     return example
 
 
-def chunk_corpus(examples: Iterable[Example], tokenizer: Tokenizer | None = None) -> list[Chunk]:
+def chunk_corpus(examples: Iterable[Example]) -> list[Chunk]:
     """One chunk per context paragraph, title preserved, provenance=original."""
     chunks: list[Chunk] = []
     for example in examples:
@@ -182,7 +165,6 @@ def chunk_corpus(examples: Iterable[Example], tokenizer: Tokenizer | None = None
                     title=title,
                     body=" ".join(sentences),
                     source_example=example.id,
-                    tokenizer=tokenizer,
                 )
             )
     return chunks

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,19 +36,7 @@ class ExampleResult:
     termination_reason: str = "none"
 
     def to_record(self) -> dict:
-        return {
-            "schema": RESULT_SCHEMA,
-            "example_id": self.example_id,
-            "condition": self.condition,
-            "mode": self.mode,
-            "correct": self.correct,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "input_tokens": self.input_tokens,
-            "docs_passed": self.docs_passed,
-            "termination_reason": self.termination_reason,
-        }
+        return {"schema": RESULT_SCHEMA, **asdict(self)}
 
     @classmethod
     def from_record(cls, record: dict) -> "ExampleResult":
@@ -222,7 +210,3 @@ def render_csv(report: Report) -> str:
         cells[-1] = "" if row.tokens_per_correct is None else cells[-1]
         writer.writerow(cells)
     return buffer.getvalue()
-
-
-def build_report(paths: Sequence[str | Path]) -> Report:
-    return aggregate(read_results(paths))

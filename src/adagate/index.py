@@ -12,10 +12,10 @@ tests reproduce independently, is:
    cosine against a zero vector is defined as 0.
 
 Vectors are stored sparsely as coordinate -> value maps over the fixed
-dimension, which keeps very large dims cheap; ``densify`` expands one to
-its full component list. Hash collisions are acceptable; determinism is
-the requirement. A remote HTTP backend implementing the common embeddings
-wire format can be substituted via configuration; no test requires it.
+dimension, which keeps very large dims cheap. Hash collisions are
+acceptable; determinism is the requirement. A remote HTTP backend
+implementing the common embeddings wire format can be substituted via
+configuration; no test requires it.
 
 Retrieval is exact either way. Hashed vectors are sparse and non-negative,
 so their namespaces are scored term-at-a-time over postings lists
@@ -33,7 +33,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import Chunk, chunk_from_record, chunk_to_record
 from .errors import (
@@ -43,6 +43,7 @@ from .errors import (
     TransportError,
     UnknownNamespaceError,
 )
+from .transport import post_json
 
 if TYPE_CHECKING:
     import requests
@@ -100,14 +101,6 @@ def cosine(a: Vector, b: Vector) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def densify(vector: Vector, dim: int) -> list[float]:
-    """Expand a sparse vector to its full component list."""
-    dense = [0.0] * dim
-    for coord, value in vector.items():
-        dense[coord] = value
-    return dense
-
-
 class HashingEmbedder:
     """Deterministic hashed bag-of-words embedder."""
 
@@ -148,8 +141,8 @@ class RemoteEmbedder:
     """Client for an HTTP service speaking the common embeddings wire format.
 
     The API key is read from the environment variable named ``key_env``;
-    it is never passed on the command line. Failures surface as
-    TransportError with retry metadata.
+    it is never passed on the command line. Requests follow the shared
+    policy of ``transport.post_json``.
     """
 
     backend = "remote"
@@ -196,47 +189,19 @@ class RemoteEmbedder:
         return self.embed([text])[0]
 
     def _request(self, texts: list[str]) -> list[list[float]]:
-        import requests
-
-        headers = {}
-        key = os.environ.get(self.key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        payload = {"model": self.model, "input": texts}
-        last_error: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                response = self._session.post(
-                    f"{self.url}/embeddings", json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if response.status_code in (429, 500, 502, 503):
-                last_error = TransportError(
-                    f"embedding service returned {response.status_code}",
-                    retriable=True,
-                    attempts=attempt,
-                )
-                continue
-            if response.status_code != 200:
-                raise TransportError(
-                    f"embedding service returned {response.status_code}: {response.text[:200]}",
-                    retriable=False,
-                    attempts=attempt,
-                )
-            body = response.json()
-            try:
-                return [item["embedding"] for item in body["data"]]
-            except (KeyError, TypeError) as exc:
-                raise TransportError(
-                    f"malformed embedding response: {exc}", retriable=False, attempts=attempt
-                ) from exc
-        raise TransportError(
-            f"embedding service unreachable after {self.max_attempts} attempts: {last_error}",
-            retriable=True,
-            attempts=self.max_attempts,
+        body = post_json(
+            self._session,
+            f"{self.url}/embeddings",
+            {"model": self.model, "input": texts},
+            key_env=self.key_env,
+            timeout=self.timeout,
+            max_attempts=self.max_attempts,
+            service="embedding service",
         )
+        try:
+            return [item["embedding"] for item in body["data"]]
+        except (KeyError, TypeError) as exc:
+            raise TransportError(f"malformed embedding response: {exc}", retriable=False) from exc
 
 
 @dataclass(frozen=True)
@@ -446,16 +411,3 @@ def _build_postings(space: dict[str, tuple[Chunk, Vector]]) -> Postings:
             else:
                 held.append(chunk_id)
     return postings, vectors
-
-
-def brute_force_top_k(
-    embedder: HashingEmbedder | RemoteEmbedder,
-    chunks: Iterable[Chunk],
-    query_text: str,
-    k: int,
-) -> list[tuple[str, float]]:
-    """Exhaustive cosine scan; the reference oracle for query_top_k."""
-    query = embedder.embed_one(query_text)
-    scored = [(c.chunk_id, cosine(embedder.embed_one(c.text), query)) for c in chunks]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]

@@ -19,7 +19,6 @@ warning rather than aborting a run.
 from __future__ import annotations
 
 import json
-import os
 import re
 import string
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .corpus import Chunk
-from .errors import TransportError
+from .transport import post_json
 
 if TYPE_CHECKING:
     import requests
@@ -370,11 +369,8 @@ class LiveOracle:
             return SufficiencyVerdict(sufficient=False, gaps=tuple(gaps))
         return SufficiencyVerdict(sufficient=True)
 
-    def make_queries(self, question: str, gaps: Sequence[Gap]) -> tuple[list[str], list[str]]:
-        if not gaps:
-            return [], []
-        gap_queries = [f"{gap.entity} {gap.relation}".strip() for gap in gaps]
-        return gap_queries, fallback_queries(question)
+    # The gap query template needs no model.
+    make_queries = RuleBasedOracle.make_queries
 
     def generate_answer(self, question: str, evidence: Sequence[Chunk]) -> str:
         passages = "\n\n".join(c.text for c in evidence) or "(none)"
@@ -407,55 +403,27 @@ class LiveOracle:
         return len([t for t in named if t not in seen]) / len(named)
 
     def _complete(self, model: str, prompt: str) -> str:
-        import requests
-
-        headers = {}
-        key = os.environ.get(self.config.key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": model,
             "temperature": 0,
             "messages": [{"role": "user", "content": prompt}],
         }
-        last_error: Exception | None = None
-        for attempt in range(1, self.config.max_attempts + 1):
-            try:
-                response = self._session.post(
-                    f"{self.config.url.rstrip('/')}/chat/completions",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.config.timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if response.status_code in (429, 500, 502, 503):
-                last_error = TransportError(
-                    f"oracle endpoint returned {response.status_code}",
-                    retriable=True,
-                    attempts=attempt,
-                )
-                continue
-            if response.status_code != 200:
-                raise TransportError(
-                    f"oracle endpoint returned {response.status_code}: {response.text[:200]}",
-                    retriable=False,
-                    attempts=attempt,
-                )
-            body = response.json()
-            try:
-                content = body["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError) as exc:
-                self.warnings.append(f"malformed completion payload: {exc}")
-                return ""
-            self._log(payload, body)
-            return str(content)
-        raise TransportError(
-            f"oracle endpoint unreachable after {self.config.max_attempts} attempts: {last_error}",
-            retriable=True,
-            attempts=self.config.max_attempts,
+        body = post_json(
+            self._session,
+            f"{self.config.url.rstrip('/')}/chat/completions",
+            payload,
+            key_env=self.config.key_env,
+            timeout=self.config.timeout,
+            max_attempts=self.config.max_attempts,
+            service="oracle endpoint",
         )
+        try:
+            content = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            self.warnings.append(f"malformed completion payload: {exc}")
+            return ""
+        self._log(payload, body)
+        return str(content)
 
     def _log(self, request_body: dict, response_body: dict) -> None:
         if not self.config.log_path:

@@ -17,7 +17,7 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -27,7 +27,6 @@ from .corpus import (
     PROVENANCE_REDUNDANT,
     Chunk,
     Example,
-    Tokenizer,
     make_chunk,
 )
 from .errors import ValidationError
@@ -36,6 +35,9 @@ KIND_NOISE = "noise"
 KIND_REDUNDANCY = "redundancy"
 
 DISTORTIONS = ("scramble", "misspell", "truncate")
+# Seeded noise namespaces depend on this draw: ``random.choices`` with these
+# weights; ``random.choice`` would consume the stream differently.
+DISTORTION_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
 VARIANT_KINDS = ("reorder", "synonym", "subset")
 
 MISSPELL_WORD_FRACTION = 0.10
@@ -47,16 +49,11 @@ _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _default_mix() -> dict[str, float]:
-    return {"scramble": 1 / 3, "misspell": 1 / 3, "truncate": 1 / 3}
-
-
 @dataclass(frozen=True)
 class PerturbConfig:
     kind: str
     rho: float
     seed: int = 0
-    mix: dict[str, float] = field(default_factory=_default_mix)
     variant_cap: int = DEFAULT_VARIANT_CAP
 
     def __post_init__(self) -> None:
@@ -64,12 +61,6 @@ class PerturbConfig:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
-        if set(self.mix) != set(DISTORTIONS):
-            raise ValueError(f"mix must weight exactly {DISTORTIONS}")
-        if any(w < 0 for w in self.mix.values()):
-            raise ValueError("mix weights must be non-negative")
-        if abs(sum(self.mix.values()) - 1.0) > 1e-9:
-            raise ValueError("mix weights must sum to 1")
         if self.variant_cap < 1:
             raise ValueError("variant_cap must be >= 1")
 
@@ -183,14 +174,11 @@ def inject_noise(
     examples: Sequence[Example],
     chunks: Sequence[Chunk],
     config: PerturbConfig,
-    tokenizer: Tokenizer | None = None,
 ) -> list[Chunk]:
     """Append syntax-distorted copies and cross-query passages per example pool."""
     if config.kind != KIND_NOISE:
         raise ValueError("config.kind must be 'noise'")
     grouped = _group_by_example(examples, chunks)
-    mix_kinds = list(DISTORTIONS)
-    mix_weights = [config.mix[k] for k in mix_kinds]
     injected: list[Chunk] = []
     for example in examples:
         own = grouped.get(example.id, [])
@@ -206,7 +194,7 @@ def inject_noise(
         n_syntax = n_inj - n_inj // 2
         for j in range(n_syntax):
             source = own[j % len(own)]
-            op = rng.choices(mix_kinds, weights=mix_weights)[0]
+            op = rng.choices(DISTORTIONS, weights=DISTORTION_WEIGHTS)[0]
             body = _DISTORT_OPS[op](source.body, rng)
             injected.append(
                 make_chunk(
@@ -215,7 +203,6 @@ def inject_noise(
                     body=body,
                     source_example=example.id,
                     provenance=PROVENANCE_NOISE_SYNTAX,
-                    tokenizer=tokenizer,
                 )
             )
         for j in range(n_inj - n_syntax):
@@ -227,7 +214,6 @@ def inject_noise(
                     body=source.body,
                     source_example=example.id,
                     provenance=PROVENANCE_NOISE_CROSSQUERY,
-                    tokenizer=tokenizer,
                 )
             )
     return list(chunks) + injected
@@ -237,7 +223,6 @@ def inject_redundancy(
     examples: Sequence[Example],
     chunks: Sequence[Chunk],
     config: PerturbConfig,
-    tokenizer: Tokenizer | None = None,
 ) -> list[Chunk]:
     """Append paraphrastic variants of gold supporting chunks, capped per gold."""
     if config.kind != KIND_REDUNDANCY:
@@ -272,7 +257,6 @@ def inject_redundancy(
                     body=body,
                     source_example=example.id,
                     provenance=PROVENANCE_REDUNDANT,
-                    tokenizer=tokenizer,
                 )
             )
     return list(chunks) + injected

@@ -122,8 +122,8 @@ def replace_update(
     redundancy penalty looks at the already-kept prefix rather than the
     member itself. Retained evidence must re-earn its place: capacity is
     recomputed over the merged pool and selection runs from scratch under
-    the same budget. Passing ``trace_sink`` records the pool, the rescored
-    utilities, and the capacity actually used.
+    the same budget. Passing ``trace_sink`` records the rescored utilities
+    and the capacity actually used.
     """
     rescored: list[ScoredChunk] = []
     prior: list[Chunk] = []
@@ -133,7 +133,6 @@ def replace_update(
     pool = union_pool(rescored, new_candidates)
     if trace_sink is not None:
         trace_sink["rescored_current"] = [(c.chunk_id, u) for c, u in rescored]
-        trace_sink["pool"] = [(c.chunk_id, u) for c, u in pool]
     if not pool:
         if trace_sink is not None:
             trace_sink["k_eff"] = 0

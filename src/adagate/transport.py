@@ -1,0 +1,67 @@
+"""The one HTTP request policy shared by the remote backends.
+
+The embedding service and the oracle endpoint are both JSON-over-POST
+services. A request sends a bearer token read from the environment variable
+named ``key_env`` when that variable is set. Connection errors and status
+429/500/502/503 are retried; any other non-200 status fails at once; when
+every attempt is spent the last error is reported as retriable. Failures
+surface as TransportError with retry metadata.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import TYPE_CHECKING
+
+from .errors import TransportError
+
+if TYPE_CHECKING:
+    import requests
+
+RETRIABLE_STATUS = (429, 500, 502, 503)
+
+
+def post_json(
+    session: requests.Session,
+    url: str,
+    payload: dict,
+    *,
+    key_env: str,
+    timeout: float,
+    max_attempts: int,
+    service: str,
+) -> dict:
+    """POST ``payload`` and return the decoded body of the first 200 response.
+
+    ``service`` names the remote end in error messages.
+    """
+    import requests
+
+    headers = {}
+    key = os.environ.get(key_env, "")
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    last_error: Exception | None = None
+    for attempt in range(1, max_attempts + 1):
+        try:
+            response = session.post(url, json=payload, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_error = exc
+            continue
+        if response.status_code in RETRIABLE_STATUS:
+            last_error = TransportError(
+                f"{service} returned {response.status_code}", retriable=True, attempts=attempt
+            )
+            continue
+        if response.status_code != 200:
+            raise TransportError(
+                f"{service} returned {response.status_code}: {response.text[:200]}",
+                retriable=False,
+                attempts=attempt,
+            )
+        return response.json()
+    raise TransportError(
+        f"{service} unreachable after {max_attempts} attempts: {last_error}",
+        retriable=True,
+        attempts=max_attempts,
+    )

@@ -1,9 +1,12 @@
-"""Shared builders for test fixtures."""
+"""Shared builders for test fixtures, HTTP doubles, and the reference retrieval scan."""
 
 from __future__ import annotations
 
+import json
+from typing import Iterable
+
 from adagate.corpus import Chunk, chunk_corpus, make_chunk
-from adagate.index import HashingEmbedder, VectorIndex
+from adagate.index import HashingEmbedder, RemoteEmbedder, Vector, VectorIndex, cosine
 from adagate.synthetic import WorldSpec, generate_world
 
 WORLD_DIM = 2**20
@@ -43,3 +46,49 @@ def build_world(n_questions: int, seed: int = 7, dim: int = WORLD_DIM, **spec_kw
     index = VectorIndex(HashingEmbedder(dim=dim))
     index.upsert("clean", chunks)
     return examples, chunks, index
+
+
+def densify(vector: Vector, dim: int) -> list[float]:
+    """Expand a sparse vector to its full component list."""
+    dense = [0.0] * dim
+    for coord, value in vector.items():
+        dense[coord] = value
+    return dense
+
+
+def brute_force_top_k(
+    embedder: HashingEmbedder | RemoteEmbedder,
+    chunks: Iterable[Chunk],
+    query_text: str,
+    k: int,
+) -> list[tuple[str, float]]:
+    """Exhaustive cosine scan; the reference oracle for query_top_k."""
+    query = embedder.embed_one(query_text)
+    scored = [(c.chunk_id, cosine(embedder.embed_one(c.text), query)) for c in chunks]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+class FakeResponse:
+    def __init__(self, status_code: int, body: dict | None = None):
+        self.status_code = status_code
+        self._body = body or {}
+        self.text = json.dumps(self._body)
+
+    def json(self):
+        return self._body
+
+
+class FakeSession:
+    """Replays queued responses in order; a queued exception is raised instead."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.calls = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls.append({"url": url, "json": json, "headers": headers})
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response

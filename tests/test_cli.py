@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
+
+import pytest
 
 from adagate.cli import main
 from adagate.corpus import builtin_fixture_path
@@ -76,6 +79,37 @@ def test_run_rejects_zero_iterations(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--buffer", "-1"],
+        ["run", "--k", "0"],
+        ["run", "--budget", "0"],
+        ["run", "--weights", "1,2,3"],
+        ["run", "--weights", "a,b,c,d,e"],
+        ["run", "--weights", "0,0,0,0,0"],
+        ["perturb", "--kind", "noise", "--rho", "2"],
+        ["perturb", "--kind", "redundancy", "--cap", "0"],
+        ["index", "--namespace", "clean", "--dim", "0"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
+    data = str(builtin_fixture_path())
+    chunks = tmp_path / "chunks.jsonl"
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    capsys.readouterr()
+    paths = {
+        "run": ["--data", data, "--store", str(tmp_path / "store.jsonl"), "--out", str(tmp_path / "r.jsonl")],
+        "perturb": ["--data", data, "--out", str(tmp_path / "p.jsonl")],
+        "index": ["--chunks", str(chunks), "--store", str(tmp_path / "store.jsonl")],
+    }[argv[0]]
+    assert main(argv + paths) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["run", "--no-such-flag"]) == 2
     assert main(["frobnicate"]) == 2
@@ -97,6 +131,14 @@ def test_report_refuses_results_without_manifest(tmp_path, capsys):
     assert main(["report", "--in", str(out), "--force"]) == 0
     table = capsys.readouterr().out
     assert "adagate" in table
+
+
+def test_report_closes_results_files(tmp_path):
+    out = _pipeline(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["report", "--in", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_report_renders_aggregates_and_csv(tmp_path, capsys):

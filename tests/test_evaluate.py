@@ -11,7 +11,6 @@ from adagate.evaluate import (
     RESULT_SCHEMA,
     ExampleResult,
     aggregate,
-    build_report,
     evidence_prf,
     read_results,
     render_csv,
@@ -166,7 +165,7 @@ def test_read_results_roundtrip(tmp_path):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     loaded = read_results([path])
     assert [r.example_id for r in loaded] == ["a", "b"]
-    assert build_report([path]).rows[0].n == 2
+    assert aggregate(loaded).rows[0].n == 2
 
 
 def test_read_results_skips_error_records(tmp_path):

@@ -12,16 +12,9 @@ from hypothesis import strategies as st
 
 from adagate.corpus import make_chunk
 from adagate.errors import DuplicateIdError, SchemaError, TransportError, UnknownNamespaceError
-from adagate.index import (
-    HashingEmbedder,
-    RemoteEmbedder,
-    VectorIndex,
-    brute_force_top_k,
-    cosine,
-    densify,
-)
+from adagate.index import HashingEmbedder, RemoteEmbedder, VectorIndex, cosine
 
-from helpers import build_world, sized_chunk
+from helpers import FakeResponse, FakeSession, brute_force_top_k, build_world, densify, sized_chunk
 
 
 def reference_dense_vector(text: str, dim: int) -> list[float]:
@@ -174,32 +167,12 @@ def test_snapshot_schema_and_dim_checks(tmp_path):
     with pytest.raises(SchemaError):
         VectorIndex.load(path, embedder=HashingEmbedder(dim=32))
     with pytest.raises(SchemaError):  # the query path depends on the backend
-        VectorIndex.load(path, embedder=RemoteEmbedder(url="http://svc", dim=64, session=_FakeSession([])))
-
-
-class _FakeResponse:
-    def __init__(self, status_code: int, body: dict | None = None):
-        self.status_code = status_code
-        self._body = body or {}
-        self.text = json.dumps(self._body)
-
-    def json(self):
-        return self._body
-
-
-class _FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        return self.responses.pop(0)
+        VectorIndex.load(path, embedder=RemoteEmbedder(url="http://svc", dim=64, session=FakeSession([])))
 
 
 def test_remote_embedder_normalizes_and_caches():
-    session = _FakeSession(
-        [_FakeResponse(200, {"data": [{"embedding": [3.0, 4.0, 0.0]}]})]
+    session = FakeSession(
+        [FakeResponse(200, {"data": [{"embedding": [3.0, 4.0, 0.0]}]})]
     )
     embedder = RemoteEmbedder(url="http://svc/v1", dim=3, session=session)
     vec = embedder.embed_one("hello")
@@ -210,7 +183,7 @@ def test_remote_embedder_normalizes_and_caches():
 
 
 def test_remote_embedder_retries_then_surfaces_transport_error():
-    session = _FakeSession([_FakeResponse(503), _FakeResponse(503), _FakeResponse(503)])
+    session = FakeSession([FakeResponse(503), FakeResponse(503), FakeResponse(503)])
     embedder = RemoteEmbedder(url="http://svc", dim=2, session=session, max_attempts=3)
     with pytest.raises(TransportError) as exc:
         embedder.embed_one("x")
@@ -219,7 +192,7 @@ def test_remote_embedder_retries_then_surfaces_transport_error():
 
 
 def test_remote_embedder_rejects_wrong_dim():
-    session = _FakeSession([_FakeResponse(200, {"data": [{"embedding": [1.0, 2.0]}]})])
+    session = FakeSession([FakeResponse(200, {"data": [{"embedding": [1.0, 2.0]}]})])
     embedder = RemoteEmbedder(url="http://svc", dim=3, session=session)
     with pytest.raises(TransportError):
         embedder.embed_one("x")
@@ -291,7 +264,7 @@ class _SignedEmbeddingSession:
         for text in json["input"]:
             seed = 0 if "blank" in text else sum(text.encode("utf-8"))
             data.append({"embedding": [float((seed * (i + 3)) % 7 - 3) if seed else 0.0 for i in range(self.dim)]})
-        return _FakeResponse(200, {"data": data})
+        return FakeResponse(200, {"data": data})
 
 
 def test_remote_index_keeps_exact_scan_with_negative_components():

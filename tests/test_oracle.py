@@ -18,7 +18,7 @@ from adagate.oracle import (
     parse_slots,
 )
 
-from helpers import fact_chunk, sized_chunk
+from helpers import FakeSession, fact_chunk, sized_chunk
 
 
 def test_extract_empty_evidence(oracle):
@@ -102,22 +102,30 @@ def test_gaps_never_satisfiable_by_ledger(oracle):
         assert not ledger.matching(gap.entity, gap.relation)
 
 
-def test_make_queries_templates(oracle):
+def _query_oracles():
+    # The live oracle gets no responses to replay: building queries must not call the model.
+    return [RuleBasedOracle(), _live([])]
+
+
+def test_make_queries_templates():
     gaps = [Gap(entity="X", relation="nationality")]
-    gap_queries, fallback = oracle.make_queries("who is X? SLOT[X|nationality]", gaps)
-    assert gap_queries == ["X nationality"]
-    assert fallback
-    assert fallback[0] == "who is X? SLOT[X|nationality]"
+    for oracle in _query_oracles():
+        gap_queries, fallback = oracle.make_queries("who is X? SLOT[X|nationality]", gaps)
+        assert gap_queries == ["X nationality"]
+        assert fallback
+        assert fallback[0] == "who is X? SLOT[X|nationality]"
 
 
-def test_make_queries_empty_gaps_short_circuits(oracle):
-    assert oracle.make_queries("any question", []) == ([], [])
+def test_make_queries_empty_gaps_short_circuits():
+    for oracle in _query_oracles():
+        assert oracle.make_queries("any question", []) == ([], [])
 
 
-def test_make_queries_preserves_gap_order(oracle):
+def test_make_queries_preserves_gap_order():
     gaps = [Gap(entity="b", relation="r2"), Gap(entity="a", relation="r1")]
-    gap_queries, _ = oracle.make_queries("q SLOT[a|r1]", gaps)
-    assert gap_queries == ["b r2", "a r1"]
+    for oracle in _query_oracles():
+        gap_queries, _ = oracle.make_queries("q SLOT[a|r1]", gaps)
+        assert gap_queries == ["b r2", "a r1"]
 
 
 def test_fallback_queries_keyword_subsets():
@@ -193,18 +201,8 @@ class _FakeResponse:
         return {"choices": [{"message": {"content": self._content}}]}
 
 
-class _FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json})
-        return self.responses.pop(0)
-
-
 def _live(responses) -> LiveOracle:
-    return LiveOracle(LiveOracleConfig(url="http://svc/v1"), session=_FakeSession(responses))
+    return LiveOracle(LiveOracleConfig(url="http://svc/v1"), session=FakeSession(responses))
 
 
 def test_live_oracle_parses_fact_lines():
