@@ -43,10 +43,14 @@ class UsageError(Exception):
 
 
 def _checked(build, *args, **kwargs):
-    """Build a parameter object, reporting a value it rejects as a usage error."""
+    """Build a parameter object, reporting a value it rejects as a usage error.
+
+    A config-file value of the wrong type (``null``, a list) raises TypeError
+    in its conversion, so that is a usage error too.
+    """
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -229,7 +233,7 @@ def _open_store(store: str, dim: int | None, embedder_kind: str, config: dict) -
                 header = json.loads(handle.readline())
             embedder = _make_embedder("remote", int(header["dim"]), config)
         return VectorIndex.load(path, embedder=embedder)
-    resolved_dim = dim if dim is not None else int(_cfg(config, "index.dim", 256))
+    resolved_dim = dim if dim is not None else _checked(int, _cfg(config, "index.dim", 256))
     return VectorIndex(_make_embedder(embedder_kind, resolved_dim, config))
 
 
@@ -271,16 +275,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise UsageError("--jobs must be >= 1")
     defaults = ControllerConfig
     controller_config = _checked(
-        ControllerConfig,
-        mode=args.mode,
-        max_iterations=args.max_iterations,
-        k=args.k,
-        budget=args.budget if args.budget is not None else int(_cfg(config, "controller.budget", defaults.budget)),
-        buffer=args.buffer if args.buffer is not None else int(_cfg(config, "controller.buffer", defaults.buffer)),
-        weights=_parse_weights(args.weights, config),
-        namespace=args.namespace,
-        adaptive_pool=int(_cfg(config, "adaptive_k.pool", defaults.adaptive_pool)),
-        dedup_threshold=float(_cfg(config, "controller.dedup_threshold", defaults.dedup_threshold)),
+        lambda: ControllerConfig(
+            mode=args.mode,
+            max_iterations=args.max_iterations,
+            k=args.k,
+            budget=args.budget if args.budget is not None else int(_cfg(config, "controller.budget", defaults.budget)),
+            buffer=args.buffer if args.buffer is not None else int(_cfg(config, "controller.buffer", defaults.buffer)),
+            weights=_parse_weights(args.weights, config),
+            namespace=args.namespace,
+            adaptive_pool=int(_cfg(config, "adaptive_k.pool", defaults.adaptive_pool)),
+            dedup_threshold=float(_cfg(config, "controller.dedup_threshold", defaults.dedup_threshold)),
+        )
     )
     index = _open_store(args.store, None, _resolve_embedder_kind(args.embedder, config), config)
     examples = load_examples(args.data, limit=args.limit)

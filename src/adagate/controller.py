@@ -61,6 +61,8 @@ class ControllerConfig:
             raise ValueError("budget must be positive")
         if self.buffer < 0:
             raise ValueError("buffer must be non-negative")
+        if self.adaptive_pool < 1:
+            raise ValueError("adaptive_pool must be >= 1")
 
 
 @dataclass

@@ -11,6 +11,22 @@ tests reproduce independently, is:
 5. L2-normalize the result. Empty text yields the all-zero vector, and
    cosine against a zero vector is defined as 0.
 
+``fnv1a64`` is that hash, one token at a time. ``HashingEmbedder`` gives
+exactly the same hashes in lockstep. The tokens of up to 256 uncached texts
+are the lanes of one Python big int, and each byte position costs a few
+C-level big-int operations over all lanes (xor the column of bytes,
+multiply by the prime, mask every lane, keep the state of tokens that have
+ended) instead of one interpreted step per byte per token. When dim is a
+power of two only the low log2(dim) bits of the state decide
+``hash % dim``, so a lane is 4 bytes (8 above dim 2**23) and holds the
+coordinate itself; other dims keep the full 64-bit state in 16-byte lanes.
+A pass makes one step per byte of its longest token over big ints of a few
+bytes per token. On a 5,000-chunk synthetic world (300k tokens, dim 2**20,
+CPython 3.11 on a 2-vCPU Xeon) embedding took 0.38 s instead of 1.0 s,
+split about evenly between tokenizing, hashing and building the vectors.
+Calls with fewer than 32 tokens, where the setup costs more than the steps
+save, and tokens longer than 255 bytes are hashed one at a time.
+
 Vectors are stored sparsely as coordinate -> value maps over the fixed
 dimension, which keeps very large dims cheap. Hash collisions are
 acceptable; determinism is the requirement. A remote HTTP backend
@@ -30,8 +46,12 @@ import heapq
 import json
 import math
 import os
+import re
+import struct
 import threading
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -52,7 +72,16 @@ FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
-_KEEP = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
+# A maximal run of non-whitespace, trimmed to its first and last [a-z0-9_].
+_TOKEN = re.compile(r"[a-z0-9_](?:\S*[a-z0-9_])?")
+
+# Lockstep hashing: texts per pass (bounds the big ints), the fewest tokens
+# worth a pass, and the longest token a one-byte length admits.
+_GROUP_TEXTS = 256
+_LOCKSTEP_MIN_TOKENS = 32
+_LANE_MAX_BYTES = 255
+# Lane width in bytes -> struct code of one 8- or 4-byte word, and words per lane.
+_LANE_WORDS = {4: ("I", 1), 8: ("Q", 1), 16: ("Q", 2)}
 
 SNAPSHOT_SCHEMA = "index@1"
 DEFAULT_DIM = 256
@@ -76,17 +105,7 @@ def fnv1a64(data: bytes) -> int:
 
 def normalize_tokens(text: str) -> list[str]:
     """Lowercased whitespace tokens with non-[a-z0-9_] edges stripped."""
-    tokens = []
-    for raw in text.lower().split():
-        start = 0
-        end = len(raw)
-        while start < end and raw[start] not in _KEEP:
-            start += 1
-        while end > start and raw[end - 1] not in _KEEP:
-            end -= 1
-        if end > start:
-            tokens.append(raw[start:end])
-    return tokens
+    return _TOKEN.findall(text.lower())
 
 
 def cosine(a: Vector, b: Vector) -> float:
@@ -111,30 +130,95 @@ class HashingEmbedder:
             raise ValueError("dim must be positive")
         self.dim = dim
         self._cache: dict[str, Vector] = {}
+        # FNV-1a is exact modulo 2**bits for any bits <= 64, so a power-of-two
+        # dim needs only its own bits of the state, and they are the coordinate.
+        self._pow2 = dim & (dim - 1) == 0 and dim <= 1 << 64
+        bits = dim.bit_length() - 1 if self._pow2 else 64
+        self._state_mask = (1 << bits) - 1
+        self._prime = FNV64_PRIME & self._state_mask
+        # A lane holds state * prime before the mask, so no carry reaches the next lane.
+        product_bits = bits + self._prime.bit_length()
+        self._lane = 4 if product_bits <= 32 else 8 if product_bits <= 64 else 16
 
     def embed_one(self, text: str) -> Vector:
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        counts: dict[int, float] = {}
-        for token in normalize_tokens(text):
-            coord = fnv1a64(token.encode("utf-8")) % self.dim
-            counts[coord] = counts.get(coord, 0.0) + 1.0
-        norm = math.sqrt(sum(v * v for v in counts.values()))
-        # One float object per distinct count: most coordinates count 1, and
-        # a large index holds millions of components.
-        shared: dict[float, float] = {}
-        vector = {}
-        for coord, count in sorted(counts.items()):
-            value = shared.get(count)
-            if value is None:
-                value = shared[count] = count / norm
-            vector[coord] = value
-        self._cache[text] = vector
+        vector = self._cache.get(text)
+        if vector is None:
+            vector = self._cache[text] = _unit_vector(self._coordinates(normalize_tokens(text)))
         return vector
 
     def embed(self, texts: Sequence[str]) -> list[Vector]:
-        return [self.embed_one(text) for text in texts]
+        cache = self._cache
+        missing = [text for text in dict.fromkeys(texts) if text not in cache]
+        for start in range(0, len(missing), _GROUP_TEXTS):
+            group = missing[start : start + _GROUP_TEXTS]
+            tokens = [normalize_tokens(text) for text in group]
+            coords = iter(self._coordinates(list(chain.from_iterable(tokens))))
+            for text, text_tokens in zip(group, tokens):
+                cache[text] = _unit_vector(list(islice(coords, len(text_tokens))))
+        return [cache[text] for text in texts]
+
+    def _coordinates(self, tokens: list[str]) -> list[int]:
+        """``fnv1a64(token) % dim`` for every token, in order."""
+        data = list(map(str.encode, tokens))
+        if len(data) < _LOCKSTEP_MIN_TOKENS:
+            return [fnv1a64(token) % self.dim for token in data]
+        lengths = list(map(len, data))
+        long = {}
+        if max(lengths) > _LANE_MAX_BYTES:
+            long = {i: token for i, token in enumerate(data) if len(token) > _LANE_MAX_BYTES}
+            for i in long:
+                data[i], lengths[i] = b"", 0
+        states = self._lockstep(data, bytes(lengths))
+        for i, token in long.items():
+            states[i] = fnv1a64(token) & self._state_mask
+        return states if self._pow2 else [state % self.dim for state in states]
+
+    def _lockstep(self, data: list[bytes], lengths: bytes) -> list[int]:
+        """FNV-1a states masked to the kept bits, hashing every token at once.
+
+        Token ``i`` is lane ``i`` of the big int ``h``, ``self._lane`` bytes
+        wide. Step ``j`` xors byte ``j`` of every token into its lane,
+        multiplies all lanes by the prime and masks each back to the kept
+        bits; lanes of tokens shorter than ``j + 1`` keep their state, so an
+        empty token keeps the offset basis.
+        """
+        n, width = len(data), self._lane
+        longest = max(lengths)
+        padded = struct.Struct(f"{longest}s" * n).pack(*data)  # NUL-padded, one row per token
+        # Each token's length repeated across its lane, for the active masks.
+        lane_lengths = bytearray(n * width)
+        for k in range(width):
+            lane_lengths[k::width] = lengths
+        lanes = int.from_bytes(self._state_mask.to_bytes(width, "little") * n, "little")
+        h = int.from_bytes((FNV64_OFFSET & self._state_mask).to_bytes(width, "little") * n, "little")
+        column = bytearray(n * width)
+        ends = set(lengths)
+        active = None  # every lane, until the shortest token ends
+        for j in range(longest):
+            if j in ends:
+                table = bytes(j + 1) + b"\xff" * (255 - j)  # length > j -> 0xff
+                active = int.from_bytes(lane_lengths.translate(table), "little")
+            column[::width] = padded[j::longest]
+            stepped = ((h ^ int.from_bytes(column, "little")) * self._prime) & lanes
+            h = stepped if active is None else h ^ ((h ^ stepped) & active)
+        # Explicit byte order and standard sizes: the same lanes on any host.
+        code, words = _LANE_WORDS[width]
+        return list(struct.Struct(f"<{n * words}{code}").unpack(h.to_bytes(n * width, "little"))[::words])
+
+
+def _unit_vector(coords: list[int]) -> Vector:
+    """L2-normalized counts of ``coords``, in ascending coordinate order."""
+    if not coords:
+        return {}
+    distinct = sorted(set(coords))
+    if len(distinct) == len(coords):
+        return dict.fromkeys(distinct, 1.0 / math.sqrt(len(coords)))
+    counts = Counter(coords)
+    norm = math.sqrt(sum(count * count for count in counts.values()))
+    # One float object per distinct count: most coordinates count 1, and a
+    # large index holds millions of components.
+    shared = {count: count / norm for count in set(counts.values())}
+    return {coord: shared[counts[coord]] for coord in distinct}
 
 
 class RemoteEmbedder:

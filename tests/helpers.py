@@ -48,6 +48,24 @@ def build_world(n_questions: int, seed: int = 7, dim: int = WORLD_DIM, **spec_kw
     return examples, chunks, index
 
 
+_KEEP = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def reference_normalize_tokens(text: str) -> list[str]:
+    """Character-loop definition of ``normalize_tokens``: split, then trim the edges."""
+    tokens = []
+    for raw in text.lower().split():
+        start = 0
+        end = len(raw)
+        while start < end and raw[start] not in _KEEP:
+            start += 1
+        while end > start and raw[end - 1] not in _KEEP:
+            end -= 1
+        if end > start:
+            tokens.append(raw[start:end])
+    return tokens
+
+
 def densify(vector: Vector, dim: int) -> list[float]:
     """Expand a sparse vector to its full component list."""
     dense = [0.0] * dim

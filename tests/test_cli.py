@@ -91,6 +91,14 @@ def test_run_rejects_zero_iterations(tmp_path):
         ["perturb", "--kind", "noise", "--rho", "2"],
         ["perturb", "--kind", "redundancy", "--cap", "0"],
         ["index", "--namespace", "clean", "--dim", "0"],
+        # Config-file values: the JSON after --config is written to a file.
+        ["run", "--mode", "adaptive_k", "--config", '{"adaptive_k": {"pool": 0}}'],
+        ["run", "--config", '{"adaptive_k": {"pool": "many"}}'],
+        ["run", "--config", '{"controller": {"budget": "lots"}}'],
+        ["run", "--config", '{"controller": {"buffer": null}}'],
+        ["run", "--config", '{"controller": {"dedup_threshold": "high"}}'],
+        ["index", "--namespace", "clean", "--config", '{"index": {"dim": "x"}}'],
+        ["index", "--namespace", "clean", "--config", '{"index": {"dim": [256]}}'],
     ],
     ids=" ".join,
 )
@@ -99,6 +107,11 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
     chunks = tmp_path / "chunks.jsonl"
     assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
     capsys.readouterr()
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        config = tmp_path / "config.json"
+        config.write_text(argv[at], encoding="utf-8")
+        argv = argv[:at] + [str(config)] + argv[at + 1 :]
     paths = {
         "run": ["--data", data, "--store", str(tmp_path / "store.jsonl"), "--out", str(tmp_path / "r.jsonl")],
         "perturb": ["--data", data, "--out", str(tmp_path / "p.jsonl")],
@@ -108,6 +121,7 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 def test_unknown_flag_is_usage_error(tmp_path):

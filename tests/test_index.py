@@ -7,19 +7,28 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adagate.corpus import make_chunk
 from adagate.errors import DuplicateIdError, SchemaError, TransportError, UnknownNamespaceError
-from adagate.index import HashingEmbedder, RemoteEmbedder, VectorIndex, cosine
+from adagate.index import HashingEmbedder, RemoteEmbedder, VectorIndex, cosine, normalize_tokens
 
-from helpers import FakeResponse, FakeSession, brute_force_top_k, build_world, densify, sized_chunk
+from helpers import (
+    FakeResponse,
+    FakeSession,
+    brute_force_top_k,
+    build_world,
+    densify,
+    reference_normalize_tokens,
+    sized_chunk,
+)
 
 
-def reference_dense_vector(text: str, dim: int) -> list[float]:
-    # Independent re-implementation of the documented hash spec.
-    vec = [0.0] * dim
+def reference_vector(text: str, dim: int) -> dict[int, float]:
+    # Independent re-implementation of the documented hash spec. Counts are
+    # small integers, so the norm is exact in any summation order.
+    counts: dict[int, float] = {}
     for raw in text.lower().split():
         token = re.sub(r"^[^a-z0-9_]+|[^a-z0-9_]+$", "", raw)
         if not token:
@@ -28,9 +37,9 @@ def reference_dense_vector(text: str, dim: int) -> list[float]:
         for byte in token.encode("utf-8"):
             h ^= byte
             h = (h * 0x100000001B3) % (1 << 64)
-        vec[h % dim] += 1.0
-    norm = math.sqrt(sum(v * v for v in vec))
-    return [v / norm for v in vec] if norm else vec
+        counts[h % dim] = counts.get(h % dim, 0.0) + 1.0
+    norm = math.sqrt(sum(v * v for v in counts.values()))
+    return {coord: counts[coord] / norm for coord in sorted(counts)}
 
 
 def test_embed_is_deterministic():
@@ -51,9 +60,42 @@ def test_empty_text_embeds_to_zero_vector():
 def test_embedder_matches_documented_hash_spec():
     text = "The Quick, brown fox! jumps_over 42 dogs... (and Cats)"
     embedder = HashingEmbedder(dim=256)
-    dense = densify(embedder.embed_one(text), 256)
-    reference = reference_dense_vector(text, 256)
-    assert dense == pytest.approx(reference, abs=1e-12)
+    assert list(embedder.embed_one(text).items()) == list(reference_vector(text, 256).items())
+
+
+# Unicode whitespace that str.split() and the regex \s both split on, edge
+# characters that lowercase or encode oddly, and plain token characters.
+_ODD_CHARS = "\x1c\x1d\x1e\x1f\x85\xa0\u3000 \t\nİßé€𝄞.,!?'-()\x00"
+_chars = st.one_of(st.characters(), st.sampled_from(_ODD_CHARS), st.sampled_from("abxyz019_ABZ"))
+_texts = st.one_of(
+    st.text(_chars, max_size=60),
+    st.text(st.sampled_from(" .,!?-()'\u3000"), max_size=8),  # empty or punctuation only
+    st.text(st.sampled_from("ab_é"), min_size=130, max_size=300),  # one token, often past 255 bytes
+)
+# A 256-text pass and the 32-token cut-off are crossed by the filler texts.
+_filler = st.integers(min_value=0, max_value=300)
+_DIMS = [1, 7, 64, 256, 1000, 2**20, 2**24]
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=st.lists(_texts, max_size=20), filler=_filler, repeat=st.booleans(), dim=st.sampled_from(_DIMS))
+@example(texts=["a" * 300 + " b\xa0c", "é" * 130, "", "..."], filler=40, repeat=True, dim=2**20)
+@example(texts=["The Quick, brown fox!"], filler=260, repeat=True, dim=1000)
+@example(texts=["x " * 31, "y " * 32], filler=0, repeat=False, dim=2**24)
+def test_embed_batch_equals_spec_exactly(texts, filler, repeat, dim):
+    batch = texts + [f"f{i} x{i % 7}y" for i in range(filler)]
+    if repeat and batch:
+        batch.insert(len(batch) // 2, batch[0])
+    expected = [list(reference_vector(text, dim).items()) for text in batch]
+    assert [list(vec.items()) for vec in HashingEmbedder(dim).embed(batch)] == expected
+    # One text at a time takes the scalar path below 32 tokens.
+    single = HashingEmbedder(dim)
+    assert [list(single.embed_one(text).items()) for text in batch[:4]] == expected[:4]
+
+
+@given(st.text(_chars, max_size=80))
+def test_normalize_tokens_equals_character_loop(text):
+    assert normalize_tokens(text) == reference_normalize_tokens(text)
 
 
 def test_unit_norm_after_embedding():
