@@ -29,7 +29,7 @@ from .controller import MODES, ControllerConfig, run_example
 from .corpus import chunk_corpus, load_examples, read_chunks, write_chunks
 from .errors import AdagateError
 from .evaluate import ExampleResult, aggregate, evidence_prf, read_results, render_csv, render_table
-from .index import HashingEmbedder, RemoteEmbedder, VectorIndex
+from .index import HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot_header
 from .oracle import LiveOracle, LiveOracleConfig, RuleBasedOracle
 from .perturb import KIND_NOISE, PerturbConfig, inject_noise, inject_redundancy
 from .scoring import DEFAULT_WEIGHTS, UtilityWeights
@@ -230,8 +230,8 @@ def _open_store(store: str, dim: int | None, embedder_kind: str, config: dict) -
         embedder = None
         if embedder_kind == "remote":
             with path.open("r", encoding="utf-8") as handle:
-                header = json.loads(handle.readline())
-            embedder = _make_embedder("remote", int(header["dim"]), config)
+                dim, _ = read_snapshot_header(handle)
+            embedder = _make_embedder("remote", dim, config)
         return VectorIndex.load(path, embedder=embedder)
     resolved_dim = dim if dim is not None else _checked(int, _cfg(config, "index.dim", 256))
     return VectorIndex(_make_embedder(embedder_kind, resolved_dim, config))

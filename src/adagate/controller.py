@@ -1,26 +1,33 @@
 """Evidence controllers: the gap-aware repair loop and the baselines.
 
-The repair controller seeds evidence by retrieving for the raw question,
-then iterates extract / search / score / replace: extract the ledger and
-assess sufficiency, issue gap micro-queries plus question-anchored
-fallback queries, score the deduplicated candidates, and re-select the
-evidence set from the merged pool under the token budget. It stops when
-the verdict is sufficient, when a repair pass changes nothing and no new
-candidate outranks the weakest selected passage, or after the configured
-number of repair iterations. All baselines share the same retrieval,
-generation, and accounting pipeline.
+The repair controller runs one step per iteration: query, deduplicate the
+hits into candidates, score them, and re-select the evidence set from the
+current members plus the candidates under the token budget
+(``replace_update``). Iteration 0 is that step over empty evidence, with an
+empty ledger, no gaps, and the raw question as its only query. Each repair
+iteration after it first extracts the ledger and assesses sufficiency, then
+queries with gap micro-queries plus question-anchored fallback queries. The
+loop stops when the verdict is sufficient, when a repair changes nothing and
+no new candidate outranks the weakest re-scored member, or after the
+configured number of repair iterations. All baselines share the same
+retrieval, generation, and accounting pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .corpus import Chunk, Example, count_tokens
 from .index import RetrievalHit, VectorIndex, cosine
-from .oracle import Gap, Ledger, OracleBackend
+from .oracle import Gap, Ledger, OracleBackend, match_slots
+# The benchmark's traced pass wraps score_candidate, effective_capacity,
+# select_evidence and replace_update by looking each name up in this module
+# (vars(controller)[name]), so all four stay bound here: select_evidence too,
+# although every selection goes through replace_update.
 from .scoring import DEFAULT_WEIGHTS, TermBreakdown, UtilityWeights, score_candidate
-from .selection import EvidenceState, effective_capacity, replace_update, select_evidence
+from .selection import EvidenceState, effective_capacity, replace_update, select_evidence  # noqa: F401
 
 MODE_ADAGATE = "adagate"
 MODE_BASIC = "basic"
@@ -73,32 +80,19 @@ class IterationRecord:
     gaps: list[tuple[str, str]] = field(default_factory=list)
     queries: dict[str, list[str]] = field(default_factory=dict)
     hits: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-    scores: dict[str, TermBreakdown] = field(default_factory=dict)
+    scores: dict[str, TermBreakdown] = field(default_factory=dict)  # in chunk-id order
     k_eff: int = 0
     selected_ids: list[str] = field(default_factory=list)
     used_tokens: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "ledger_size": self.ledger_size,
-            "sufficient": self.sufficient,
-            "gaps": [list(g) for g in self.gaps],
-            "queries": self.queries,
-            "hits": {ch: [[cid, s] for cid, s in hits] for ch, hits in self.hits.items()},
-            "scores": {cid: tb.as_dict() for cid, tb in sorted(self.scores.items())},
-            "k_eff": self.k_eff,
-            "selected_ids": self.selected_ids,
-            "used_tokens": self.used_tokens,
-        }
-
 
 @dataclass
 class ControllerTrace:
+    """One example's run; ``as_dict`` lists the fields in declaration order."""
+
     example_id: str
     mode: str
     namespace: str
-    iterations: list[IterationRecord] = field(default_factory=list)
     termination_reason: str = REASON_NONE
     final_answer: str = ""
     final_chunk_ids: list[str] = field(default_factory=list)
@@ -106,22 +100,13 @@ class ControllerTrace:
     input_tokens: int = 0
     docs_passed: int = 0
     warnings: list[str] = field(default_factory=list)
+    iterations: list[IterationRecord] = field(default_factory=list)
 
     def as_dict(self, full: bool = False) -> dict:
-        record = {
-            "example_id": self.example_id,
-            "mode": self.mode,
-            "namespace": self.namespace,
-            "termination_reason": self.termination_reason,
-            "final_answer": self.final_answer,
-            "final_chunk_ids": self.final_chunk_ids,
-            "final_titles": self.final_titles,
-            "input_tokens": self.input_tokens,
-            "docs_passed": self.docs_passed,
-            "warnings": self.warnings,
-        }
-        if full:
-            record["iterations"] = [it.as_dict() for it in self.iterations]
+        """The trace as plain data; the per-iteration records only when ``full``."""
+        record = asdict(self)
+        if not full:
+            del record["iterations"]
         return record
 
 
@@ -131,38 +116,37 @@ def adaptive_cut(scores: Sequence[float]) -> int:
 
 
 def _assemble_candidates(
-    hit_groups: Sequence[Sequence[RetrievalHit]],
+    hits: Iterable[RetrievalHit],
     index: VectorIndex,
-    namespace: str,
     evidence: Sequence[Chunk],
-    embedder,
-    threshold: float,
+    config: ControllerConfig,
 ) -> list[Chunk]:
     """Deduplicate retrieved hits into a candidate list.
 
     Drops ids already selected or already kept, and suppresses near
     duplicates: any candidate whose cosine against a selected passage or an
-    earlier-kept candidate reaches ``threshold``. Hits are processed in
-    channel order, then retrieval rank, so the assembly is deterministic.
+    earlier-kept candidate reaches ``config.dedup_threshold``. Hits are
+    processed in the order given (channel, query, then retrieval rank), so
+    the assembly is deterministic.
     """
+    embedder, namespace, threshold = index.embedder, config.namespace, config.dedup_threshold
     kept: list[Chunk] = []
     kept_vecs = []
     evidence_ids = {c.chunk_id for c in evidence}
     evidence_vecs = [embedder.embed_one(c.text) for c in evidence]
     kept_ids: set[str] = set()
-    for hits in hit_groups:
-        for hit in hits:
-            if hit.chunk_id in evidence_ids or hit.chunk_id in kept_ids:
-                continue
-            chunk = index.get_chunk(namespace, hit.chunk_id)
-            vec = embedder.embed_one(chunk.text)
-            if any(cosine(vec, other) >= threshold for other in evidence_vecs):
-                continue
-            if any(cosine(vec, other) >= threshold for other in kept_vecs):
-                continue
-            kept.append(chunk)
-            kept_ids.add(hit.chunk_id)
-            kept_vecs.append(vec)
+    for hit in hits:
+        if hit.chunk_id in evidence_ids or hit.chunk_id in kept_ids:
+            continue
+        chunk = index.get_chunk(namespace, hit.chunk_id)
+        vec = embedder.embed_one(chunk.text)
+        if any(cosine(vec, other) >= threshold for other in evidence_vecs):
+            continue
+        if any(cosine(vec, other) >= threshold for other in kept_vecs):
+            continue
+        kept.append(chunk)
+        kept_ids.add(hit.chunk_id)
+        kept_vecs.append(vec)
     return kept
 
 
@@ -172,105 +156,71 @@ def run_adagate(
     index: VectorIndex,
     oracle: OracleBackend,
 ) -> ControllerTrace:
-    embedder = index.embedder
     question = example.question
     trace = ControllerTrace(example_id=example.id, mode=MODE_ADAGATE, namespace=config.namespace)
+    warned = len(getattr(oracle, "warnings", []))
 
-    def score(chunk: Chunk, ledger: Ledger, gaps: Sequence[Gap], evidence: Sequence[Chunk]) -> TermBreakdown:
+    def score(chunk: Chunk, evidence: Sequence[Chunk]) -> TermBreakdown:
         return score_candidate(
-            chunk, question, ledger, gaps, evidence, config.weights, embedder=embedder, oracle=oracle
+            chunk, question, ledger, gaps, evidence, config.weights, embedder=index.embedder, oracle=oracle
         )
 
-    # Iteration 0: seed evidence from the raw question.
-    seed_hits = index.query_top_k(config.namespace, question, config.k)
-    seed_record = IterationRecord(index=0)
-    seed_record.queries = {CHANNEL_SEED: [question]}
-    seed_record.hits = {CHANNEL_SEED: [(h.chunk_id, h.score) for h in seed_hits]}
-    candidates = _assemble_candidates(
-        [seed_hits], index, config.namespace, [], embedder, config.dedup_threshold
-    )
-    empty_ledger = Ledger()
-    scored = [(c, score(c, empty_ledger, [], [])) for c in candidates]
-    seed_record.scores = {c.chunk_id: tb for c, tb in scored}
-    if scored:
-        utilities = sorted((tb.utility for _, tb in scored), reverse=True)
-        k_eff = effective_capacity(utilities, config.buffer)
-        state = select_evidence([(c, tb.utility) for c, tb in scored], k_eff, config.budget)
-        seed_record.k_eff = k_eff
-    else:
-        state = EvidenceState(budget=config.budget)
-    seed_record.selected_ids = state.chunk_ids
-    seed_record.used_tokens = state.used_tokens
-    trace.iterations.append(seed_record)
-
+    # Iteration 0 is the repair step over empty evidence, seeded by the question.
+    state = EvidenceState(budget=config.budget)
+    ledger = Ledger()
+    gaps: Sequence[Gap] = ()
+    queries = {CHANNEL_SEED: [question]}
     reason = REASON_MAX_ITERATIONS
-    for t in range(1, config.max_iterations + 1):
+    for t in range(config.max_iterations + 1):
         record = IterationRecord(index=t)
-        ledger = oracle.extract_ledger(state.selected)
-        record.ledger_size = len(ledger)
-        verdict = oracle.assess_sufficiency(question, ledger)
-        record.sufficient = verdict.sufficient
-        record.gaps = [(g.entity, g.relation) for g in verdict.gaps]
-        if verdict.sufficient:
-            record.selected_ids = state.chunk_ids
-            record.used_tokens = state.used_tokens
-            trace.iterations.append(record)
-            reason = REASON_SUFFICIENT
-            break
+        if t:
+            ledger = oracle.extract_ledger(state.selected)
+            record.ledger_size = len(ledger)
+            verdict = oracle.assess_sufficiency(question, ledger)
+            record.sufficient = verdict.sufficient
+            record.gaps = [(g.entity, g.relation) for g in verdict.gaps]
+            if verdict.sufficient:
+                record.selected_ids = state.chunk_ids
+                record.used_tokens = state.used_tokens
+                trace.iterations.append(record)
+                reason = REASON_SUFFICIENT
+                break
+            gaps = verdict.gaps
+            gap_queries, fb_queries = oracle.make_queries(question, gaps)
+            queries = {CHANNEL_GAP: gap_queries, CHANNEL_FALLBACK: fb_queries}
 
-        gap_queries, fb_queries = oracle.make_queries(question, verdict.gaps)
-        record.queries = {CHANNEL_GAP: gap_queries, CHANNEL_FALLBACK: fb_queries}
-        gap_hits = [index.query_top_k(config.namespace, q, config.k) for q in gap_queries]
-        fb_hits = [index.query_top_k(config.namespace, q, config.k) for q in fb_queries]
-        record.hits = {
-            CHANNEL_GAP: [(h.chunk_id, h.score) for hits in gap_hits for h in hits],
-            CHANNEL_FALLBACK: [(h.chunk_id, h.score) for hits in fb_hits for h in hits],
+        record.queries = queries
+        hits = {
+            ch: [h for q in qs for h in index.query_top_k(config.namespace, q, config.k)] for ch, qs in queries.items()
         }
-        candidates = _assemble_candidates(
-            list(gap_hits) + list(fb_hits),
-            index,
-            config.namespace,
-            state.selected,
-            embedder,
-            config.dedup_threshold,
-        )
-        scored_new = [(c, score(c, ledger, verdict.gaps, state.selected)) for c in candidates]
-        record.scores = {c.chunk_id: tb for c, tb in scored_new}
+        record.hits = {ch: [(h.chunk_id, h.score) for h in channel_hits] for ch, channel_hits in hits.items()}
+        candidates = _assemble_candidates(chain.from_iterable(hits.values()), index, state.selected, config)
+        scored = [(c, score(c, state.selected)) for c in candidates]
+        record.scores = {c.chunk_id: tb for c, tb in sorted(scored, key=lambda pair: pair[0].chunk_id)}
+        rescored: list[float] = []
 
         def rescore(chunk: Chunk, prior: list[Chunk]) -> float:
-            return score(chunk, ledger, verdict.gaps, prior).utility
+            rescored.append(score(chunk, prior).utility)
+            return rescored[-1]
 
-        sink: dict = {}
         previous_ids = state.chunk_ids
-        new_state = replace_update(
-            state,
-            [(c, tb.utility) for c, tb in scored_new],
-            rescore,
-            buffer=config.buffer,
-            trace_sink=sink,
-        )
-        new_state.iteration = t
-        record.k_eff = sink.get("k_eff", 0)
-        record.selected_ids = new_state.chunk_ids
-        record.used_tokens = new_state.used_tokens
+        state = replace_update(state, [(c, tb.utility) for c, tb in scored], rescore, buffer=config.buffer)
+        record.k_eff = state.k_eff
+        record.selected_ids = state.chunk_ids
+        record.used_tokens = state.used_tokens
         trace.iterations.append(record)
 
-        unchanged = new_state.chunk_ids == previous_ids
-        rescored_old = dict(sink.get("rescored_current", []))
-        min_selected = min(rescored_old.values()) if rescored_old else None
-        max_new = max((tb.utility for _, tb in scored_new), default=None)
-        no_outrank = (
-            max_new is None
-            or (min_selected is not None and max_new < min_selected)
-        )
-        state = new_state
-        if unchanged and no_outrank:
+        # A repair that changed nothing, with no new candidate outranking the
+        # weakest re-scored member, would repeat itself.
+        max_new = max((tb.utility for _, tb in scored), default=None)
+        no_outrank = max_new is None or (bool(rescored) and max_new < min(rescored))
+        if t and state.chunk_ids == previous_ids and no_outrank:
             reason = REASON_NO_USEFUL_REPAIR
             break
 
     trace.termination_reason = reason
     trace.final_answer = oracle.generate_answer(question, state.selected)
-    _finalize(trace, state.selected, question, oracle)
+    _finalize(trace, state.selected, question, oracle, warned)
     return trace
 
 
@@ -282,6 +232,7 @@ def run_baseline(
 ) -> ControllerTrace:
     question = example.question
     trace = ControllerTrace(example_id=example.id, mode=config.mode, namespace=config.namespace)
+    warned = len(getattr(oracle, "warnings", []))
     record = IterationRecord(index=0)
 
     if config.mode == MODE_BASIC:
@@ -308,7 +259,7 @@ def run_baseline(
 
     trace.termination_reason = REASON_NONE
     trace.final_answer = oracle.generate_answer(question, evidence)
-    _finalize(trace, evidence, question, oracle)
+    _finalize(trace, evidence, question, oracle, warned)
     return trace
 
 
@@ -322,11 +273,8 @@ def _seal_select(question: str, retrieved: Sequence[Chunk], oracle: OracleBacken
     if not retrieved:
         return []
     ledger = oracle.extract_ledger(retrieved)
-    matched = []
-    if hasattr(oracle, "match_slots"):
-        matched = oracle.match_slots(question, ledger)
     candidates = sorted(
-        matched or ledger.facts,
+        match_slots(question, ledger) or ledger.facts,
         key=lambda f: (-f.confidence, f.entity, f.relation, f.value, f.source_chunk),
     )
     if not candidates:
@@ -351,9 +299,11 @@ def _finalize(
     evidence: Sequence[Chunk],
     question: str,
     oracle: OracleBackend,
+    warned: int,
 ) -> None:
+    """Fill the trace's final fields; its warnings are those after the first ``warned``."""
     trace.final_chunk_ids = [c.chunk_id for c in evidence]
     trace.final_titles = [c.title for c in evidence]
     trace.docs_passed = len(evidence)
     trace.input_tokens = count_tokens(question) + sum(c.token_len for c in evidence)
-    trace.warnings = list(getattr(oracle, "warnings", []))
+    trace.warnings = list(getattr(oracle, "warnings", [])[warned:])

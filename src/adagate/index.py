@@ -53,7 +53,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .corpus import Chunk, chunk_from_record, chunk_to_record
 from .errors import (
@@ -437,26 +437,19 @@ class VectorIndex:
     ) -> "VectorIndex":
         path = Path(path)
         with path.open("r", encoding="utf-8") as handle:
-            header_line = handle.readline()
-            try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"snapshot header is not JSON: {exc}") from exc
-            if header.get("schema") != SNAPSHOT_SCHEMA:
-                raise SchemaError(f"unexpected snapshot schema {header.get('schema')!r}")
-            dim = int(header["dim"])
+            dim, backend = read_snapshot_header(handle)
             if embedder is None:
-                if header.get("embedder") != "hash":
+                if backend != "hash":
                     raise SchemaError(
                         "snapshot was built with a remote embedder; pass the matching embedder explicitly"
                     )
                 embedder = HashingEmbedder(dim=dim)
             elif embedder.dim != dim:
                 raise SchemaError(f"snapshot dim {dim} does not match embedder dim {embedder.dim}")
-            elif header.get("embedder") != embedder.backend:
+            elif backend != embedder.backend:
                 # The query path is chosen by backend and relies on its vectors.
                 raise SchemaError(
-                    f"snapshot was built with the {header.get('embedder')!r} embedder, "
+                    f"snapshot was built with the {backend!r} embedder, "
                     f"not {embedder.backend!r}"
                 )
             index = cls(embedder)
@@ -473,6 +466,22 @@ class VectorIndex:
                     raise ParseError(f"snapshot record {i}: {exc}") from exc
                 index._spaces.setdefault(namespace, {})[chunk.chunk_id] = (chunk, vec)
         return index
+
+
+def read_snapshot_header(handle: TextIO) -> tuple[int, object]:
+    """Read and check a snapshot's first line; return its dim and embedder backend."""
+    try:
+        header = json.loads(handle.readline())
+    except ValueError as exc:  # also undecodable bytes
+        raise ParseError(f"snapshot header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"snapshot header is a JSON {type(header).__name__}, not an object")
+    if header.get("schema") != SNAPSHOT_SCHEMA:
+        raise SchemaError(f"unexpected snapshot schema {header.get('schema')!r}")
+    dim = header.get("dim")
+    if type(dim) is not int or dim < 1:
+        raise SchemaError(f"snapshot dim must be a positive integer, not {dim!r}")
+    return dim, header.get("embedder")
 
 
 def _scan_top_k(space: dict[str, tuple[Chunk, Vector]], query: Vector, k: int) -> list[tuple[str, float]]:

@@ -189,6 +189,38 @@ def fallback_queries(question: str) -> list[str]:
     return queries
 
 
+def resolve_slots(question: str, ledger: Ledger) -> list[tuple[Slot, str | None, Fact | None]]:
+    """Resolve slots in order to (slot, entity or None, best matching fact or None).
+
+    A backreferenced entity is None while its prerequisite slot is
+    unresolved; such slots produce no gap of their own because the
+    prerequisite's gap already covers the hop.
+    """
+    resolved: list[tuple[Slot, str | None, Fact | None]] = []
+    values: list[str | None] = []
+    for slot in parse_slots(question):
+        ref = slot.backref()
+        if ref is not None:
+            entity = values[ref - 1] if 1 <= ref <= len(values) else None
+        else:
+            entity = slot.entity_ref
+        fact = None
+        if entity is not None:
+            facts = ledger.matching(entity, slot.relation)
+            fact = facts[0] if facts else None
+        resolved.append((slot, entity, fact))
+        values.append(fact.value if fact else None)
+    return resolved
+
+
+def match_slots(question: str, ledger: Ledger) -> list[Fact]:
+    """Best ledger fact per resolvable question slot, in slot order.
+
+    Empty for a question without ``SLOT[...]`` markup.
+    """
+    return [fact for _, _, fact in resolve_slots(question, ledger) if fact is not None]
+
+
 class RuleBasedOracle:
     """Deterministic oracle over the markup conventions documented above."""
 
@@ -218,31 +250,8 @@ class RuleBasedOracle:
             for entity, relation, _ in FACT_PATTERN.findall(chunk.text)
         }
 
-    def resolve_slots(self, question: str, ledger: Ledger) -> list[tuple[Slot, str | None, Fact | None]]:
-        """Resolve slots in order to (slot, entity or None, best matching fact or None).
-
-        A backreferenced entity is None while its prerequisite slot is
-        unresolved; such slots produce no gap of their own because the
-        prerequisite's gap already covers the hop.
-        """
-        resolved: list[tuple[Slot, str | None, Fact | None]] = []
-        values: list[str | None] = []
-        for slot in parse_slots(question):
-            ref = slot.backref()
-            if ref is not None:
-                entity = values[ref - 1] if 1 <= ref <= len(values) else None
-            else:
-                entity = slot.entity_ref
-            fact = None
-            if entity is not None:
-                facts = ledger.matching(entity, slot.relation)
-                fact = facts[0] if facts else None
-            resolved.append((slot, entity, fact))
-            values.append(fact.value if fact else None)
-        return resolved
-
     def assess_sufficiency(self, question: str, ledger: Ledger) -> SufficiencyVerdict:
-        resolved = self.resolve_slots(question, ledger)
+        resolved = resolve_slots(question, ledger)
         if resolved and all(fact is not None for _, _, fact in resolved):
             return SufficiencyVerdict(sufficient=True)
         gaps = tuple(
@@ -264,7 +273,7 @@ class RuleBasedOracle:
 
     def generate_answer(self, question: str, evidence: Sequence[Chunk]) -> str:
         ledger = self.extract_ledger(evidence)
-        resolved = self.resolve_slots(question, ledger)
+        resolved = resolve_slots(question, ledger)
         if not resolved or any(fact is None for _, _, fact in resolved):
             return ABSTAIN
         return resolved[-1][2].value
@@ -285,10 +294,6 @@ class RuleBasedOracle:
             return 0.0
         known = ledger.pairs()
         return len([p for p in pairs if p not in known]) / len(pairs)
-
-    def match_slots(self, question: str, ledger: Ledger) -> list[Fact]:
-        """Best ledger fact per resolvable question slot, in slot order."""
-        return [fact for _, _, fact in self.resolve_slots(question, ledger) if fact is not None]
 
 
 @dataclass
@@ -417,16 +422,12 @@ class LiveOracle:
             max_attempts=self.config.max_attempts,
             service="oracle endpoint",
         )
+        if self.config.log_path:  # before parsing, so a malformed completion is logged too
+            with Path(self.config.log_path).open("a", encoding="utf-8") as handle:
+                handle.write(json.dumps({"request": payload, "response": body}) + "\n")
         try:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             self.warnings.append(f"malformed completion payload: {exc}")
             return ""
-        self._log(payload, body)
         return str(content)
-
-    def _log(self, request_body: dict, response_body: dict) -> None:
-        if not self.config.log_path:
-            return
-        with Path(self.config.log_path).open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"request": request_body, "response": response_body}) + "\n")

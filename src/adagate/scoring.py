@@ -54,16 +54,6 @@ class TermBreakdown:
     rel_q: float
     utility: float
 
-    def as_dict(self) -> dict:
-        return {
-            "gap_cov": self.gap_cov,
-            "corr": self.corr,
-            "nov": self.nov,
-            "red": self.red,
-            "rel_q": self.rel_q,
-            "utility": self.utility,
-        }
-
 
 def combine(weights: UtilityWeights, gap_cov: float, corr: float, nov: float, red: float, rel_q: float) -> float:
     """The exact linear combination; kept separate so tests can pin the identity."""

@@ -20,12 +20,16 @@ RescoreFn = Callable[[Chunk, list[Chunk]], float]
 
 @dataclass
 class EvidenceState:
-    """Currently selected evidence plus its token accounting."""
+    """Currently selected evidence, its token accounting, and the capacity used.
+
+    ``k_eff`` is the capacity the selection ran with; 0 when the pool was
+    empty and no selection ran.
+    """
 
     selected: list[Chunk] = field(default_factory=list)
     budget: int = 3000
     used_tokens: int = 0
-    iteration: int = 0
+    k_eff: int = 0
 
     def __post_init__(self) -> None:
         if self.budget <= 0:
@@ -71,8 +75,6 @@ def select_evidence(
     scored: Sequence[ScoredChunk],
     k_eff: int,
     budget: int,
-    *,
-    iteration: int = 0,
 ) -> EvidenceState:
     """Greedy budgeted selection over the k_eff highest-utility candidates.
 
@@ -80,8 +82,6 @@ def select_evidence(
     break; each is admitted unless it would exceed the remaining budget,
     in which case it is skipped and the scan continues.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
     if k_eff < 1:
         raise ValueError("k_eff must be positive")
     ranked = sorted(scored, key=lambda pair: (-pair[1], pair[0].chunk_id))[:k_eff]
@@ -91,20 +91,23 @@ def select_evidence(
         if used + chunk.token_len <= budget:
             selected.append(chunk)
             used += chunk.token_len
-    return EvidenceState(selected=selected, budget=budget, used_tokens=used, iteration=iteration)
+    return EvidenceState(selected=selected, budget=budget, used_tokens=used, k_eff=k_eff)
 
 
 def union_pool(
     rescored_current: Sequence[ScoredChunk],
     new_candidates: Sequence[ScoredChunk],
 ) -> list[ScoredChunk]:
-    """Merge pools, deduplicating by chunk id and keeping the higher utility."""
+    """Merge pools, deduplicating by chunk id and keeping the higher utility.
+
+    The result is in first-seen id order; ``select_evidence`` ranks it.
+    """
     best: dict[str, ScoredChunk] = {}
     for chunk, utility in list(rescored_current) + list(new_candidates):
         existing = best.get(chunk.chunk_id)
         if existing is None or utility > existing[1]:
             best[chunk.chunk_id] = (chunk, utility)
-    return sorted(best.values(), key=lambda pair: (-pair[1], pair[0].chunk_id))
+    return list(best.values())
 
 
 def replace_update(
@@ -113,7 +116,6 @@ def replace_update(
     rescore: RescoreFn,
     *,
     buffer: int,
-    trace_sink: dict | None = None,
 ) -> EvidenceState:
     """Re-select evidence from re-scored current members plus new candidates.
 
@@ -122,8 +124,8 @@ def replace_update(
     redundancy penalty looks at the already-kept prefix rather than the
     member itself. Retained evidence must re-earn its place: capacity is
     recomputed over the merged pool and selection runs from scratch under
-    the same budget. Passing ``trace_sink`` records the rescored utilities
-    and the capacity actually used.
+    the same budget. The returned state carries that capacity as ``k_eff``
+    (0 for an empty pool). Over empty evidence this is the first selection.
     """
     rescored: list[ScoredChunk] = []
     prior: list[Chunk] = []
@@ -131,13 +133,7 @@ def replace_update(
         rescored.append((chunk, rescore(chunk, prior)))
         prior.append(chunk)
     pool = union_pool(rescored, new_candidates)
-    if trace_sink is not None:
-        trace_sink["rescored_current"] = [(c.chunk_id, u) for c, u in rescored]
     if not pool:
-        if trace_sink is not None:
-            trace_sink["k_eff"] = 0
-        return EvidenceState(budget=current.budget, iteration=current.iteration)
-    k_eff = effective_capacity([u for _, u in pool], buffer)
-    if trace_sink is not None:
-        trace_sink["k_eff"] = k_eff
-    return select_evidence(pool, k_eff, current.budget, iteration=current.iteration)
+        return EvidenceState(budget=current.budget)
+    k_eff = effective_capacity(sorted((u for _, u in pool), reverse=True), buffer)
+    return select_evidence(pool, k_eff, current.budget)

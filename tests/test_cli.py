@@ -251,3 +251,34 @@ def test_importing_cli_does_not_import_requests():
     code = "import sys, adagate.cli; sys.exit('requests' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("remote", [False, True], ids=["hash", "remote"])
+@pytest.mark.parametrize(
+    "header",
+    [
+        "not json",
+        '{"schema": "index@1"}',
+        '{"schema": "index@1", "dim": "x", "embedder": "hash"}',
+        '{"schema": "index@1", "dim": 0, "embedder": "hash"}',
+        '[{"schema": "index@1", "dim": 256}]',
+    ],
+)
+def test_bad_snapshot_header_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys, header, remote):
+    from adagate import index
+
+    requests_sent = []
+    monkeypatch.setattr(index, "post_json", lambda *args, **kwargs: requests_sent.append(args))
+    store = tmp_path / "store.jsonl"
+    store.write_text(header + "\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"index": {"remote": {"url": "http://embed.invalid"}}}), encoding="utf-8")
+    argv = ["run", "--data", str(builtin_fixture_path()), "--store", str(store), "--out", str(tmp_path / "r.jsonl")]
+    if remote:
+        argv += ["--embedder", "remote", "--config", str(config)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not requests_sent
+    assert not (tmp_path / "r.jsonl").exists()

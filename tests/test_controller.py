@@ -11,6 +11,7 @@ from adagate.controller import (
     REASON_NONE,
     REASON_SUFFICIENT,
     ControllerConfig,
+    _seal_select,
     adaptive_cut,
     run_adagate,
     run_baseline,
@@ -21,7 +22,7 @@ from adagate.evaluate import evidence_prf
 from adagate.index import HashingEmbedder, VectorIndex
 from adagate.oracle import ABSTAIN, RuleBasedOracle
 
-from helpers import WORLD_DIM, build_world
+from helpers import WORLD_DIM, build_world, fact_chunk
 
 WORLD_CONFIG = ControllerConfig(
     mode="adagate", max_iterations=1, k=3, budget=140, buffer=2, namespace="clean"
@@ -193,3 +194,19 @@ def test_config_validation():
         ControllerConfig(k=0)
     with pytest.raises(ValueError):
         ControllerConfig(budget=0)
+
+
+class LedgerOnlyOracle:
+    """A backend with the rules ledger but none of ``RuleBasedOracle``'s other methods."""
+
+    def extract_ledger(self, evidence):
+        return RuleBasedOracle().extract_ledger(evidence)
+
+
+def test_seal_select_matches_question_slots_for_any_backend():
+    retrieved = [fact_chunk("c1", "aaa", "rel", "x"), fact_chunk("c2", "zed", "born", "y")]
+    question = "where was zed born SLOT[zed|born]"
+    for backend in (RuleBasedOracle(), LedgerOnlyOracle()):
+        assert [c.chunk_id for c in _seal_select(question, retrieved, backend)] == ["c2"]
+    # Without slot markup the best fact of any kind wins, for every backend.
+    assert [c.chunk_id for c in _seal_select("where was zed born", retrieved, LedgerOnlyOracle())] == ["c1"]

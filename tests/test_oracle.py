@@ -18,7 +18,7 @@ from adagate.oracle import (
     parse_slots,
 )
 
-from helpers import FakeSession, fact_chunk, sized_chunk
+from helpers import FakeResponse, FakeSession, fact_chunk, sized_chunk
 
 
 def test_extract_empty_evidence(oracle):
@@ -244,3 +244,28 @@ def test_ledger_matching_prefers_confidence_then_deterministic(oracle):
     ledger.add(Fact("e", "r", "v0", 1.0, "c3"))
     best = ledger.matching("E", "R")
     assert (best[0].value, best[0].confidence) == ("v0", 1.0)
+
+
+def test_trace_carries_only_its_own_runs_warnings(fixture_examples, fixture_index):
+    from adagate.controller import ControllerConfig, run_example
+
+    malformed = FakeResponse(200, {"choices": []})
+    clean = FakeResponse(200, {"choices": [{"message": {"content": "Paris"}}]})
+    live = LiveOracle(LiveOracleConfig(url="http://svc/v1"), session=FakeSession([malformed, clean]))
+    config = ControllerConfig(mode="basic", k=2)
+    first = run_example(fixture_examples[0], config, fixture_index, live)
+    second = run_example(fixture_examples[1], config, fixture_index, live)
+    assert len(first.warnings) == 1 and first.warnings[0].startswith("malformed completion payload")
+    assert second.final_answer == "Paris"
+    assert second.warnings == []
+
+
+def test_malformed_completion_is_logged(tmp_path):
+    log = tmp_path / "oracle.jsonl"
+    config = LiveOracleConfig(url="http://svc/v1", log_path=str(log))
+    live = LiveOracle(config, session=FakeSession([FakeResponse(200, {"choices": []})]))
+    assert live.generate_answer("q", []) == ABSTAIN
+    entries = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(entries) == 1
+    assert entries[0]["response"] == {"choices": []}
+    assert entries[0]["request"]["messages"][0]["role"] == "user"

@@ -215,6 +215,21 @@ def test_replace_update_deduplicates_by_id_keeping_higher_utility():
     assert updated.chunk_ids.count("dup") == 1
 
 
+def test_replace_update_over_empty_evidence_is_the_first_selection():
+    rng = random.Random(31)
+    for _ in range(100):
+        m = rng.randint(0, 8)
+        scored = [(sized_chunk(f"c{i}", rng.randint(10, 300)), rng.choice([0.1, 0.5, rng.random()])) for i in range(m)]
+        buffer = rng.randint(0, 3)
+        updated = replace_update(EvidenceState(budget=400), scored, _constant_rescore({}), buffer=buffer)
+        if not scored:
+            assert updated == EvidenceState(budget=400, k_eff=0)
+            continue
+        k_eff = effective_capacity(sorted((u for _, u in scored), reverse=True), buffer)
+        assert updated == select_evidence(scored, k_eff, 400)
+        assert updated.k_eff == k_eff
+
+
 def test_replace_update_budget_holds():
     rng = random.Random(23)
     for _ in range(100):
