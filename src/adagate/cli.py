@@ -29,9 +29,9 @@ from .controller import MODES, ControllerConfig, run_example
 from .corpus import chunk_corpus, load_examples, read_chunks, write_chunks
 from .errors import AdagateError
 from .evaluate import ExampleResult, aggregate, evidence_prf, read_results, render_csv, render_table
-from .index import HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot_header
+from .index import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot_header
 from .oracle import LiveOracle, LiveOracleConfig, RuleBasedOracle
-from .perturb import KIND_NOISE, PerturbConfig, inject_noise, inject_redundancy
+from .perturb import DEFAULT_VARIANT_CAP, KIND_NOISE, PerturbConfig, inject_noise, inject_redundancy
 from .scoring import DEFAULT_WEIGHTS, UtilityWeights
 
 MANIFEST_SCHEMA = "manifest@1"
@@ -58,7 +58,13 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            config = json.load(handle)
+        except ValueError as exc:  # also undecodable bytes
+            raise UsageError(f"--config {path} is not JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"--config {path} holds a JSON {type(config).__name__}, not an object")
+    return config
 
 
 def _cfg(config: dict, dotted: str, default):
@@ -68,6 +74,12 @@ def _cfg(config: dict, dotted: str, default):
             return default
         node = node[key]
     return node
+
+
+def _cfg_set(config: dict, dotted: str, names: tuple[str, ...]) -> dict:
+    """The keys among ``names`` that the config file sets under ``dotted``; defaults stay the callee's."""
+    node = _cfg(config, dotted, {})
+    return {name: node[name] for name in names if isinstance(node, dict) and name in node}
 
 
 def _parse_weights(text: str | None, config: dict) -> UtilityWeights:
@@ -95,12 +107,7 @@ def _make_embedder(kind: str, dim: int, config: dict):
         url = _cfg(config, "index.remote.url", None)
         if not url:
             raise AdagateError("remote embedder requires index.remote.url in the config file")
-        return RemoteEmbedder(
-            url=url,
-            dim=dim,
-            key_env=_cfg(config, "index.remote.key_env", "ADAGATE_EMBED_KEY"),
-            model=_cfg(config, "index.remote.model", "text-embedding-3-small"),
-        )
+        return RemoteEmbedder(url=url, dim=dim, **_cfg_set(config, "index.remote", ("key_env", "model")))
     raise AdagateError(f"unknown embedder {kind!r}")
 
 
@@ -111,15 +118,8 @@ def _make_oracle(kind: str, config: dict, log_path: str | None):
         url = _cfg(config, "oracle.url", None)
         if not url:
             raise AdagateError("live oracle requires oracle.url in the config file")
-        return LiveOracle(
-            LiveOracleConfig(
-                url=url,
-                model=_cfg(config, "oracle.model", "gpt-4o-mini"),
-                judge_model=_cfg(config, "oracle.judge_model", "gpt-4o"),
-                key_env=_cfg(config, "oracle.key_env", "ADAGATE_ORACLE_KEY"),
-                log_path=log_path,
-            )
-        )
+        overrides = _cfg_set(config, "oracle", ("model", "judge_model", "key_env"))
+        return LiveOracle(LiveOracleConfig(url=url, log_path=log_path, **overrides))
     raise AdagateError(f"unknown oracle {kind!r}")
 
 
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perturb.add_argument("--kind", choices=("noise", "redundancy"), required=True)
     p_perturb.add_argument("--rho", type=float, default=0.5)
     p_perturb.add_argument("--seed", type=int, default=0)
-    p_perturb.add_argument("--cap", type=int, default=6, help="redundancy variants per gold")
+    p_perturb.add_argument("--cap", type=int, default=DEFAULT_VARIANT_CAP, help="redundancy variants per gold")
     p_perturb.add_argument("--out", required=True, help="output chunk file")
     p_perturb.add_argument("--store", default=None, help="snapshot to upsert into")
     p_perturb.add_argument("--namespace", default=None, help="defaults to the kind")
@@ -233,7 +233,7 @@ def _open_store(store: str, dim: int | None, embedder_kind: str, config: dict) -
                 dim, _ = read_snapshot_header(handle)
             embedder = _make_embedder("remote", dim, config)
         return VectorIndex.load(path, embedder=embedder)
-    resolved_dim = dim if dim is not None else _checked(int, _cfg(config, "index.dim", 256))
+    resolved_dim = dim if dim is not None else _checked(int, _cfg(config, "index.dim", DEFAULT_DIM))
     return VectorIndex(_make_embedder(embedder_kind, resolved_dim, config))
 
 
@@ -344,7 +344,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     for path in args.inputs:
-        with Path(path).open("r", encoding="utf-8") as handle:
+        # Undecodable bytes count as records here; read_results reports them.
+        with Path(path).open("r", encoding="utf-8", errors="replace") as handle:
             has_records = any(line.strip() for line in handle)
         manifest = Path(str(path) + MANIFEST_SUFFIX)
         if has_records and not manifest.exists() and not args.force:

@@ -20,8 +20,8 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .corpus import Chunk, Example, count_tokens
-from .index import RetrievalHit, VectorIndex, cosine
-from .oracle import Gap, Ledger, OracleBackend, match_slots
+from .index import RetrievalHit, Vector, VectorIndex, cosine
+from .oracle import Ledger, OracleBackend, match_slots
 # The benchmark's traced pass wraps score_candidate, effective_capacity,
 # select_evidence and replace_update by looking each name up in this module
 # (vars(controller)[name]), so all four stay bound here: select_evidence too,
@@ -120,34 +120,28 @@ def _assemble_candidates(
     index: VectorIndex,
     evidence: Sequence[Chunk],
     config: ControllerConfig,
-) -> list[Chunk]:
+) -> tuple[list[Chunk], dict[str, Vector]]:
     """Deduplicate retrieved hits into a candidate list.
 
     Drops ids already selected or already kept, and suppresses near
     duplicates: any candidate whose cosine against a selected passage or an
     earlier-kept candidate reaches ``config.dedup_threshold``. Hits are
     processed in the order given (channel, query, then retrieval rank), so
-    the assembly is deterministic.
+    the assembly is deterministic. Also returns the indexed vector of every
+    selected passage and kept candidate, by chunk id.
     """
-    embedder, namespace, threshold = index.embedder, config.namespace, config.dedup_threshold
+    namespace, threshold = config.namespace, config.dedup_threshold
+    vectors = {c.chunk_id: index.get_entry(namespace, c.chunk_id)[1] for c in evidence}
     kept: list[Chunk] = []
-    kept_vecs = []
-    evidence_ids = {c.chunk_id for c in evidence}
-    evidence_vecs = [embedder.embed_one(c.text) for c in evidence]
-    kept_ids: set[str] = set()
     for hit in hits:
-        if hit.chunk_id in evidence_ids or hit.chunk_id in kept_ids:
+        if hit.chunk_id in vectors:
             continue
-        chunk = index.get_chunk(namespace, hit.chunk_id)
-        vec = embedder.embed_one(chunk.text)
-        if any(cosine(vec, other) >= threshold for other in evidence_vecs):
-            continue
-        if any(cosine(vec, other) >= threshold for other in kept_vecs):
+        chunk, vec = index.get_entry(namespace, hit.chunk_id)
+        if any(cosine(vec, other) >= threshold for other in vectors.values()):
             continue
         kept.append(chunk)
-        kept_ids.add(hit.chunk_id)
-        kept_vecs.append(vec)
-    return kept
+        vectors[hit.chunk_id] = vec
+    return kept, vectors
 
 
 def run_adagate(
@@ -161,14 +155,16 @@ def run_adagate(
     warned = len(getattr(oracle, "warnings", []))
 
     def score(chunk: Chunk, evidence: Sequence[Chunk]) -> TermBreakdown:
+        evidence_vecs = [vectors[c.chunk_id] for c in evidence]
         return score_candidate(
-            chunk, question, ledger, gaps, evidence, config.weights, embedder=index.embedder, oracle=oracle
+            chunk, vectors[chunk.chunk_id], question_vec, gap_vecs, evidence_vecs, ledger, config.weights, oracle=oracle
         )
 
     # Iteration 0 is the repair step over empty evidence, seeded by the question.
     state = EvidenceState(budget=config.budget)
     ledger = Ledger()
-    gaps: Sequence[Gap] = ()
+    question_vec = index.embedder.embed_one(question)
+    gap_vecs: list[Vector] = []
     queries = {CHANNEL_SEED: [question]}
     reason = REASON_MAX_ITERATIONS
     for t in range(config.max_iterations + 1):
@@ -185,8 +181,8 @@ def run_adagate(
                 trace.iterations.append(record)
                 reason = REASON_SUFFICIENT
                 break
-            gaps = verdict.gaps
-            gap_queries, fb_queries = oracle.make_queries(question, gaps)
+            gap_queries, fb_queries = oracle.make_queries(question, verdict.gaps)
+            gap_vecs = [index.embedder.embed_one(q) for q in gap_queries]
             queries = {CHANNEL_GAP: gap_queries, CHANNEL_FALLBACK: fb_queries}
 
         record.queries = queries
@@ -194,7 +190,7 @@ def run_adagate(
             ch: [h for q in qs for h in index.query_top_k(config.namespace, q, config.k)] for ch, qs in queries.items()
         }
         record.hits = {ch: [(h.chunk_id, h.score) for h in channel_hits] for ch, channel_hits in hits.items()}
-        candidates = _assemble_candidates(chain.from_iterable(hits.values()), index, state.selected, config)
+        candidates, vectors = _assemble_candidates(chain.from_iterable(hits.values()), index, state.selected, config)
         scored = [(c, score(c, state.selected)) for c in candidates]
         record.scores = {c.chunk_id: tb for c, tb in sorted(scored, key=lambda pair: pair[0].chunk_id)}
         rescored: list[float] = []
@@ -246,8 +242,9 @@ def run_baseline(
     elif config.mode == MODE_SEAL_STYLE:
         hits = index.query_top_k(config.namespace, question, config.k)
         retrieved = [index.get_chunk(config.namespace, h.chunk_id) for h in hits]
-        evidence = _seal_select(question, retrieved, oracle)
-        record.ledger_size = len(oracle.extract_ledger(retrieved))
+        ledger = oracle.extract_ledger(retrieved)
+        evidence = _seal_select(question, retrieved, oracle, ledger)
+        record.ledger_size = len(ledger)
     else:
         raise ValueError(f"mode {config.mode!r} is not a baseline")
 
@@ -263,16 +260,20 @@ def run_baseline(
     return trace
 
 
-def _seal_select(question: str, retrieved: Sequence[Chunk], oracle: OracleBackend) -> list[Chunk]:
+def _seal_select(
+    question: str, retrieved: Sequence[Chunk], oracle: OracleBackend, ledger: Ledger | None = None
+) -> list[Chunk]:
     """Keep only the chunks sourcing the single best question-matching fact.
 
     Falls back to the best fact of any kind when no slot matches, and to
     the top retrieved chunk when the ledger is empty, reproducing the
-    one-document collapse of entity-selection controllers.
+    one-document collapse of entity-selection controllers. ``ledger`` is
+    the ledger of ``retrieved`` when the caller has already extracted it.
     """
     if not retrieved:
         return []
-    ledger = oracle.extract_ledger(retrieved)
+    if ledger is None:
+        ledger = oracle.extract_ledger(retrieved)
     candidates = sorted(
         match_slots(question, ledger) or ledger.facts,
         key=lambda f: (-f.confidence, f.entity, f.relation, f.value, f.source_chunk),

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ParseError, ValidationError
 
@@ -110,22 +110,34 @@ def load_examples(path: str | Path, limit: int | None = None) -> list[Example]:
     records, and ValidationError when a gold title is absent from the
     context paragraphs.
     """
-    path = Path(path)
     examples: list[Example] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle):
-            if not line.strip():
-                continue
-            if limit is not None and len(examples) >= limit:
-                break
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"record {i}: invalid JSON ({exc})") from exc
-            examples.append(_example_from_record(record, i))
-    if limit is not None:
-        examples = examples[:limit]
+    for i, record in json_lines(path, "record"):
+        if limit is not None and len(examples) >= limit:
+            break
+        examples.append(_example_from_record(record, i))
     return examples
+
+
+def json_lines(path: str | Path, label: str) -> Iterator[tuple[int, dict]]:
+    """(line index, object) of each non-blank line of a UTF-8 JSON-lines file.
+
+    A line that is not a JSON object raises ParseError naming ``label`` and
+    its index; bytes that are not UTF-8 raise ParseError naming the file.
+    """
+    with Path(path).open("r", encoding="utf-8") as handle:
+        try:
+            for i, line in enumerate(handle):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{label} {i}: invalid JSON ({exc})") from exc
+                if not isinstance(record, dict):
+                    raise ParseError(f"{label} {i}: a JSON {type(record).__name__}, not an object")
+                yield i, record
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _example_from_record(record: dict, index: int) -> Example:
@@ -193,6 +205,8 @@ def chunk_from_record(record: dict) -> Chunk:
         )
     except KeyError as exc:
         raise ParseError(f"chunk record missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"chunk record has a malformed field: {exc}") from exc
 
 
 def write_chunks(path: str | Path, chunks: Iterable[Chunk]) -> int:
@@ -205,16 +219,7 @@ def write_chunks(path: str | Path, chunks: Iterable[Chunk]) -> int:
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:
-    chunks: list[Chunk] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle):
-            if not line.strip():
-                continue
-            try:
-                chunks.append(chunk_from_record(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"chunk record {i}: invalid JSON ({exc})") from exc
-    return chunks
+    return [chunk_from_record(record) for _, record in json_lines(path, "chunk record")]
 
 
 def builtin_fixture_path() -> Path:

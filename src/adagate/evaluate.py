@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .corpus import json_lines
 from .errors import ParseError, SchemaError, ValidationError
 
 RESULT_SCHEMA = "result@1"
@@ -55,6 +55,8 @@ class ExampleResult:
             )
         except KeyError as exc:
             raise ParseError(f"result record missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"result record has a malformed field: {exc}") from exc
 
 
 def evidence_prf(
@@ -140,26 +142,19 @@ def read_results(paths: Sequence[str | Path]) -> list[ExampleResult]:
     results: list[ExampleResult] = []
     schema_seen: str | None = None
     for path in paths:
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for i, line in enumerate(handle):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{path}: record {i}: invalid JSON ({exc})") from exc
-                if record.get("error"):
-                    continue
-                schema = record.get("schema")
-                if schema_seen is None:
-                    schema_seen = schema
-                elif schema != schema_seen:
-                    raise SchemaError(
-                        f"{path}: record {i}: schema {schema!r} mixed with {schema_seen!r}"
-                    )
-                if schema != RESULT_SCHEMA:
-                    raise SchemaError(f"{path}: record {i}: unexpected schema {schema!r}")
-                results.append(ExampleResult.from_record(record))
+        for i, record in json_lines(path, f"{path}: record"):
+            if record.get("error"):
+                continue
+            schema = record.get("schema")
+            if schema_seen is None:
+                schema_seen = schema
+            elif schema != schema_seen:
+                raise SchemaError(
+                    f"{path}: record {i}: schema {schema!r} mixed with {schema_seen!r}"
+                )
+            if schema != RESULT_SCHEMA:
+                raise SchemaError(f"{path}: record {i}: unexpected schema {schema!r}")
+            results.append(ExampleResult.from_record(record))
     return results
 
 

@@ -12,7 +12,7 @@ tests reproduce independently, is:
    cosine against a zero vector is defined as 0.
 
 ``fnv1a64`` is that hash, one token at a time. ``HashingEmbedder`` gives
-exactly the same hashes in lockstep. The tokens of up to 256 uncached texts
+exactly the same hashes in lockstep. The tokens of up to 256 distinct texts
 are the lanes of one Python big int, and each byte position costs a few
 C-level big-int operations over all lanes (xor the column of bytes,
 multiply by the prime, mask every lane, keep the state of tokens that have
@@ -31,7 +31,9 @@ Vectors are stored sparsely as coordinate -> value maps over the fixed
 dimension, which keeps very large dims cheap. Hash collisions are
 acceptable; determinism is the requirement. A remote HTTP backend
 implementing the common embeddings wire format can be substituted via
-configuration; no test requires it.
+configuration; no test requires it. A chunk's vector is computed once (by
+``embed``, which caches nothing) or read from the snapshot, and only the
+index holds it (``get_entry``). ``embed_one`` caches query vectors by text.
 
 Retrieval is exact either way. Hashed vectors are sparse and non-negative,
 so their namespaces are scored term-at-a-time over postings lists
@@ -147,15 +149,15 @@ class HashingEmbedder:
         return vector
 
     def embed(self, texts: Sequence[str]) -> list[Vector]:
-        cache = self._cache
-        missing = [text for text in dict.fromkeys(texts) if text not in cache]
-        for start in range(0, len(missing), _GROUP_TEXTS):
-            group = missing[start : start + _GROUP_TEXTS]
+        vectors: dict[str, Vector] = {}
+        distinct = list(dict.fromkeys(texts))
+        for start in range(0, len(distinct), _GROUP_TEXTS):
+            group = distinct[start : start + _GROUP_TEXTS]
             tokens = [normalize_tokens(text) for text in group]
             coords = iter(self._coordinates(list(chain.from_iterable(tokens))))
             for text, text_tokens in zip(group, tokens):
-                cache[text] = _unit_vector(list(islice(coords, len(text_tokens))))
-        return [cache[text] for text in texts]
+                vectors[text] = _unit_vector(list(islice(coords, len(text_tokens))))
+        return [vectors[text] for text in texts]
 
     def _coordinates(self, tokens: list[str]) -> list[int]:
         """``fnv1a64(token) % dim`` for every token, in order."""
@@ -255,22 +257,24 @@ class RemoteEmbedder:
         self._cache: dict[str, Vector] = {}
 
     def embed(self, texts: Sequence[str]) -> list[Vector]:
-        missing = [t for t in texts if t not in self._cache]
-        if missing:
-            for text, values in zip(missing, self._request(missing)):
+        vectors: dict[str, Vector] = {}
+        distinct = list(dict.fromkeys(texts))
+        if distinct:
+            for text, values in zip(distinct, self._request(distinct)):
                 if len(values) != self.dim:
                     raise TransportError(
                         f"embedding service returned dim {len(values)}, expected {self.dim}",
                         retriable=False,
                     )
                 norm = math.sqrt(sum(v * v for v in values))
-                self._cache[text] = (
-                    {i: v / norm for i, v in enumerate(values) if v} if norm else {}
-                )
-        return [self._cache[t] for t in texts]
+                vectors[text] = {i: v / norm for i, v in enumerate(values) if v} if norm else {}
+        return [vectors[t] for t in texts]
 
     def embed_one(self, text: str) -> Vector:
-        return self.embed([text])[0]
+        vector = self._cache.get(text)
+        if vector is None:
+            vector = self._cache[text] = self.embed([text])[0]
+        return vector
 
     def _request(self, texts: list[str]) -> list[list[float]]:
         body = post_json(
@@ -283,9 +287,15 @@ class RemoteEmbedder:
             service="embedding service",
         )
         try:
-            return [item["embedding"] for item in body["data"]]
+            embeddings = [item["embedding"] for item in body["data"]]
         except (KeyError, TypeError) as exc:
             raise TransportError(f"malformed embedding response: {exc}", retriable=False) from exc
+        if len(embeddings) != len(texts):
+            raise TransportError(
+                f"embedding service returned {len(embeddings)} embeddings for {len(texts)} inputs",
+                retriable=False,
+            )
+        return embeddings
 
 
 @dataclass(frozen=True)
@@ -389,9 +399,13 @@ class VectorIndex:
         return ranked
 
     def get_chunk(self, namespace: str, chunk_id: str) -> Chunk:
+        return self.get_entry(namespace, chunk_id)[0]
+
+    def get_entry(self, namespace: str, chunk_id: str) -> tuple[Chunk, Vector]:
+        """A stored chunk and its vector."""
         space = self._space(namespace)
         try:
-            return space[chunk_id][0]
+            return space[chunk_id]
         except KeyError as exc:
             raise UnknownNamespaceError(f"chunk {chunk_id!r} not in namespace {namespace!r}") from exc
 
@@ -453,18 +467,21 @@ class VectorIndex:
                     f"not {embedder.backend!r}"
                 )
             index = cls(embedder)
-            for i, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    chunk = chunk_from_record(record["chunk"])
-                    sparse = record["vector"]
-                    vec = {int(c): float(v) for c, v in zip(sparse["idx"], sparse["val"])}
-                    namespace = str(record["namespace"])
-                except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                    raise ParseError(f"snapshot record {i}: {exc}") from exc
-                index._spaces.setdefault(namespace, {})[chunk.chunk_id] = (chunk, vec)
+            try:
+                for i, line in enumerate(handle, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                        chunk = chunk_from_record(record["chunk"])
+                        sparse = record["vector"]
+                        vec = {int(c): float(v) for c, v in zip(sparse["idx"], sparse["val"])}
+                        namespace = str(record["namespace"])
+                    except (KeyError, TypeError, ValueError, ParseError) as exc:
+                        raise ParseError(f"snapshot record {i}: {exc}") from exc
+                    index._spaces.setdefault(namespace, {})[chunk.chunk_id] = (chunk, vec)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"snapshot {path} is not UTF-8 text: {exc}") from exc
         return index
 
 

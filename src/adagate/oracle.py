@@ -23,7 +23,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from .corpus import Chunk
 from .transport import post_json
@@ -332,44 +332,32 @@ class LiveOracle:
             return ledger
         passages = "\n\n".join(c.text for c in evidence)
         raw = self._complete(self.config.model, LEDGER_PROMPT.format(passages=passages))
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                ledger.add(
-                    Fact(
-                        entity=str(record["entity"]),
-                        relation=str(record["relation"]),
-                        value=str(record["value"]),
-                        confidence=max(0.0, min(1.0, float(record.get("confidence", 1.0)))),
-                        source_chunk=evidence[0].chunk_id,
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                self.warnings.append(f"unparseable ledger line from model: {line[:80]}")
+
+        def fact(record: dict) -> Fact:
+            return Fact(
+                entity=str(record["entity"]),
+                relation=str(record["relation"]),
+                value=str(record["value"]),
+                confidence=max(0.0, min(1.0, float(record.get("confidence", 1.0)))),
+                source_chunk=evidence[0].chunk_id,
+            )
+
+        for item in self._parse_lines(raw, "ledger", fact):
+            ledger.add(item)
         return ledger
 
     def assess_sufficiency(self, question: str, ledger: Ledger) -> SufficiencyVerdict:
         facts = "\n".join(f.as_text() for f in ledger.facts) or "(none)"
         raw = self._complete(self.config.model, GAP_PROMPT.format(question=question, facts=facts))
-        gaps: list[Gap] = []
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                gaps.append(
-                    Gap(
-                        entity=str(record["entity"]),
-                        relation=str(record["relation"]),
-                        rationale=str(record.get("rationale", "")),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError):
-                self.warnings.append(f"unparseable gap line from model: {line[:80]}")
+
+        def gap(record: dict) -> Gap:
+            return Gap(
+                entity=str(record["entity"]),
+                relation=str(record["relation"]),
+                rationale=str(record.get("rationale", "")),
+            )
+
+        gaps = self._parse_lines(raw, "gap", gap)
         if gaps:
             return SufficiencyVerdict(sufficient=False, gaps=tuple(gaps))
         return SufficiencyVerdict(sufficient=True)
@@ -406,6 +394,19 @@ class LiveOracle:
             for piece in (fact.entity, fact.value):
                 seen.update(word.lower() for word in piece.split())
         return len([t for t in named if t not in seen]) / len(named)
+
+    def _parse_lines(self, raw: str, kind: str, build: Callable[[dict], object]) -> list:
+        """``build`` of each JSON line of a completion; a line it cannot use becomes a warning."""
+        items = []
+        for line in raw.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                items.append(build(json.loads(line)))
+            except (ValueError, KeyError, TypeError):  # ValueError covers JSONDecodeError
+                self.warnings.append(f"unparseable {kind} line from model: {line[:80]}")
+        return items
 
     def _complete(self, model: str, prompt: str) -> str:
         payload = {

@@ -12,6 +12,8 @@ Each candidate gets five terms in [0, 1], combined linearly:
 * question relevance: cosine against the question, the fallback signal.
 
 ``utility = l1*gap_cov + l2*corr + l3*nov - l4*red + l5*rel_q``
+
+Scoring never embeds: passages are scored by the vectors the index stores.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Chunk
-from .index import cosine, normalize_tokens
-from .oracle import Gap, Ledger
+from .index import Vector, cosine, normalize_tokens
+from .oracle import Ledger
 
 CORROBORATION_CEILING = 0.75
 
@@ -79,27 +81,26 @@ def _containment(fact_text: str, chunk_tokens: set[str]) -> float:
 
 def score_candidate(
     candidate: Chunk,
-    question: str,
+    vector: Vector,
+    question_vec: Vector,
+    gap_vecs: Sequence[Vector],
+    evidence_vecs: Sequence[Vector],
     ledger: Ledger,
-    gaps: Sequence[Gap],
-    evidence: Sequence[Chunk],
     weights: UtilityWeights,
     *,
-    embedder,
     oracle,
 ) -> TermBreakdown:
-    """Score one candidate against the current controller state.
+    """Score one candidate, whose indexed vector is ``vector``, against the controller state.
 
-    Reads but never mutates the ledger and evidence, so candidates may be
-    scored in parallel. Empty gaps, an empty evidence set, and a chunk with
-    no extractable pairs all yield 0 for their respective terms.
+    ``gap_vecs`` are the vectors of the open gap queries and
+    ``evidence_vecs`` those of the already-selected passages. Reads but
+    never mutates its arguments, so candidates may be scored in parallel.
+    Empty gaps, an empty evidence set, and a chunk with no extractable pairs
+    all yield 0 for their respective terms.
     """
-    vec = embedder.embed_one(candidate.text)
-
     gap_cov = 0.0
-    for gap in gaps:
-        gap_vec = embedder.embed_one(f"{gap.entity} {gap.relation}".strip())
-        gap_cov = max(gap_cov, _clamp01(cosine(vec, gap_vec)))
+    for gap_vec in gap_vecs:
+        gap_cov = max(gap_cov, _clamp01(cosine(vector, gap_vec)))
 
     corr = 0.0
     low = ledger.low_confidence(CORROBORATION_CEILING)
@@ -111,10 +112,10 @@ def score_candidate(
     nov = _clamp01(oracle.novelty(candidate, ledger))
 
     red = 0.0
-    for selected in evidence:
-        red = max(red, _clamp01(cosine(vec, embedder.embed_one(selected.text))))
+    for selected_vec in evidence_vecs:
+        red = max(red, _clamp01(cosine(vector, selected_vec)))
 
-    rel_q = _clamp01(cosine(vec, embedder.embed_one(question)))
+    rel_q = _clamp01(cosine(vector, question_vec))
 
     return TermBreakdown(
         gap_cov=gap_cov,

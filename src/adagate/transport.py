@@ -4,8 +4,9 @@ The embedding service and the oracle endpoint are both JSON-over-POST
 services. A request sends a bearer token read from the environment variable
 named ``key_env`` when that variable is set. Connection errors and status
 429/500/502/503 are retried; any other non-200 status fails at once; when
-every attempt is spent the last error is reported as retriable. Failures
-surface as TransportError with retry metadata.
+every attempt is spent the last error is reported as retriable. A 200
+response whose body is not JSON fails at once. Failures surface as
+TransportError with retry metadata.
 """
 
 from __future__ import annotations
@@ -59,7 +60,12 @@ def post_json(
                 retriable=False,
                 attempts=attempt,
             )
-        return response.json()
+        try:
+            return response.json()
+        except ValueError as exc:  # requests' JSONDecodeError is a ValueError
+            raise TransportError(
+                f"{service} returned a body that is not JSON: {exc}", retriable=False, attempts=attempt
+            ) from exc
     raise TransportError(
         f"{service} unreachable after {max_attempts} attempts: {last_error}",
         retriable=True,

@@ -282,3 +282,73 @@ def test_bad_snapshot_header_is_an_error_not_a_traceback(tmp_path, monkeypatch, 
     assert "Traceback" not in err
     assert not requests_sent
     assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_live_oracle_and_remote_embedder_defaults_come_from_their_classes():
+    from adagate.cli import _make_embedder, _make_oracle
+    from adagate.index import RemoteEmbedder
+    from adagate.oracle import LiveOracleConfig
+
+    url = "http://svc/v1"
+    oracle = _make_oracle("live", {"oracle": {"url": url}}, None)
+    assert oracle.config == LiveOracleConfig(url=url)
+    embedder = _make_embedder("remote", 64, {"index": {"remote": {"url": url}}})
+    reference = RemoteEmbedder(url=url, dim=64, session=object())
+    assert (embedder.key_env, embedder.model) == (reference.key_env, reference.model)
+    oracle._session.close()
+    embedder._session.close()
+
+
+_NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("ingest-data-not-utf8", 1),
+        ("index-chunks-not-utf8", 1),
+        ("index-chunk-field-malformed", 1),
+        ("report-in-not-utf8", 1),
+        ("report-in-record-not-object", 1),
+        ("run-store-record-not-utf8", 1),
+        ("config-not-json", 2),
+        ("config-not-object", 2),
+    ],
+)
+def test_bad_input_file_is_an_error_not_a_traceback(tmp_path, capsys, case, code):
+    data = str(builtin_fixture_path())
+    bad = tmp_path / "bad.jsonl"
+    store = str(tmp_path / "store.jsonl")
+    if case == "ingest-data-not-utf8":
+        bad.write_bytes(_NOT_UTF8)
+        argv = ["ingest", "--data", str(bad), "--out", str(tmp_path / "chunks.jsonl")]
+    elif case.startswith("index-"):
+        if case == "index-chunks-not-utf8":
+            bad.write_bytes(_NOT_UTF8)
+        else:
+            record = {"chunk_id": "c", "title": "t", "body": "b", "token_len": "many", "source_example": "e",
+                      "provenance": "original"}
+            bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        argv = ["index", "--chunks", str(bad), "--store", store, "--namespace", "clean"]
+    elif case.startswith("report-"):
+        if case == "report-in-not-utf8":
+            bad.write_bytes(_NOT_UTF8)
+        else:
+            bad.write_text("[1, 2]\n", encoding="utf-8")
+        Path(str(bad) + ".manifest.json").write_text("{}", encoding="utf-8")
+        argv = ["report", "--in", str(bad)]
+    elif case == "run-store-record-not-utf8":
+        chunks = tmp_path / "chunks.jsonl"
+        assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+        assert main(["index", "--chunks", str(chunks), "--store", store, "--namespace", "clean"]) == 0
+        with open(store, "ab") as handle:
+            handle.write(_NOT_UTF8)
+        argv = ["run", "--data", data, "--store", store, "--out", str(tmp_path / "r.jsonl")]
+    else:
+        bad.write_text("not json" if case == "config-not-json" else "[1, 2]", encoding="utf-8")
+        argv = ["run", "--data", data, "--store", store, "--out", str(tmp_path / "r.jsonl"), "--config", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:" if code == 2 else "error:")
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -19,10 +20,10 @@ from adagate.controller import (
 )
 from adagate.corpus import count_tokens
 from adagate.evaluate import evidence_prf
-from adagate.index import HashingEmbedder, VectorIndex
+from adagate.index import HashingEmbedder, RemoteEmbedder, VectorIndex
 from adagate.oracle import ABSTAIN, RuleBasedOracle
 
-from helpers import WORLD_DIM, build_world, fact_chunk
+from helpers import WORLD_DIM, FakeResponse, build_world, densify, fact_chunk
 
 WORLD_CONFIG = ControllerConfig(
     mode="adagate", max_iterations=1, k=3, budget=140, buffer=2, namespace="clean"
@@ -210,3 +211,100 @@ def test_seal_select_matches_question_slots_for_any_backend():
         assert [c.chunk_id for c in _seal_select(question, retrieved, backend)] == ["c2"]
     # Without slot markup the best fact of any kind wins, for every backend.
     assert [c.chunk_id for c in _seal_select("where was zed born", retrieved, LedgerOnlyOracle())] == ["c1"]
+
+
+class CountingOracle:
+    """The rules oracle behind a wrapper that counts the controller's calls by method.
+
+    Calls the rules oracle makes to itself (``generate_answer`` extracts a
+    ledger) are not counted.
+    """
+
+    def __init__(self):
+        self.inner = RuleBasedOracle()
+        self.calls = Counter()
+        self.warnings = []
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_seal_style_extracts_its_ledger_once():
+    examples, chunks, index = build_world(2, seed=12)
+    config = dataclasses.replace(WORLD_CONFIG, mode="seal_style")
+    for example in examples:
+        counting = CountingOracle()
+        trace = run_baseline(example, config, index, counting)
+        assert counting.calls["extract_ledger"] == 1
+        retrieved = [index.get_chunk("clean", cid) for cid, _ in trace.iterations[0].hits["seed"]]
+        assert trace.iterations[0].ledger_size == len(RuleBasedOracle().extract_ledger(retrieved)) > 0
+
+
+class RecordingEmbedder(HashingEmbedder):
+    """A hash embedder that records every text it is asked to embed."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.texts = []
+
+    def embed_one(self, text):
+        self.texts.append(text)
+        return super().embed_one(text)
+
+    def embed(self, texts):
+        self.texts.extend(texts)
+        return super().embed(texts)
+
+
+def test_no_stored_chunk_is_embedded_after_upsert(oracle):
+    examples, chunks, _ = build_world(5, seed=7)
+    embedder = RecordingEmbedder(WORLD_DIM)
+    index = VectorIndex(embedder)
+    index.upsert("clean", chunks)
+    chunk_texts = {c.text for c in chunks}
+    assert not chunk_texts & set(embedder._cache)  # the cache holds query strings only
+    embedder.texts.clear()
+    config = dataclasses.replace(WORLD_CONFIG, max_iterations=2)
+    for example in examples:
+        run_adagate(example, config, index, oracle)
+    assert embedder.texts
+    assert not chunk_texts & set(embedder.texts)
+
+
+class HashBackedSession:
+    """An embeddings service answering with dense hash vectors; records each request's inputs."""
+
+    def __init__(self, dim):
+        self.hash = HashingEmbedder(dim)
+        self.inputs = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.inputs.append(list(json["input"]))
+        data = [{"embedding": densify(vec, self.hash.dim)} for vec in self.hash.embed(json["input"])]
+        return FakeResponse(200, {"data": data})
+
+
+def test_remote_run_over_a_loaded_snapshot_sends_only_query_strings(tmp_path, oracle):
+    examples, chunks, _ = build_world(5, seed=7, dim=64)
+    writer = RemoteEmbedder(url="http://svc", dim=64, session=HashBackedSession(64))
+    built = VectorIndex(writer)
+    built.upsert("clean", chunks)
+    assert not writer._cache
+    built.save(tmp_path / "store.jsonl")
+
+    session = HashBackedSession(64)
+    reader = RemoteEmbedder(url="http://svc", dim=64, session=session)
+    index = VectorIndex.load(tmp_path / "store.jsonl", embedder=reader)
+    for example in examples:
+        run_adagate(example, WORLD_CONFIG, index, oracle)
+    chunk_texts = {c.text for c in chunks}
+    assert session.inputs
+    assert [inputs for inputs in session.inputs if chunk_texts & set(inputs)] == []
+    sent = [text for inputs in session.inputs for text in inputs]
+    assert len(sent) == len(set(sent))  # one request per distinct query string

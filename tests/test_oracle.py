@@ -269,3 +269,17 @@ def test_malformed_completion_is_logged(tmp_path):
     assert len(entries) == 1
     assert entries[0]["response"] == {"choices": []}
     assert entries[0]["request"]["messages"][0]["role"] == "user"
+
+
+def test_live_oracle_unparseable_gap_line_warns_and_keeps_the_others():
+    lines = "\n".join(
+        [
+            json.dumps({"entity": "a", "relation": "born"}),
+            "1" * 5000,  # too many digits for an int: a ValueError, not a JSONDecodeError
+            json.dumps({"entity": "b", "relation": "died", "rationale": "r"}),
+        ]
+    )
+    live = _live([_FakeResponse(200, lines)])
+    verdict = live.assess_sufficiency("q", Ledger())
+    assert [(g.entity, g.relation) for g in verdict.gaps] == [("a", "born"), ("b", "died")]
+    assert len(live.warnings) == 1 and live.warnings[0].startswith("unparseable gap line from model: 1111")

@@ -15,14 +15,15 @@ ORACLE = RuleBasedOracle()
 
 
 def score(candidate, question="", ledger=None, gaps=(), evidence=(), weights=DEFAULT_WEIGHTS):
+    gap_queries, _ = ORACLE.make_queries(question, list(gaps))
     return score_candidate(
         candidate,
-        question,
+        EMBEDDER.embed_one(candidate.text),
+        EMBEDDER.embed_one(question),
+        [EMBEDDER.embed_one(q) for q in gap_queries],
+        [EMBEDDER.embed_one(c.text) for c in evidence],
         ledger if ledger is not None else Ledger(),
-        list(gaps),
-        list(evidence),
         weights,
-        embedder=EMBEDDER,
         oracle=ORACLE,
     )
 

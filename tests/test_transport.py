@@ -45,3 +45,17 @@ def test_authorization_header_only_when_key_env_is_set(monkeypatch):
     monkeypatch.setenv("ADAGATE_TEST_KEY", "sekrit")
     _post(session)
     assert [call["headers"] for call in session.calls] == [{}, {"Authorization": "Bearer sekrit"}]
+
+
+class NotJsonResponse(FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+def test_ok_response_that_is_not_json_fails_at_once():
+    session = FakeSession([NotJsonResponse(200), FakeResponse(200, {"ok": True})])
+    with pytest.raises(TransportError) as exc:
+        _post(session)
+    assert (exc.value.retriable, exc.value.attempts) == (False, 1)
+    assert str(exc.value).startswith("test service returned a body that is not JSON: ")
+    assert len(session.calls) == 1
