@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .controller import MODES, ControllerConfig, run_example
 from .corpus import chunk_corpus, load_examples, read_chunks, write_chunks
-from .errors import AdagateError
+from .errors import AdagateError, UnknownNamespaceError
 from .evaluate import ExampleResult, aggregate, evidence_prf, read_results, render_csv, render_table
 from .index import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot_header
 from .oracle import LiveOracle, LiveOracleConfig, RuleBasedOracle
@@ -288,6 +288,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     )
     index = _open_store(args.store, None, _resolve_embedder_kind(args.embedder, config), config)
+    held = index.namespaces()
+    if args.namespace not in held:
+        listed = ", ".join(held) or "no namespaces"
+        raise UnknownNamespaceError(f"unknown namespace {args.namespace!r} (store holds: {listed})")
     examples = load_examples(args.data, limit=args.limit)
 
     def process(example):

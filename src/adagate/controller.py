@@ -15,7 +15,7 @@ retrieval, generation, and accounting pipeline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -104,10 +104,24 @@ class ControllerTrace:
 
     def as_dict(self, full: bool = False) -> dict:
         """The trace as plain data; the per-iteration records only when ``full``."""
-        record = asdict(self)
-        if not full:
-            del record["iterations"]
-        return record
+        return {name: _plain(value) for name, value in vars(self).items() if full or name != "iterations"}
+
+
+def _plain(value):
+    """``dataclasses.asdict``'s conversion without its deep copy of every leaf.
+
+    Scalars are returned as they are, containers are rebuilt, and any other
+    value is a dataclass whose fields ``vars`` lists in declaration order.
+    """
+    if value is None or type(value) in (str, int, float, bool):
+        return value
+    if type(value) is list:
+        return [_plain(item) for item in value]
+    if type(value) is tuple:
+        return tuple(_plain(item) for item in value)
+    if type(value) is dict:
+        return {_plain(key): _plain(item) for key, item in value.items()}
+    return {name: _plain(item) for name, item in vars(value).items()}
 
 
 def adaptive_cut(scores: Sequence[float]) -> int:

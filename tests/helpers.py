@@ -74,6 +74,15 @@ def densify(vector: Vector, dim: int) -> list[float]:
     return dense
 
 
+def reference_cosine(a: Vector, b: Vector) -> float:
+    """``cosine`` by definition: shared coordinates summed one by one in ascending order, then clamped."""
+    value = 0.0
+    for coord in sorted(a):
+        if coord in b:
+            value += a[coord] * b[coord]
+    return max(-1.0, min(1.0, value))
+
+
 def brute_force_top_k(
     embedder: HashingEmbedder | RemoteEmbedder,
     chunks: Iterable[Chunk],

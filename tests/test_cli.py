@@ -352,3 +352,20 @@ def test_bad_input_file_is_an_error_not_a_traceback(tmp_path, capsys, case, code
     err = capsys.readouterr().err
     assert err.startswith("usage error:" if code == 2 else "error:")
     assert "Traceback" not in err
+
+
+def test_run_with_unknown_namespace_fails_before_the_batch(tmp_path, capsys):
+    data = str(builtin_fixture_path())
+    chunks = tmp_path / "chunks.jsonl"
+    store = tmp_path / "store.jsonl"
+    out = tmp_path / "r.jsonl"
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", DIM]) == 0
+    perturb = ["perturb", "--data", data, "--kind", "noise", "--rho", "0.5", "--seed", "3"]
+    assert main(perturb + ["--out", str(tmp_path / "noise.jsonl"), "--store", str(store), "--dim", DIM]) == 0
+    capsys.readouterr()
+    assert main(["run", "--data", data, "--store", str(store), "--namespace", "nope", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown namespace 'nope' (store holds: clean, noise)\n"
+    assert captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["chunks.jsonl", "noise.jsonl", "store.jsonl"]

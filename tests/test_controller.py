@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from adagate.controller import (
+    MODES,
     REASON_MAX_ITERATIONS,
     REASON_NO_USEFUL_REPAIR,
     REASON_NONE,
@@ -308,3 +309,37 @@ def test_remote_run_over_a_loaded_snapshot_sends_only_query_strings(tmp_path, or
     assert [inputs for inputs in session.inputs if chunk_texts & set(inputs)] == []
     sent = [text for inputs in session.inputs for text in inputs]
     assert len(sent) == len(set(sent))  # one request per distinct query string
+
+
+def test_trace_as_dict_is_asdict_with_iterations_last_and_copies_no_leaf(oracle, monkeypatch):
+    import copy
+
+    from adagate.corpus import chunk_corpus
+    from adagate.perturb import KIND_REDUNDANCY, PerturbConfig, inject_redundancy
+    from adagate.synthetic import WorldSpec, generate_world
+
+    examples = generate_world(WorldSpec(n_questions=60, seed=7))
+    chunks = inject_redundancy(examples, chunk_corpus(examples), PerturbConfig(kind=KIND_REDUNDANCY, rho=0.5, seed=3))
+    index = VectorIndex(HashingEmbedder(dim=256))
+    index.upsert("redundancy", chunks)
+    traces = []
+    for mode in MODES:
+        config = ControllerConfig(mode=mode, max_iterations=3, k=3, budget=140, namespace="redundancy")
+        traces += [run_example(example, config, index, oracle) for example in examples]
+    reasons = {t.termination_reason for t in traces}
+    assert reasons == {REASON_SUFFICIENT, REASON_MAX_ITERATIONS, REASON_NO_USEFUL_REPAIR, REASON_NONE}
+
+    def reference(trace, full):
+        record = dataclasses.asdict(trace)
+        iterations = record.pop("iterations")
+        if full:
+            record["iterations"] = iterations
+        return record
+
+    expected = [(json.dumps(reference(t, True)), json.dumps(reference(t, False))) for t in traces]
+
+    def no_deepcopy(value, memo=None):
+        raise AssertionError(f"deep-copied {value!r}")
+
+    monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+    assert [(json.dumps(t.as_dict(full=True)), json.dumps(t.as_dict())) for t in traces] == expected
