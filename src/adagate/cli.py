@@ -97,7 +97,10 @@ def _resolve_embedder_kind(flag_value: str | None, config: dict) -> str:
     if flag_value:
         return flag_value
     backend = _cfg(config, "index.backend", "memory")
-    return {"memory": "hash", "remote": "remote"}.get(backend, "hash")
+    kinds = {"memory": "hash", "remote": "remote"}
+    if not isinstance(backend, str) or backend not in kinds:
+        raise UsageError(f"index.backend must be 'memory' or 'remote', not {backend!r}")
+    return kinds[backend]
 
 
 def _make_embedder(kind: str, dim: int, config: dict):
@@ -225,16 +228,17 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _open_store(store: str, dim: int | None, embedder_kind: str, config: dict) -> VectorIndex:
+    """Load the snapshot at ``store``, or start an empty index when there is none."""
     path = Path(store)
-    if path.exists():
-        embedder = None
-        if embedder_kind == "remote":
-            with path.open("r", encoding="utf-8") as handle:
-                dim, _ = read_snapshot_header(handle)
-            embedder = _make_embedder("remote", dim, config)
-        return VectorIndex.load(path, embedder=embedder)
-    resolved_dim = dim if dim is not None else _checked(int, _cfg(config, "index.dim", DEFAULT_DIM))
-    return VectorIndex(_make_embedder(embedder_kind, resolved_dim, config))
+    if not path.exists():
+        resolved_dim = dim if dim is not None else _checked(int, _cfg(config, "index.dim", DEFAULT_DIM))
+        return VectorIndex(_make_embedder(embedder_kind, resolved_dim, config))
+    with path.open("r", encoding="utf-8") as handle:
+        stored_dim, _ = read_snapshot_header(handle)
+    if dim is not None and dim != stored_dim:
+        raise UsageError(f"--dim {dim} does not match the dim {stored_dim} of store {store}")
+    embedder = _make_embedder("remote", stored_dim, config) if embedder_kind == "remote" else None
+    return VectorIndex.load(path, embedder=embedder)
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
@@ -287,7 +291,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             dedup_threshold=float(_cfg(config, "controller.dedup_threshold", defaults.dedup_threshold)),
         )
     )
-    index = _open_store(args.store, None, _resolve_embedder_kind(args.embedder, config), config)
+    kind = _resolve_embedder_kind(args.embedder, config)
+    if not Path(args.store).exists():
+        raise AdagateError(f"store {args.store} does not exist")
+    index = _open_store(args.store, None, kind, config)
     held = index.namespaces()
     if args.namespace not in held:
         listed = ", ".join(held) or "no namespaces"
@@ -320,11 +327,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             record["trace"] = trace.as_dict(full=True)
         return record
 
-    if args.jobs == 1:
-        records = [process(example) for example in examples]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(process, examples))
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        records = list(pool.map(process, examples))
 
     out_path = Path(args.out)
     _atomic_write(out_path, "".join(json.dumps(r) + "\n" for r in records))

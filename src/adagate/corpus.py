@@ -183,14 +183,7 @@ def chunk_corpus(examples: Iterable[Example]) -> list[Chunk]:
 
 
 def chunk_to_record(chunk: Chunk) -> dict:
-    return {
-        "chunk_id": chunk.chunk_id,
-        "title": chunk.title,
-        "body": chunk.body,
-        "token_len": chunk.token_len,
-        "source_example": chunk.source_example,
-        "provenance": chunk.provenance,
-    }
+    return dict(vars(chunk))  # the fields in declaration order
 
 
 def chunk_from_record(record: dict) -> Chunk:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -158,18 +158,7 @@ def read_results(paths: Sequence[str | Path]) -> list[ExampleResult]:
     return results
 
 
-_COLUMNS = (
-    "condition",
-    "mode",
-    "n",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "avg_tokens",
-    "avg_docs",
-    "tokens_per_correct",
-)
+_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _row_cells(row: ReportRow) -> list[str]:

@@ -11,21 +11,20 @@ tests reproduce independently, is:
 5. L2-normalize the result. Empty text yields the all-zero vector, and
    cosine against a zero vector is defined as 0.
 
-``fnv1a64`` is that hash, one token at a time. ``HashingEmbedder`` gives
-exactly the same hashes in lockstep. The tokens of up to 256 distinct texts
-are the lanes of one Python big int, and each byte position costs a few
-C-level big-int operations over all lanes (xor the column of bytes,
-multiply by the prime, mask every lane, keep the state of tokens that have
-ended) instead of one interpreted step per byte per token. When dim is a
-power of two only the low log2(dim) bits of the state decide
-``hash % dim``, so a lane is 4 bytes (8 above dim 2**23) and holds the
-coordinate itself; other dims keep the full 64-bit state in 16-byte lanes.
-A pass makes one step per byte of its longest token over big ints of a few
-bytes per token. On a 5,000-chunk synthetic world (300k tokens, dim 2**20,
-CPython 3.11 on a 2-vCPU Xeon) embedding took 0.38 s instead of 1.0 s,
-split about evenly between tokenizing, hashing and building the vectors.
-Calls with fewer than 32 tokens, where the setup costs more than the steps
-save, and tokens longer than 255 bytes are hashed one at a time.
+``fnv1a64`` is that hash, one token at a time, and the reference.
+``HashingEmbedder`` gives exactly the same coordinates in lockstep when dim
+is a power of two no larger than 2**23: then only the low log2(dim) bits of
+the state decide ``hash % dim``, and the state times the prime fits a
+4-byte lane. The tokens of up to 256 distinct texts are grouped by byte
+length, and each group is hashed as one Python big int of 4-byte lanes:
+each byte position costs a few C-level big-int operations over the whole
+group (xor the column of bytes, multiply by the prime, mask every lane)
+instead of one interpreted step per byte per token. Every other input is
+hashed one token at a time: other dims, and calls with fewer than 32
+tokens, where the setup costs more than the steps save. On a 5,000-chunk
+synthetic world (300k tokens, CPython 3.11 on a 2-vCPU Xeon) embedding
+took 0.31-0.34 s at dim 2**20 against 0.63-0.70 s one token at a time at
+dim 2**24 (best of 5).
 
 Vectors are stored sparsely as coordinate -> value maps over the fixed
 dimension, which keeps very large dims cheap. Hash collisions are
@@ -89,13 +88,10 @@ _MASK64 = (1 << 64) - 1
 # A maximal run of non-whitespace, trimmed to its first and last [a-z0-9_].
 _TOKEN = re.compile(r"[a-z0-9_](?:\S*[a-z0-9_])?")
 
-# Lockstep hashing: texts per pass (bounds the big ints), the fewest tokens
-# worth a pass, and the longest token a one-byte length admits.
+# Lockstep hashing: texts per pass (bounds the big ints) and the fewest
+# tokens worth a pass.
 _GROUP_TEXTS = 256
 _LOCKSTEP_MIN_TOKENS = 32
-_LANE_MAX_BYTES = 255
-# Lane width in bytes -> struct code of one 8- or 4-byte word, and words per lane.
-_LANE_WORDS = {4: ("I", 1), 8: ("Q", 1), 16: ("Q", 2)}
 
 SNAPSHOT_SCHEMA = "index@1"
 DEFAULT_DIM = 256
@@ -150,13 +146,9 @@ class HashingEmbedder:
         self._cache: dict[str, Vector] = {}
         # FNV-1a is exact modulo 2**bits for any bits <= 64, so a power-of-two
         # dim needs only its own bits of the state, and they are the coordinate.
-        self._pow2 = dim & (dim - 1) == 0 and dim <= 1 << 64
-        bits = dim.bit_length() - 1 if self._pow2 else 64
-        self._state_mask = (1 << bits) - 1
-        self._prime = FNV64_PRIME & self._state_mask
-        # A lane holds state * prime before the mask, so no carry reaches the next lane.
-        product_bits = bits + self._prime.bit_length()
-        self._lane = 4 if product_bits <= 32 else 8 if product_bits <= 64 else 16
+        # Up to 2**23 those bits times the masked prime fit a 4-byte lane, no carry.
+        self._lockstep_fits = dim & (dim - 1) == 0 and dim <= 1 << 23
+        self._prime = FNV64_PRIME & (dim - 1)
 
     def embed_one(self, text: str) -> Vector:
         vector = self._cache.get(text)
@@ -178,50 +170,37 @@ class HashingEmbedder:
     def _coordinates(self, tokens: list[str]) -> list[int]:
         """``fnv1a64(token) % dim`` for every token, in order."""
         data = list(map(str.encode, tokens))
-        if len(data) < _LOCKSTEP_MIN_TOKENS:
+        if len(data) < _LOCKSTEP_MIN_TOKENS or not self._lockstep_fits:
             return [fnv1a64(token) % self.dim for token in data]
-        lengths = list(map(len, data))
-        long = {}
-        if max(lengths) > _LANE_MAX_BYTES:
-            long = {i: token for i, token in enumerate(data) if len(token) > _LANE_MAX_BYTES}
-            for i in long:
-                data[i], lengths[i] = b"", 0
-        states = self._lockstep(data, bytes(lengths))
-        for i, token in long.items():
-            states[i] = fnv1a64(token) & self._state_mask
-        return states if self._pow2 else [state % self.dim for state in states]
+        return self._lockstep(data)
 
-    def _lockstep(self, data: list[bytes], lengths: bytes) -> list[int]:
-        """FNV-1a states masked to the kept bits, hashing every token at once.
+    def _lockstep(self, data: list[bytes]) -> list[int]:
+        """The coordinates of ``data``, hashing the tokens of each byte length at once.
 
-        Token ``i`` is lane ``i`` of the big int ``h``, ``self._lane`` bytes
-        wide. Step ``j`` xors byte ``j`` of every token into its lane,
-        multiplies all lanes by the prime and masks each back to the kept
-        bits; lanes of tokens shorter than ``j + 1`` keep their state, so an
-        empty token keeps the offset basis.
+        The ``n`` tokens of one length are the 4-byte lanes of the big int
+        ``h``. Step ``j`` xors byte ``j`` of every token into its lane,
+        multiplies all lanes by the prime and masks each back to the
+        coordinate bits.
         """
-        n, width = len(data), self._lane
-        longest = max(lengths)
-        padded = struct.Struct(f"{longest}s" * n).pack(*data)  # NUL-padded, one row per token
-        # Each token's length repeated across its lane, for the active masks.
-        lane_lengths = bytearray(n * width)
-        for k in range(width):
-            lane_lengths[k::width] = lengths
-        lanes = int.from_bytes(self._state_mask.to_bytes(width, "little") * n, "little")
-        h = int.from_bytes((FNV64_OFFSET & self._state_mask).to_bytes(width, "little") * n, "little")
-        column = bytearray(n * width)
-        ends = set(lengths)
-        active = None  # every lane, until the shortest token ends
-        for j in range(longest):
-            if j in ends:
-                table = bytes(j + 1) + b"\xff" * (255 - j)  # length > j -> 0xff
-                active = int.from_bytes(lane_lengths.translate(table), "little")
-            column[::width] = padded[j::longest]
-            stepped = ((h ^ int.from_bytes(column, "little")) * self._prime) & lanes
-            h = stepped if active is None else h ^ ((h ^ stepped) & active)
-        # Explicit byte order and standard sizes: the same lanes on any host.
-        code, words = _LANE_WORDS[width]
-        return list(struct.Struct(f"<{n * words}{code}").unpack(h.to_bytes(n * width, "little"))[::words])
+        mask = self.dim - 1
+        lengths = list(map(len, data))
+        groups: dict[int, list[bytes]] = {}
+        for token, length in zip(data, lengths):
+            groups.setdefault(length, []).append(token)
+        states = {}
+        for length, tokens in groups.items():
+            n = len(tokens)
+            rows = b"".join(tokens)
+            lanes = int.from_bytes(mask.to_bytes(4, "little") * n, "little")
+            h = int.from_bytes((FNV64_OFFSET & mask).to_bytes(4, "little") * n, "little")
+            column = bytearray(4 * n)
+            for j in range(length):
+                column[::4] = rows[j::length]
+                h = ((h ^ int.from_bytes(column, "little")) * self._prime) & lanes
+            # Explicit byte order and standard size: the same lanes on any host.
+            states[length] = iter(struct.unpack(f"<{n}I", h.to_bytes(4 * n, "little")))
+        # A group keeps its tokens in order, so each token takes the next state of its length.
+        return list(map(next, map(states.__getitem__, lengths)))
 
 
 def _unit_vector(coords: list[int]) -> Vector:

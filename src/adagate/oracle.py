@@ -5,7 +5,9 @@ synthetic markup convention used by all offline fixtures:
 
 * Passage sentences may carry facts written ``ENT[entity] REL[relation]
   VAL[value]``. A fact's confidence is 1.0, or 0.5 when the sentence
-  containing it carries the low-confidence marker ``~``.
+  containing it carries the low-confidence marker ``~``. Bracketed parts
+  may contain punctuation: only ``.``, ``!`` or ``?`` outside brackets ends
+  a sentence.
 * Questions encode their required fact slots as ``SLOT[entity|relation]``
   tokens, in order. An entity written ``*N`` refers to the resolved value
   of the N-th slot (1-based), which is how bridge hops are expressed.
@@ -36,7 +38,8 @@ ABSTAIN = "I don't know"
 FACT_PATTERN = re.compile(r"ENT\[([^\]]+)\]\s*REL\[([^\]]+)\]\s*VAL\[([^\]]+)\]")
 SLOT_PATTERN = re.compile(r"SLOT\[([^\]|]+)\|([^\]]+)\]")
 LOW_CONFIDENCE_MARK = "~"
-_SENTENCE_SPLIT = re.compile(r"[.!?]")
+# A sentence end not followed by a closing bracket before any opening one.
+_SENTENCE_SPLIT = re.compile(r"[.!?](?![^\[\]]*\])")
 _BACKREF = re.compile(r"^\*(\d+)$")
 
 LOW_CONFIDENCE = 0.5
@@ -229,7 +232,10 @@ class RuleBasedOracle:
     def extract_ledger(self, evidence: Sequence[Chunk]) -> Ledger:
         ledger = Ledger()
         for chunk in evidence:
-            for sentence in _SENTENCE_SPLIT.split(chunk.text):
+            # Sentence scopes matter only to the low-confidence marker.
+            text = chunk.text
+            sentences = _SENTENCE_SPLIT.split(text) if LOW_CONFIDENCE_MARK in text else (text,)
+            for sentence in sentences:
                 low = LOW_CONFIDENCE_MARK in sentence
                 for entity, relation, value in FACT_PATTERN.findall(sentence):
                     ledger.add(

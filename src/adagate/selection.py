@@ -59,8 +59,6 @@ def effective_capacity(sorted_utilities: Sequence[float], buffer: int) -> int:
     for i in range(m - 1):
         if sorted_utilities[i] < sorted_utilities[i + 1]:
             raise ValueError("utility list must be sorted non-increasing")
-    if m == 1:
-        return 1
     best_drop = None
     i_star = 1
     for i in range(m - 1):

@@ -26,20 +26,19 @@ from typing import Iterable, Iterator
 
 from .corpus import Example, count_tokens
 
+DISTRACTORS = 8  # filler paragraphs per question
+CHUNK_TOKENS = 60  # exact token length of every paragraph
+FACT_REPEATS = 3  # plain-text copies of each gold fact
+
 
 @dataclass(frozen=True)
 class WorldSpec:
     n_questions: int = 50
-    distractors: int = 8
-    chunk_tokens: int = 60
-    fact_repeats: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_questions < 1:
             raise ValueError("n_questions must be >= 1")
-        if self.chunk_tokens < 30:
-            raise ValueError("chunk_tokens must be >= 30 to fit facts plus filler")
 
 
 def _filler_sentences(words_needed: int, fresh: Iterator[int]) -> list[str]:
@@ -71,21 +70,21 @@ def generate_world(spec: WorldSpec) -> list[Example]:
         rel_b = f"rel{i:03d}b"
 
         paragraphs: list[tuple[str, tuple[str, ...]]] = []
-        for _ in range(spec.distractors):
+        for _ in range(DISTRACTORS):
             junk_title = f"entry w{next(fresh)}"
-            junk_sentences = _pad_paragraph(junk_title, [], spec.chunk_tokens, fresh)
+            junk_sentences = _pad_paragraph(junk_title, [], CHUNK_TOKENS, fresh)
             paragraphs.append((junk_title, tuple(junk_sentences)))
 
         hop_title = f"{subj} profile"
-        hop_sentences = [f"the {subj} {rel_a} {mid}."] * spec.fact_repeats
+        hop_sentences = [f"the {subj} {rel_a} {mid}."] * FACT_REPEATS
         hop_sentences.append(f"ENT[{subj}] REL[{rel_a}] VAL[{mid}].")
-        hop_sentences = _pad_paragraph(hop_title, hop_sentences, spec.chunk_tokens, fresh)
+        hop_sentences = _pad_paragraph(hop_title, hop_sentences, CHUNK_TOKENS, fresh)
         paragraphs.append((hop_title, tuple(hop_sentences)))
 
         bridge_title = f"{mid} record"
-        bridge_sentences = [f"the {mid} {rel_b} {obj}."] * spec.fact_repeats
+        bridge_sentences = [f"the {mid} {rel_b} {obj}."] * FACT_REPEATS
         bridge_sentences.append(f"ENT[{mid}] REL[{rel_b}] VAL[{obj}].")
-        bridge_sentences = _pad_paragraph(bridge_title, bridge_sentences, spec.chunk_tokens, fresh)
+        bridge_sentences = _pad_paragraph(bridge_title, bridge_sentences, CHUNK_TOKENS, fresh)
         paragraphs.append((bridge_title, tuple(bridge_sentences)))
 
         question = (

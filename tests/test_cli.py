@@ -124,6 +124,42 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "r.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["run", "--store", "MISSING"], 1, "error: store MISSING does not exist"),
+        (["index", "--store", "STORE", "--dim", "512"], 2, "--dim 512 does not match the dim 256 of store STORE"),
+        (["perturb", "--store", "STORE", "--dim", "512"], 2, "--dim 512 does not match the dim 256 of store STORE"),
+        (["index", "--store", "MISSING", "--config", "CONFIG"], 2, "must be 'memory' or 'remote', not 'remot'"),
+    ],
+    ids=["run-missing-store", "index-other-dim", "perturb-other-dim", "unknown-backend"],
+)
+def test_store_and_backend_mistakes_are_reported(tmp_path, capsys, argv, code, message):
+    data = str(builtin_fixture_path())
+    chunks, store, missing = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "missing.jsonl"
+    config = tmp_path / "config.json"
+    config.write_text('{"index": {"backend": "remot"}}', encoding="utf-8")
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "256"]) == 0
+    snapshot = store.read_bytes()
+    capsys.readouterr()
+    names = {"MISSING": str(missing), "STORE": str(store), "CONFIG": str(config)}
+    rest = {
+        "run": ["--data", data, "--out", str(tmp_path / "r.jsonl")],
+        "index": ["--chunks", str(chunks), "--namespace", "clean"],
+        "perturb": ["--data", data, "--kind", "noise", "--out", str(tmp_path / "p.jsonl")],
+    }[argv[0]]
+    assert main([names.get(arg, arg) for arg in argv] + rest) == code
+    err = capsys.readouterr().err
+    for name, path in names.items():
+        message = message.replace(name, path)
+    assert message in err
+    assert "Traceback" not in err
+    assert store.read_bytes() == snapshot
+    assert not missing.exists()
+    assert not list(tmp_path.glob("r.jsonl*"))
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["run", "--no-such-flag"]) == 2
     assert main(["frobnicate"]) == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -75,7 +76,7 @@ _texts = st.one_of(
 )
 # A 256-text pass and the 32-token cut-off are crossed by the filler texts.
 _filler = st.integers(min_value=0, max_value=300)
-_DIMS = [1, 7, 64, 256, 1000, 2**20, 2**24]
+_DIMS = [1, 7, 64, 256, 1000, 2**20, 2**23, 2**24]
 
 
 @settings(max_examples=80, deadline=None)
@@ -92,6 +93,17 @@ def test_embed_batch_equals_spec_exactly(texts, filler, repeat, dim):
     # One text at a time takes the scalar path below 32 tokens.
     single = HashingEmbedder(dim)
     assert [list(single.embed_one(text).items()) for text in batch[:4]] == expected[:4]
+
+
+@pytest.mark.parametrize("dim", [2**23, 2**24])
+def test_embed_batch_at_the_lane_width_limit_equals_spec(dim):
+    # Varied tokens reach states whose product with the prime needs all 32
+    # bits of a lane; a lane too narrow for its dim carries into the next.
+    rng = random.Random(dim)
+    words = ["".join(rng.choices("abcdefghij_0123", k=rng.randint(1, 9))) for _ in range(320)]
+    texts = [" ".join(words[i : i + 40]) for i in range(0, len(words), 40)]
+    expected = [list(reference_vector(text, dim).items()) for text in texts]
+    assert [list(vec.items()) for vec in HashingEmbedder(dim).embed(texts)] == expected
 
 
 @given(st.text(_chars, max_size=80))

@@ -45,6 +45,22 @@ def test_extract_low_confidence_marker_scopes_to_sentence(oracle):
     assert by_entity == {"a": 0.5, "b": 1.0}
 
 
+@pytest.mark.parametrize("low", ["", " ~"])
+def test_extract_keeps_facts_with_punctuation_inside_brackets(oracle, low):
+    from adagate.corpus import make_chunk
+
+    body = f"ENT[tower] REL[height] VAL[3.5 m]. ENT[St. Ives] REL[is it?] VAL[yes!]{low}. ENT[c] REL[r] VAL[v]."
+    chunk = make_chunk("c0", "t", body, "ex")
+    ledger = oracle.extract_ledger([chunk])
+    confidence = 0.5 if low else 1.0
+    assert {(f.entity, f.relation, f.value, f.confidence) for f in ledger.facts} == {
+        ("tower", "height", "3.5 m", 1.0),
+        ("St. Ives", "is it?", "yes!", confidence),
+        ("c", "r", "v", 1.0),
+    }
+    assert oracle.novelty(chunk, ledger) == 0.0
+
+
 def test_same_tuple_from_two_chunks_kept_per_source(oracle):
     a = fact_chunk("c0", "x", "r", "v")
     b = fact_chunk("c1", "x", "r", "v")
