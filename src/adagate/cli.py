@@ -228,15 +228,21 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _open_store(store: str, dim: int | None, embedder_kind: str, config: dict) -> VectorIndex:
-    """Load the snapshot at ``store``, or start an empty index when there is none."""
+    """Load the snapshot at ``store``, or start an empty index when there is none.
+
+    The dim is the ``--dim`` flag's, else the config file's ``index.dim``;
+    an existing store whose dim differs from it is a usage error.
+    """
     path = Path(store)
+    given = "--dim"
+    if dim is None and "dim" in _cfg_set(config, "index", ("dim",)):
+        dim, given = _checked(int, config["index"]["dim"]), "config index.dim"
     if not path.exists():
-        resolved_dim = dim if dim is not None else _checked(int, _cfg(config, "index.dim", DEFAULT_DIM))
-        return VectorIndex(_make_embedder(embedder_kind, resolved_dim, config))
+        return VectorIndex(_make_embedder(embedder_kind, DEFAULT_DIM if dim is None else dim, config))
     with path.open("r", encoding="utf-8") as handle:
         stored_dim, _ = read_snapshot_header(handle)
     if dim is not None and dim != stored_dim:
-        raise UsageError(f"--dim {dim} does not match the dim {stored_dim} of store {store}")
+        raise UsageError(f"{given} {dim} does not match the dim {stored_dim} of store {store}")
     embedder = _make_embedder("remote", stored_dim, config) if embedder_kind == "remote" else None
     return VectorIndex.load(path, embedder=embedder)
 

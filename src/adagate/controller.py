@@ -11,6 +11,16 @@ loop stops when the verdict is sufficient, when a repair changes nothing and
 no new candidate outranks the weakest re-scored member, or after the
 configured number of repair iterations. All baselines share the same
 retrieval, generation, and accounting pipeline.
+
+A repair run computes each retrieval and each cosine once: fallback
+queries repeat every iteration (the first is the question itself), hits
+come back again and members are re-scored against the same passages. The
+run's memo keeps the hits per query string and every chunk-chunk,
+chunk-question and chunk-gap-query cosine; candidate dedup and the gap
+coverage, redundancy and question relevance terms all read it. It dies
+with the run: the namespace, ``k`` and stored vectors are fixed only within
+a run (an upsert may change them between runs), and concurrent runs share
+nothing.
 """
 
 from __future__ import annotations
@@ -129,33 +139,74 @@ def adaptive_cut(scores: Sequence[float]) -> int:
     return effective_capacity(scores, 0) if scores else 0
 
 
+class _RunMemo:
+    """The retrievals and cosines of one ``run_adagate`` call, each computed once.
+
+    Keyed by name, never by object identity: hits by query string, a
+    chunk-chunk cosine by the two chunk ids in sorted order (``cosine`` is
+    symmetric bit for bit), a chunk-query cosine by chunk id and query string.
+    """
+
+    def __init__(self, index: VectorIndex, namespace: str, k: int):
+        self._index, self._namespace, self._k = index, namespace, k
+        self._hits: dict[str, list[RetrievalHit]] = {}
+        self._query_vecs: dict[str, Vector] = {}
+        self._chunk_sims: dict[tuple[str, str], float] = {}
+        self._query_sims: dict[tuple[str, str], float] = {}
+
+    def hits(self, query: str) -> list[RetrievalHit]:
+        hits = self._hits.get(query)
+        if hits is None:
+            hits = self._hits[query] = self._index.query_top_k(self._namespace, query, self._k)
+        return hits
+
+    def chunk(self, chunk_id: str) -> Chunk:
+        return self._index.get_entry(self._namespace, chunk_id)[0]
+
+    def chunk_sim(self, a: str, b: str) -> float:
+        """Cosine between the stored vectors of chunks ``a`` and ``b``."""
+        key = (a, b) if a < b else (b, a)
+        sim = self._chunk_sims.get(key)
+        if sim is None:
+            get_entry, namespace = self._index.get_entry, self._namespace
+            sim = self._chunk_sims[key] = cosine(get_entry(namespace, a)[1], get_entry(namespace, b)[1])
+        return sim
+
+    def query_sim(self, chunk_id: str, query: str) -> float:
+        """Cosine between chunk ``chunk_id``'s stored vector and the embedded ``query``."""
+        key = (chunk_id, query)
+        sim = self._query_sims.get(key)
+        if sim is None:
+            vec = self._query_vecs.get(query)
+            if vec is None:
+                vec = self._query_vecs[query] = self._index.embedder.embed_one(query)
+            sim = self._query_sims[key] = cosine(self._index.get_entry(self._namespace, chunk_id)[1], vec)
+        return sim
+
+
 def _assemble_candidates(
     hits: Iterable[RetrievalHit],
-    index: VectorIndex,
+    memo: _RunMemo,
     evidence: Sequence[Chunk],
-    config: ControllerConfig,
-) -> tuple[list[Chunk], dict[str, Vector]]:
+    threshold: float,
+) -> list[Chunk]:
     """Deduplicate retrieved hits into a candidate list.
 
     Drops ids already selected or already kept, and suppresses near
     duplicates: any candidate whose cosine against a selected passage or an
-    earlier-kept candidate reaches ``config.dedup_threshold``. Hits are
-    processed in the order given (channel, query, then retrieval rank), so
-    the assembly is deterministic. Also returns the indexed vector of every
-    selected passage and kept candidate, by chunk id.
+    earlier-kept candidate reaches ``threshold``. Hits are processed in the
+    order given (channel, query, then retrieval rank), so the assembly is
+    deterministic.
     """
-    namespace, threshold = config.namespace, config.dedup_threshold
-    vectors = {c.chunk_id: index.get_entry(namespace, c.chunk_id)[1] for c in evidence}
+    others = [c.chunk_id for c in evidence]
     kept: list[Chunk] = []
     for hit in hits:
-        if hit.chunk_id in vectors:
+        chunk_id = hit.chunk_id
+        if chunk_id in others or any(memo.chunk_sim(chunk_id, other) >= threshold for other in others):
             continue
-        chunk, vec = index.get_entry(namespace, hit.chunk_id)
-        if any(cosine(vec, other) >= threshold for other in vectors.values()):
-            continue
-        kept.append(chunk)
-        vectors[hit.chunk_id] = vec
-    return kept, vectors
+        kept.append(memo.chunk(chunk_id))
+        others.append(chunk_id)
+    return kept
 
 
 def run_adagate(
@@ -167,18 +218,24 @@ def run_adagate(
     question = example.question
     trace = ControllerTrace(example_id=example.id, mode=MODE_ADAGATE, namespace=config.namespace)
     warned = len(getattr(oracle, "warnings", []))
+    memo = _RunMemo(index, config.namespace, config.k)
 
     def score(chunk: Chunk, evidence: Sequence[Chunk]) -> TermBreakdown:
-        evidence_vecs = [vectors[c.chunk_id] for c in evidence]
+        chunk_id = chunk.chunk_id
         return score_candidate(
-            chunk, vectors[chunk.chunk_id], question_vec, gap_vecs, evidence_vecs, ledger, config.weights, oracle=oracle
+            chunk,
+            memo.query_sim(chunk_id, question),
+            [memo.query_sim(chunk_id, q) for q in gap_queries],
+            [memo.chunk_sim(chunk_id, c.chunk_id) for c in evidence],
+            ledger,
+            config.weights,
+            oracle=oracle,
         )
 
     # Iteration 0 is the repair step over empty evidence, seeded by the question.
     state = EvidenceState(budget=config.budget)
     ledger = Ledger()
-    question_vec = index.embedder.embed_one(question)
-    gap_vecs: list[Vector] = []
+    gap_queries: list[str] = []
     queries = {CHANNEL_SEED: [question]}
     reason = REASON_MAX_ITERATIONS
     for t in range(config.max_iterations + 1):
@@ -196,15 +253,14 @@ def run_adagate(
                 reason = REASON_SUFFICIENT
                 break
             gap_queries, fb_queries = oracle.make_queries(question, verdict.gaps)
-            gap_vecs = [index.embedder.embed_one(q) for q in gap_queries]
             queries = {CHANNEL_GAP: gap_queries, CHANNEL_FALLBACK: fb_queries}
 
         record.queries = queries
-        hits = {
-            ch: [h for q in qs for h in index.query_top_k(config.namespace, q, config.k)] for ch, qs in queries.items()
-        }
+        hits = {ch: [h for q in qs for h in memo.hits(q)] for ch, qs in queries.items()}
         record.hits = {ch: [(h.chunk_id, h.score) for h in channel_hits] for ch, channel_hits in hits.items()}
-        candidates, vectors = _assemble_candidates(chain.from_iterable(hits.values()), index, state.selected, config)
+        candidates = _assemble_candidates(
+            chain.from_iterable(hits.values()), memo, state.selected, config.dedup_threshold
+        )
         scored = [(c, score(c, state.selected)) for c in candidates]
         record.scores = {c.chunk_id: tb for c, tb in sorted(scored, key=lambda pair: pair[0].chunk_id)}
         rescored: list[float] = []

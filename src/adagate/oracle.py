@@ -46,8 +46,9 @@ LOW_CONFIDENCE = 0.5
 FULL_CONFIDENCE = 1.0
 
 LEDGER_PROMPT = (
-    "Extract every atomic fact from the passages below as one JSON object per line "
-    'with keys "entity", "relation", "value", "confidence" (0 to 1). '
+    "Extract every atomic fact from the numbered passages below as one JSON object per line "
+    'with keys "passage" (the number of the passage stating the fact), "entity", "relation", '
+    '"value", "confidence" (0 to 1). '
     "Use the passage heading as context. Output JSON lines only.\n\nPassages:\n{passages}"
 )
 GAP_PROMPT = (
@@ -336,16 +337,19 @@ class LiveOracle:
         ledger = Ledger()
         if not evidence:
             return ledger
-        passages = "\n\n".join(c.text for c in evidence)
+        passages = "\n\n".join(f"[{number}] {c.text}" for number, c in enumerate(evidence, 1))
         raw = self._complete(self.config.model, LEDGER_PROMPT.format(passages=passages))
 
         def fact(record: dict) -> Fact:
+            number = record["passage"]
+            if type(number) is not int or not 1 <= number <= len(evidence):
+                raise ValueError(f"passage {number!r} is not one of 1..{len(evidence)}")
             return Fact(
                 entity=str(record["entity"]),
                 relation=str(record["relation"]),
                 value=str(record["value"]),
                 confidence=max(0.0, min(1.0, float(record.get("confidence", 1.0)))),
-                source_chunk=evidence[0].chunk_id,
+                source_chunk=evidence[number - 1].chunk_id,
             )
 
         for item in self._parse_lines(raw, "ledger", fact):

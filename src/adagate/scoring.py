@@ -13,7 +13,8 @@ Each candidate gets five terms in [0, 1], combined linearly:
 
 ``utility = l1*gap_cov + l2*corr + l3*nov - l4*red + l5*rel_q``
 
-Scoring never embeds: passages are scored by the vectors the index stores.
+Scoring never embeds and computes no cosine: the caller passes in the
+similarities of the candidate's indexed vector.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Chunk
-from .index import Vector, cosine, normalize_tokens
+from .index import normalize_tokens
 from .oracle import Ledger
 
 CORROBORATION_CEILING = 0.75
@@ -81,26 +82,26 @@ def _containment(fact_text: str, chunk_tokens: set[str]) -> float:
 
 def score_candidate(
     candidate: Chunk,
-    vector: Vector,
-    question_vec: Vector,
-    gap_vecs: Sequence[Vector],
-    evidence_vecs: Sequence[Vector],
+    question_sim: float,
+    gap_sims: Sequence[float],
+    evidence_sims: Sequence[float],
     ledger: Ledger,
     weights: UtilityWeights,
     *,
     oracle,
 ) -> TermBreakdown:
-    """Score one candidate, whose indexed vector is ``vector``, against the controller state.
+    """Score one candidate against the controller state.
 
-    ``gap_vecs`` are the vectors of the open gap queries and
-    ``evidence_vecs`` those of the already-selected passages. Reads but
-    never mutates its arguments, so candidates may be scored in parallel.
-    Empty gaps, an empty evidence set, and a chunk with no extractable pairs
-    all yield 0 for their respective terms.
+    The similarities are cosines of the candidate's indexed vector:
+    ``question_sim`` against the question, ``gap_sims`` against each open
+    gap query and ``evidence_sims`` against each already-selected passage.
+    Reads but never mutates its arguments, so candidates may be scored in
+    parallel. Empty gaps, an empty evidence set, and a chunk with no
+    extractable pairs all yield 0 for their respective terms.
     """
     gap_cov = 0.0
-    for gap_vec in gap_vecs:
-        gap_cov = max(gap_cov, _clamp01(cosine(vector, gap_vec)))
+    for sim in gap_sims:
+        gap_cov = max(gap_cov, _clamp01(sim))
 
     corr = 0.0
     low = ledger.low_confidence(CORROBORATION_CEILING)
@@ -112,10 +113,10 @@ def score_candidate(
     nov = _clamp01(oracle.novelty(candidate, ledger))
 
     red = 0.0
-    for selected_vec in evidence_vecs:
-        red = max(red, _clamp01(cosine(vector, selected_vec)))
+    for sim in evidence_sims:
+        red = max(red, _clamp01(sim))
 
-    rel_q = _clamp01(cosine(vector, question_vec))
+    rel_q = _clamp01(question_sim)
 
     return TermBreakdown(
         gap_cov=gap_cov,

@@ -160,6 +160,26 @@ def test_store_and_backend_mistakes_are_reported(tmp_path, capsys, argv, code, m
     assert not list(tmp_path.glob("r.jsonl*"))
 
 
+@pytest.mark.parametrize("command", ["index", "perturb"])
+def test_config_dim_that_differs_from_the_store_is_a_usage_error(tmp_path, capsys, command):
+    data = str(builtin_fixture_path())
+    chunks, store, config = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "config.json"
+    config.write_text('{"index": {"dim": 512}}', encoding="utf-8")
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "256"]) == 0
+    snapshot = store.read_bytes()
+    capsys.readouterr()
+    rest = {
+        "index": ["--chunks", str(chunks), "--namespace", "clean"],
+        "perturb": ["--data", data, "--kind", "noise", "--out", str(tmp_path / "p.jsonl")],
+    }[command]
+    assert main([command, "--store", str(store), "--config", str(config)] + rest) == 2
+    err = capsys.readouterr().err
+    assert f"config index.dim 512 does not match the dim 256 of store {store}" in err
+    assert "Traceback" not in err
+    assert store.read_bytes() == snapshot
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["run", "--no-such-flag"]) == 2
     assert main(["frobnicate"]) == 2

@@ -343,3 +343,78 @@ def test_trace_as_dict_is_asdict_with_iterations_last_and_copies_no_leaf(oracle,
 
     monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
     assert [(json.dumps(t.as_dict(full=True)), json.dumps(t.as_dict())) for t in traces] == expected
+
+
+class QueryLogIndex(VectorIndex):
+    """Records the query string of every ``query_top_k`` call."""
+
+    def __init__(self, embedder):
+        super().__init__(embedder)
+        self.queries: list[str] = []
+
+    def query_top_k(self, namespace, query_text, k):
+        self.queries.append(query_text)
+        return super().query_top_k(namespace, query_text, k)
+
+
+def _redundancy_run_setup(n_questions: int):
+    """A seed-7 redundancy world at dim 256 and the L=3 repair config over it."""
+    from adagate.corpus import chunk_corpus
+    from adagate.perturb import KIND_REDUNDANCY, PerturbConfig, inject_redundancy
+    from adagate.synthetic import WorldSpec, generate_world
+
+    examples = generate_world(WorldSpec(n_questions=n_questions, seed=7))
+    chunks = inject_redundancy(examples, chunk_corpus(examples), PerturbConfig(kind=KIND_REDUNDANCY, rho=0.5, seed=3))
+    index = QueryLogIndex(HashingEmbedder(dim=256))
+    for chunk in chunks:  # one upsert each, so chunks with equal texts get vector objects of their own
+        index.upsert("redundancy", [chunk])
+    config = ControllerConfig(mode="adagate", max_iterations=3, k=3, budget=140, namespace="redundancy")
+    return examples, chunks, index, config
+
+
+def test_a_run_queries_each_distinct_query_string_once(oracle):
+    examples, _, index, config = _redundancy_run_setup(30)
+    repeated = 0
+    for example in examples:
+        index.queries.clear()
+        trace = run_adagate(example, config, index, oracle)
+        asked = [q for it in trace.iterations for qs in it.queries.values() for q in qs]
+        repeated += len(asked) - len(set(asked))
+        assert Counter(index.queries) == Counter(set(asked)), example.id
+    assert repeated > 0  # the trace repeats queries that the index answered once
+
+
+def test_a_run_computes_no_cosine_pair_twice(oracle, monkeypatch):
+    from adagate import controller, index as index_module, scoring
+
+    examples, chunks, index, config = _redundancy_run_setup(30)
+    # Identities name the vectors: no two stored chunks share a vector object,
+    # and a query's vector is the embedder's cached one for that string.
+    assert len({id(index.get_entry("redundancy", c.chunk_id)[1]) for c in chunks}) == len(chunks)
+    pairs: list[frozenset] = []
+
+    def counting_cosine(a, b):
+        pairs.append(frozenset((id(a), id(b))))
+        return index_module.cosine(a, b)
+
+    for module in (controller, scoring):
+        if getattr(module, "cosine", None) is index_module.cosine:
+            monkeypatch.setattr(module, "cosine", counting_cosine)
+    computed = 0
+    for example in examples:
+        pairs.clear()
+        run_adagate(example, config, index, oracle)
+        computed += len(pairs)
+        assert len(pairs) == len(set(pairs)), example.id
+    assert computed > 0
+
+
+def test_the_run_memo_does_not_outlive_a_run(oracle):
+    examples, _, index, config = _redundancy_run_setup(5)
+    example = examples[0]
+    index.queries.clear()
+    first = run_adagate(example, config, index, oracle)
+    calls = list(index.queries)
+    second = run_adagate(example, config, index, oracle)
+    assert calls and index.queries == calls + calls
+    assert second.as_dict(full=True) == first.as_dict(full=True)

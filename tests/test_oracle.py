@@ -224,7 +224,7 @@ def _live(responses) -> LiveOracle:
 def test_live_oracle_parses_fact_lines():
     lines = "\n".join(
         [
-            json.dumps({"entity": "a", "relation": "r", "value": "v", "confidence": 0.9}),
+            json.dumps({"passage": 1, "entity": "a", "relation": "r", "value": "v", "confidence": 0.9}),
             "garbage that is not json",
         ]
     )
@@ -233,6 +233,37 @@ def test_live_oracle_parses_fact_lines():
     assert len(ledger) == 1
     assert ledger.facts[0].confidence == 0.9
     assert live.warnings  # malformed line degraded gracefully
+
+
+def test_live_oracle_attributes_each_fact_to_its_numbered_passage():
+    first, second = fact_chunk("c0", "a", "r", "v"), fact_chunk("c1", "b", "s", "w")
+    lines = "\n".join(
+        json.dumps(record)
+        for record in (
+            {"passage": 2, "entity": "b", "relation": "s", "value": "w"},
+            {"passage": 1, "entity": "a", "relation": "r", "value": "v"},
+            {"passage": 3, "entity": "c", "relation": "t", "value": "x"},
+            {"passage": 0, "entity": "c", "relation": "t", "value": "x"},
+            {"passage": "2", "entity": "c", "relation": "t", "value": "x"},
+            {"entity": "c", "relation": "t", "value": "x"},
+        )
+    )
+    live = _live([_FakeResponse(200, lines)])
+    ledger = live.extract_ledger([first, second])
+    assert [(f.entity, f.source_chunk) for f in ledger.facts] == [("b", "c1"), ("a", "c0")]
+    assert len(live.warnings) == 4
+    assert all(w.startswith("unparseable ledger line from model") for w in live.warnings)
+    prompt = live._session.calls[0]["json"]["messages"][0]["content"]
+    assert f"[1] {first.text}\n\n[2] {second.text}" in prompt
+
+
+def test_live_seal_style_keeps_the_passage_holding_the_best_fact():
+    from adagate.controller import _seal_select
+
+    first, second = fact_chunk("c0", "a", "r", "v"), fact_chunk("c1", "b", "s", "w")
+    line = json.dumps({"passage": 2, "entity": "b", "relation": "s", "value": "w"})
+    live = _live([_FakeResponse(200, line)])
+    assert _seal_select("what is the s of b", [first, second], live) == [second]
 
 
 def test_live_oracle_temperature_pinned_to_zero():

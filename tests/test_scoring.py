@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adagate.index import HashingEmbedder
+from adagate.index import HashingEmbedder, cosine
 from adagate.oracle import Gap, Ledger, RuleBasedOracle
 from adagate.scoring import DEFAULT_WEIGHTS, UtilityWeights, combine, score_candidate
 
@@ -16,12 +16,12 @@ ORACLE = RuleBasedOracle()
 
 def score(candidate, question="", ledger=None, gaps=(), evidence=(), weights=DEFAULT_WEIGHTS):
     gap_queries, _ = ORACLE.make_queries(question, list(gaps))
+    vector = EMBEDDER.embed_one(candidate.text)
     return score_candidate(
         candidate,
-        EMBEDDER.embed_one(candidate.text),
-        EMBEDDER.embed_one(question),
-        [EMBEDDER.embed_one(q) for q in gap_queries],
-        [EMBEDDER.embed_one(c.text) for c in evidence],
+        cosine(vector, EMBEDDER.embed_one(question)),
+        [cosine(vector, EMBEDDER.embed_one(q)) for q in gap_queries],
+        [cosine(vector, EMBEDDER.embed_one(c.text)) for c in evidence],
         ledger if ledger is not None else Ledger(),
         weights,
         oracle=ORACLE,
