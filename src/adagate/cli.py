@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,10 +25,10 @@ from pathlib import Path
 
 from . import __version__
 from .controller import MODES, ControllerConfig, run_example
-from .corpus import chunk_corpus, load_examples, read_chunks, write_chunks
+from .corpus import chunk_corpus, load_examples, read_chunks, write_atomic, write_chunks, write_json_lines
 from .errors import AdagateError, UnknownNamespaceError
 from .evaluate import ExampleResult, aggregate, evidence_prf, read_results, render_csv, render_table
-from .index import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot_header
+from .index import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot
 from .oracle import LiveOracle, LiveOracleConfig, RuleBasedOracle
 from .perturb import DEFAULT_VARIANT_CAP, KIND_NOISE, PerturbConfig, inject_noise, inject_redundancy
 from .scoring import DEFAULT_WEIGHTS, UtilityWeights
@@ -134,13 +133,7 @@ def _sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_manifest(out_path: Path, config_snapshot: dict, seed: int, corpus_hash: str, namespace: str) -> None:
+def _write_manifest(out_path: str, config_snapshot: dict, seed: int, corpus_hash: str, namespace: str) -> None:
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "tool_version": __version__,
@@ -150,7 +143,7 @@ def _write_manifest(out_path: Path, config_snapshot: dict, seed: int, corpus_has
         "namespace": namespace,
         "config": config_snapshot,
     }
-    _atomic_write(Path(str(out_path) + MANIFEST_SUFFIX), json.dumps(manifest, indent=2) + "\n")
+    write_atomic(out_path + MANIFEST_SUFFIX, [json.dumps(manifest, indent=2) + "\n"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     examples = load_examples(args.data, limit=args.limit)
     chunks = chunk_corpus(examples)
-    n = write_chunks(args.out, chunks)
-    print(f"ingested {len(examples)} examples -> {n} chunks -> {args.out}")
+    write_chunks(args.out, chunks)
+    print(f"ingested {len(examples)} examples -> {len(chunks)} chunks -> {args.out}")
     return 0
 
 
@@ -239,8 +232,8 @@ def _open_store(store: str, dim: int | None, embedder_kind: str, config: dict) -
         dim, given = _checked(int, config["index"]["dim"]), "config index.dim"
     if not path.exists():
         return VectorIndex(_make_embedder(embedder_kind, DEFAULT_DIM if dim is None else dim, config))
-    with path.open("r", encoding="utf-8") as handle:
-        stored_dim, _ = read_snapshot_header(handle)
+    stored_dim, _, records = read_snapshot(path)
+    records.close()
     if dim is not None and dim != stored_dim:
         raise UsageError(f"{given} {dim} does not match the dim {stored_dim} of store {store}")
     embedder = _make_embedder("remote", stored_dim, config) if embedder_kind == "remote" else None
@@ -263,14 +256,15 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     examples = load_examples(args.data)
     chunks = chunk_corpus(examples)
     perturb_config = _checked(PerturbConfig, kind=args.kind, rho=args.rho, seed=args.seed, variant_cap=args.cap)
+    # The store is checked before --out is written.
+    index = _open_store(args.store, args.dim, _resolve_embedder_kind(None, config), config) if args.store else None
     if args.kind == KIND_NOISE:
         perturbed = inject_noise(examples, chunks, perturb_config)
     else:
         perturbed = inject_redundancy(examples, chunks, perturb_config)
     write_chunks(args.out, perturbed)
     namespace = args.namespace or args.kind
-    if args.store:
-        index = _open_store(args.store, args.dim, _resolve_embedder_kind(None, config), config)
+    if index is not None:
         index.upsert(namespace, perturbed)
         index.save(args.store)
         print(f"perturbed {len(chunks)} -> {len(perturbed)} chunks; indexed namespace {namespace!r}")
@@ -336,17 +330,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         records = list(pool.map(process, examples))
 
-    out_path = Path(args.out)
-    _atomic_write(out_path, "".join(json.dumps(r) + "\n" for r in records))
+    write_json_lines(args.out, records)
     snapshot = {
         key: value
         for key, value in vars(args).items()
         if key not in ("command", "func") and value is not None
     }
-    snapshot["budget"] = controller_config.budget
-    snapshot["buffer"] = controller_config.buffer
-    snapshot["weights"] = list(astuple(controller_config.weights))
-    _write_manifest(out_path, snapshot, args.seed, _sha256_file(args.data), args.namespace)
+    snapshot.update(vars(controller_config), weights=list(astuple(controller_config.weights)))
+    snapshot.update(store_dim=index.embedder.dim, store_embedder=index.embedder.backend)
+    _write_manifest(args.out, snapshot, args.seed, _sha256_file(args.data), args.namespace)
 
     failures = sum(1 for r in records if "error" in r)
     print(f"wrote {len(records)} records -> {args.out} ({failures} failed)")
@@ -369,7 +361,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report = aggregate(read_results(args.inputs))
     print(render_table(report))
     if args.out:
-        _atomic_write(Path(args.out), render_csv(report))
+        write_atomic(args.out, [render_csv(report)])
         print(f"csv -> {args.out}")
     return 0
 

@@ -301,22 +301,17 @@ def run_baseline(
     warned = len(getattr(oracle, "warnings", []))
     record = IterationRecord(index=0)
 
-    if config.mode == MODE_BASIC:
-        hits = index.query_top_k(config.namespace, question, config.k)
-        evidence = [index.get_chunk(config.namespace, h.chunk_id) for h in hits]
-    elif config.mode == MODE_ADAPTIVE_K:
-        hits = index.query_top_k(config.namespace, question, config.adaptive_pool)
-        cut = adaptive_cut([h.score for h in hits])
-        hits = hits[:cut]
-        evidence = [index.get_chunk(config.namespace, h.chunk_id) for h in hits]
-    elif config.mode == MODE_SEAL_STYLE:
-        hits = index.query_top_k(config.namespace, question, config.k)
-        retrieved = [index.get_chunk(config.namespace, h.chunk_id) for h in hits]
-        ledger = oracle.extract_ledger(retrieved)
-        evidence = _seal_select(question, retrieved, oracle, ledger)
-        record.ledger_size = len(ledger)
-    else:
+    if config.mode not in (MODE_BASIC, MODE_ADAPTIVE_K, MODE_SEAL_STYLE):
         raise ValueError(f"mode {config.mode!r} is not a baseline")
+    depth = config.adaptive_pool if config.mode == MODE_ADAPTIVE_K else config.k
+    hits = index.query_top_k(config.namespace, question, depth)
+    if config.mode == MODE_ADAPTIVE_K:
+        hits = hits[: adaptive_cut([h.score for h in hits])]
+    evidence = [index.get_chunk(config.namespace, h.chunk_id) for h in hits]
+    if config.mode == MODE_SEAL_STYLE:
+        ledger = oracle.extract_ledger(evidence)
+        evidence = _seal_select(question, evidence, oracle, ledger)
+        record.ledger_size = len(ledger)
 
     record.queries = {CHANNEL_SEED: [question]}
     record.hits = {CHANNEL_SEED: [(h.chunk_id, h.score) for h in hits]}

@@ -5,11 +5,18 @@ Input files follow the HotpotQA distractor schema, one JSON record per line:
 ``[title, sentence_idx]`` pairs) and ``context`` (list of
 ``[title, [sentences]]`` pairs). Each context paragraph becomes one indexed
 chunk whose text is the title heading followed by the paragraph body.
+
+This module is also the one home of the JSON-lines format that every file
+of the pipeline uses (examples, chunks, snapshots, results): ``json_lines``
+is its one reader and ``write_json_lines`` its one writer. Every output is
+written through ``write_atomic``, so a write that fails midway leaves the
+previous file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -140,6 +147,28 @@ def json_lines(path: str | Path, label: str) -> Iterator[tuple[int, dict]]:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line with ``write_atomic``."""
+    write_atomic(path, (json.dumps(record) + "\n" for record in records))
+
+
+def write_atomic(path: str | Path, parts: Iterable[str]) -> None:
+    """Write ``parts`` to ``<path>.tmp``, then move it onto ``path``.
+
+    A write that fails midway removes the temporary file and leaves any
+    previous ``path`` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _example_from_record(record: dict, index: int) -> Example:
     for field in ("_id", "question", "answer", "supporting_facts", "context"):
         if field not in record:
@@ -202,13 +231,8 @@ def chunk_from_record(record: dict) -> Chunk:
         raise ParseError(f"chunk record has a malformed field: {exc}") from exc
 
 
-def write_chunks(path: str | Path, chunks: Iterable[Chunk]) -> int:
-    count = 0
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for chunk in chunks:
-            handle.write(json.dumps(chunk_to_record(chunk)) + "\n")
-            count += 1
-    return count
+def write_chunks(path: str | Path, chunks: Iterable[Chunk]) -> None:
+    write_json_lines(path, map(chunk_to_record, chunks))
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:

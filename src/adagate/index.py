@@ -55,20 +55,19 @@ chunks it touches plus at most k of the rest.
 from __future__ import annotations
 
 import heapq
-import json
 import math
-import os
 import re
 import struct
 import threading
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from array import array
 from itertools import accumulate, chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .corpus import Chunk, chunk_from_record, chunk_to_record
+from .corpus import Chunk, chunk_from_record, chunk_to_record, json_lines, write_json_lines
 from .errors import (
     DuplicateIdError,
     ParseError,
@@ -421,38 +420,27 @@ class VectorIndex:
 
     def save(self, path: str | Path) -> None:
         """Write a line-delimited snapshot: header, then (namespace, chunk, vector)."""
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            header = {
-                "schema": SNAPSHOT_SCHEMA,
-                "dim": self.embedder.dim,
-                "embedder": self.embedder.backend,
-            }
-            handle.write(json.dumps(header) + "\n")
-            for namespace in self.namespaces():
-                space = self._spaces[namespace]
-                for chunk_id in sorted(space):
-                    chunk, vec = space[chunk_id]
-                    coords = sorted(vec)
-                    record = {
-                        "namespace": namespace,
-                        "chunk": chunk_to_record(chunk),
-                        "vector": {
-                            "idx": coords,
-                            "val": [vec[c] for c in coords],
-                        },
-                    }
-                    handle.write(json.dumps(record) + "\n")
-        os.replace(tmp, path)
+        header = {"schema": SNAPSHOT_SCHEMA, "dim": self.embedder.dim, "embedder": self.embedder.backend}
+        write_json_lines(path, chain([header], self._snapshot_records()))
+
+    def _snapshot_records(self) -> Iterator[dict]:
+        for namespace in self.namespaces():
+            space = self._spaces[namespace]
+            for chunk_id in sorted(space):
+                chunk, vec = space[chunk_id]
+                coords = sorted(vec)
+                yield {
+                    "namespace": namespace,
+                    "chunk": chunk_to_record(chunk),
+                    "vector": {"idx": coords, "val": [vec[c] for c in coords]},
+                }
 
     @classmethod
     def load(
         cls, path: str | Path, embedder: HashingEmbedder | RemoteEmbedder | None = None
     ) -> "VectorIndex":
-        path = Path(path)
-        with path.open("r", encoding="utf-8") as handle:
-            dim, backend = read_snapshot_header(handle)
+        dim, backend, records = read_snapshot(path)
+        with closing(records):
             if embedder is None:
                 if backend != "hash":
                     raise SchemaError(
@@ -468,38 +456,37 @@ class VectorIndex:
                     f"not {embedder.backend!r}"
                 )
             index = cls(embedder)
-            try:
-                for i, line in enumerate(handle, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                        chunk = chunk_from_record(record["chunk"])
-                        sparse = record["vector"]
-                        vec = {int(c): float(v) for c, v in zip(sparse["idx"], sparse["val"])}
-                        namespace = str(record["namespace"])
-                    except (KeyError, TypeError, ValueError, ParseError) as exc:
-                        raise ParseError(f"snapshot record {i}: {exc}") from exc
-                    index._spaces.setdefault(namespace, {})[chunk.chunk_id] = (chunk, vec)
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"snapshot {path} is not UTF-8 text: {exc}") from exc
+            for i, record in records:
+                try:
+                    chunk = chunk_from_record(record["chunk"])
+                    sparse = record["vector"]
+                    vec = {int(c): float(v) for c, v in zip(sparse["idx"], sparse["val"])}
+                    namespace = str(record["namespace"])
+                except (KeyError, TypeError, ValueError, ParseError) as exc:
+                    raise ParseError(f"snapshot record {i}: {exc}") from exc
+                index._spaces.setdefault(namespace, {})[chunk.chunk_id] = (chunk, vec)
         return index
 
 
-def read_snapshot_header(handle: TextIO) -> tuple[int, object]:
-    """Read and check a snapshot's first line; return its dim and embedder backend."""
+def read_snapshot(path: str | Path) -> tuple[int, object, Iterator[tuple[int, dict]]]:
+    """A snapshot's checked dim and embedder backend, then its ``json_lines`` records from 1.
+
+    The records' iterator holds the file open until it is read to the end or closed.
+    """
+    records = json_lines(path, "snapshot record")
     try:
-        header = json.loads(handle.readline())
-    except ValueError as exc:  # also undecodable bytes
-        raise ParseError(f"snapshot header is not JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ParseError(f"snapshot header is a JSON {type(header).__name__}, not an object")
-    if header.get("schema") != SNAPSHOT_SCHEMA:
-        raise SchemaError(f"unexpected snapshot schema {header.get('schema')!r}")
-    dim = header.get("dim")
-    if type(dim) is not int or dim < 1:
-        raise SchemaError(f"snapshot dim must be a positive integer, not {dim!r}")
-    return dim, header.get("embedder")
+        _, header = next(records, (0, None))
+        if header is None:
+            raise ParseError(f"snapshot {path} has no header")
+        if header.get("schema") != SNAPSHOT_SCHEMA:
+            raise SchemaError(f"unexpected snapshot schema {header.get('schema')!r}")
+        dim = header.get("dim")
+        if type(dim) is not int or dim < 1:
+            raise SchemaError(f"snapshot dim must be a positive integer, not {dim!r}")
+    except BaseException:
+        records.close()
+        raise
+    return dim, header.get("embedder"), records
 
 
 def _scan_top_k(space: dict[str, tuple[Chunk, Vector]], query: Vector, k: int) -> list[tuple[str, float]]:

@@ -19,7 +19,7 @@ import random
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import (
     PROVENANCE_NOISE_CROSSQUERY,
@@ -146,7 +146,7 @@ def _subset(body: str, rng: random.Random) -> str:
     return " ".join(sentences[i] for i in indices)
 
 
-def _synonym(body: str, rng: random.Random, table: dict[str, str]) -> str:
+def _synonym(body: str, table: dict[str, str]) -> str:
     out = []
     for word in body.split():
         core = word.strip(".,;:!?")
@@ -161,13 +161,12 @@ def _synonym(body: str, rng: random.Random, table: dict[str, str]) -> str:
     return " ".join(out)
 
 
-def _group_by_example(
-    examples: Sequence[Example], chunks: Iterable[Chunk]
-) -> dict[str, list[Chunk]]:
-    grouped: dict[str, list[Chunk]] = {e.id: [] for e in examples}
-    for chunk in chunks:
-        grouped.setdefault(chunk.source_example, []).append(chunk)
-    return grouped
+def _positions_by_example(chunks: Sequence[Chunk]) -> dict[str, list[int]]:
+    """The ascending positions in ``chunks`` of each source example's chunks."""
+    positions: dict[str, list[int]] = {}
+    for at, chunk in enumerate(chunks):
+        positions.setdefault(chunk.source_example, []).append(at)
+    return positions
 
 
 def inject_noise(
@@ -178,15 +177,16 @@ def inject_noise(
     """Append syntax-distorted copies and cross-query passages per example pool."""
     if config.kind != KIND_NOISE:
         raise ValueError("config.kind must be 'noise'")
-    grouped = _group_by_example(examples, chunks)
+    positions = _positions_by_example(chunks)
     injected: list[Chunk] = []
     for example in examples:
-        own = grouped.get(example.id, [])
+        own_positions = positions.get(example.id, [])
+        own = [chunks[at] for at in own_positions]
         n_inj = injected_count(len(own), config.rho)
         if n_inj == 0:
             continue
-        foreign = [c for c in chunks if c.source_example != example.id]
-        if not foreign:
+        n_foreign = len(chunks) - len(own)
+        if not n_foreign:
             raise ValidationError(
                 "noise injection needs at least two examples to supply cross-query passages"
             )
@@ -206,7 +206,14 @@ def inject_noise(
                 )
             )
         for j in range(n_inj - n_syntax):
-            source = rng.choice(foreign)
+            # The draw of rng.choice over the other examples' chunks, in order,
+            # mapped to its position in ``chunks`` past this example's own.
+            at = rng.choice(range(n_foreign))
+            for own_at in own_positions:
+                if own_at > at:
+                    break
+                at += 1
+            source = chunks[at]
             injected.append(
                 make_chunk(
                     chunk_id=f"{example.id}-x{j}",
@@ -228,10 +235,10 @@ def inject_redundancy(
     if config.kind != KIND_REDUNDANCY:
         raise ValueError("config.kind must be 'redundancy'")
     table = load_synonym_table()
-    grouped = _group_by_example(examples, chunks)
+    positions = _positions_by_example(chunks)
     injected: list[Chunk] = []
     for example in examples:
-        own = grouped.get(example.id, [])
+        own = [chunks[at] for at in positions.get(example.id, [])]
         golds = [c for c in own if c.title in example.gold_titles]
         if not golds:
             continue
@@ -247,7 +254,7 @@ def inject_redundancy(
             if kind == "reorder":
                 body = _reorder(gold.body, rng)
             elif kind == "synonym":
-                body = _synonym(gold.body, rng, table)
+                body = _synonym(gold.body, table)
             else:
                 body = _subset(gold.body, rng)
             injected.append(

@@ -18,13 +18,12 @@ oracle (``ENT[..] REL[..] VAL[..]`` and ``SLOT[entity|relation]`` with
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .corpus import Example, count_tokens
+from .corpus import Example, count_tokens, write_json_lines
 
 DISTRACTORS = 8  # filler paragraphs per question
 CHUNK_TOKENS = 60  # exact token length of every paragraph
@@ -113,10 +112,5 @@ def example_to_record(example: Example) -> dict:
     }
 
 
-def write_examples(path: str | Path, examples: Iterable[Example]) -> int:
-    n = 0
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for example in examples:
-            handle.write(json.dumps(example_to_record(example)) + "\n")
-            n += 1
-    return n
+def write_examples(path: str | Path, examples: Iterable[Example]) -> None:
+    write_json_lines(path, map(example_to_record, examples))

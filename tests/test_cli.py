@@ -64,6 +64,26 @@ def test_run_writes_manifest_with_corpus_hash(tmp_path):
     assert manifest["config"]["mode"] == "adagate"
 
 
+def test_run_manifest_records_the_resolved_settings_and_the_store(tmp_path):
+    data = str(builtin_fixture_path())
+    chunks, store, out = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "r.jsonl"
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"controller": {"dedup_threshold": 0.5, "budget": 200}, "adaptive_k": {"pool": 5}}),
+        encoding="utf-8",
+    )
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "256"]) == 0
+    assert main(["run", "--data", data, "--store", str(store), "--config", str(config), "--out", str(out)]) == 0
+    recorded = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))["config"]
+    expected = {
+        "budget": 200, "buffer": 2, "dedup_threshold": 0.5, "adaptive_pool": 5, "k": 3, "max_iterations": 1,
+        "mode": "adagate", "namespace": "clean", "store_dim": 256, "store_embedder": "hash",
+    }
+    assert {key: recorded.get(key) for key in expected} == expected
+    assert len(recorded["weights"]) == 5
+
+
 def test_run_rejects_zero_iterations(tmp_path):
     data = str(builtin_fixture_path())
     code = main(
@@ -88,6 +108,7 @@ def test_run_rejects_zero_iterations(tmp_path):
         ["run", "--weights", "1,2,3"],
         ["run", "--weights", "a,b,c,d,e"],
         ["run", "--weights", "0,0,0,0,0"],
+        ["run", "--jobs", "0"],
         ["perturb", "--kind", "noise", "--rho", "2"],
         ["perturb", "--kind", "redundancy", "--cap", "0"],
         ["index", "--namespace", "clean", "--dim", "0"],
@@ -131,8 +152,9 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
         (["index", "--store", "STORE", "--dim", "512"], 2, "--dim 512 does not match the dim 256 of store STORE"),
         (["perturb", "--store", "STORE", "--dim", "512"], 2, "--dim 512 does not match the dim 256 of store STORE"),
         (["index", "--store", "MISSING", "--config", "CONFIG"], 2, "must be 'memory' or 'remote', not 'remot'"),
+        (["perturb", "--store", "STORE", "--config", "CONFIG"], 2, "must be 'memory' or 'remote', not 'remot'"),
     ],
-    ids=["run-missing-store", "index-other-dim", "perturb-other-dim", "unknown-backend"],
+    ids=["run-missing-store", "index-other-dim", "perturb-other-dim", "unknown-backend", "perturb-unknown-backend"],
 )
 def test_store_and_backend_mistakes_are_reported(tmp_path, capsys, argv, code, message):
     data = str(builtin_fixture_path())
@@ -158,6 +180,7 @@ def test_store_and_backend_mistakes_are_reported(tmp_path, capsys, argv, code, m
     assert store.read_bytes() == snapshot
     assert not missing.exists()
     assert not list(tmp_path.glob("r.jsonl*"))
+    assert not list(tmp_path.glob("p.jsonl*"))  # perturb checks the store before it writes --out
 
 
 @pytest.mark.parametrize("command", ["index", "perturb"])
@@ -178,6 +201,7 @@ def test_config_dim_that_differs_from_the_store_is_a_usage_error(tmp_path, capsy
     assert f"config index.dim 512 does not match the dim 256 of store {store}" in err
     assert "Traceback" not in err
     assert store.read_bytes() == snapshot
+    assert not list(tmp_path.glob("p.jsonl*"))
 
 
 def test_unknown_flag_is_usage_error(tmp_path):

@@ -13,6 +13,7 @@ from adagate.corpus import (
     chunk_to_record,
     count_tokens,
     load_examples,
+    write_chunks,
 )
 from adagate.errors import ParseError, ValidationError
 
@@ -134,3 +135,18 @@ def test_unknown_provenance_rejected(fixture_chunks):
     record["provenance"] = "mystery"
     with pytest.raises(ValidationError):
         chunk_from_record(record)
+
+
+def test_a_write_that_fails_midway_leaves_the_previous_file(tmp_path, fixture_chunks):
+    path = tmp_path / "chunks.jsonl"
+    write_chunks(path, fixture_chunks)
+    before = path.read_bytes()
+
+    def failing():
+        yield from fixture_chunks[:2]
+        raise RuntimeError("disk gone")
+
+    with pytest.raises(RuntimeError):
+        write_chunks(path, failing())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["chunks.jsonl"]

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adagate.corpus import make_chunk
-from adagate.errors import DuplicateIdError, SchemaError, TransportError, UnknownNamespaceError
+from adagate.errors import DuplicateIdError, ParseError, SchemaError, TransportError, UnknownNamespaceError
 from adagate.index import HashingEmbedder, RemoteEmbedder, VectorIndex, cosine, normalize_tokens
 
 from helpers import (
@@ -223,6 +223,21 @@ def test_snapshot_schema_and_dim_checks(tmp_path):
         VectorIndex.load(path, embedder=HashingEmbedder(dim=32))
     with pytest.raises(SchemaError):  # the query path depends on the backend
         VectorIndex.load(path, embedder=RemoteEmbedder(url="http://svc", dim=64, session=FakeSession([])))
+
+
+def test_snapshot_read_errors_keep_their_classes(tmp_path):
+    path = tmp_path / "store.jsonl"
+    for text in ("", "\n", "[1]\n"):  # no header, or one that is not an object
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            VectorIndex.load(path)
+    index = VectorIndex(HashingEmbedder(dim=64))
+    index.upsert("ns", [sized_chunk("a", 8), sized_chunk("b", 8)])
+    index.save(path)
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, second.replace('"vector"', '"vec"')]) + "\n")
+    with pytest.raises(ParseError, match="snapshot record 2"):
+        VectorIndex.load(path)
 
 
 def test_remote_embedder_normalizes_and_caches():

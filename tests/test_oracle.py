@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from adagate.corpus import make_chunk
 from adagate.errors import TransportError
 from adagate.oracle import (
     ABSTAIN,
@@ -205,6 +206,15 @@ def test_novelty_fraction(oracle):
     assert oracle.novelty(chunk, ledger) == 0.0
     plain = sized_chunk("c1", 10)
     assert oracle.novelty(plain, empty) == 0.0
+
+
+def test_live_novelty_counts_capitalised_tokens_the_ledger_does_not_name():
+    live = LiveOracle(LiveOracleConfig(url="http://svc/v1"), session=FakeSession([]))
+    chunk = make_chunk("c0", "t", "Paris hosts the Louvre, near Seine.", "ex")
+    ledger = Ledger([Fact("Louvre museum", "in", "Paris", 1.0, "c9")])
+    assert live.novelty(chunk, Ledger()) == 1.0
+    assert live.novelty(chunk, ledger) == pytest.approx(1 / 3)  # only "seine" is unseen
+    assert live.novelty(make_chunk("c1", "t", "all lower case, no names", "ex"), ledger) == 0.0
 
 
 class _FakeResponse:

@@ -2,7 +2,8 @@
 
 One CLI sweep over a 60-question seed-7 world at dim 256 with a rho-0.5
 redundancy namespace: every mode at ``--L 3 --trace full``, then ``report``.
-The sha256 of each results file and of the report CSV must not change; a
+A rho-0.5 noise chunk file of the same world is pinned too. The sha256 of
+each results file, of the report CSV and of the noise file must not change; a
 refactor that alters any selection, score, trace field or record layout
 shows up here. The world reaches all three adagate termination reasons.
 """
@@ -22,6 +23,7 @@ EXPECTED_SHA256 = {
     "adaptive_k": "9efe4e1007022506a1f53b7cb15326a5e82b9a7ca080cf42f68aa4a345eca137",
     "seal_style": "06e918fd09e99f0b96d66545e48e7da93ecbe5b4f36797c1b1ff02b4c7144a08",
     "report.csv": "2fa4bf75367121a6458798c2cecb8c47d7468e2d02e5a7e87708523cd948eb7d",
+    "perturb-noise": "35d3f30f04c98ab2d6bb23a5be4bf2b809d9fd22d9a5659f25a09351727cf7cc",
 }
 
 
@@ -50,6 +52,9 @@ def test_offline_sweep_outputs_are_pinned(tmp_path, capsys):
     csv_path = tmp_path / "report.csv"
     assert main(["report", "--in", *outs, "--out", str(csv_path)]) == 0
     digests["report.csv"] = _sha256(csv_path)
+    noise = tmp_path / "noise.jsonl"
+    assert main(["perturb", "--data", str(data), "--kind", "noise", "--rho", "0.5", "--seed", "3", "--out", str(noise)]) == 0
+    digests["perturb-noise"] = _sha256(noise)
     capsys.readouterr()
 
     records = [json.loads(line) for line in (tmp_path / "adagate.jsonl").read_text().splitlines()]
