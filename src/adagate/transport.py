@@ -7,11 +7,20 @@ named ``key_env`` when that variable is set. Connection errors and status
 every attempt is spent the last error is reported as retriable. A 200
 response whose body is not JSON fails at once. Failures surface as
 TransportError with retry metadata.
+
+Between attempts the client sleeps, so a rate-limited or restarting service
+is not hit again at once. A ``Retry-After`` header given in seconds is
+honoured, up to ``RETRY_AFTER_MAX_S``. Otherwise the wait is exponential
+backoff with full jitter: after ``n`` failed attempts it is uniform in
+``[0, min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**(n - 1)))``. See "Exponential
+Backoff And Jitter", AWS Architecture Blog, 2015.
 """
 
 from __future__ import annotations
 
 import os
+import random
+import time
 from typing import TYPE_CHECKING
 
 from .errors import TransportError
@@ -20,6 +29,13 @@ if TYPE_CHECKING:
     import requests
 
 RETRIABLE_STATUS = (429, 500, 502, 503)
+BACKOFF_BASE_S = 0.5
+BACKOFF_CAP_S = 8.0
+RETRY_AFTER_MAX_S = 60.0
+
+# The clock and the jitter source, replaced by tests.
+_sleep = time.sleep
+_random = random.random
 
 
 def post_json(
@@ -43,7 +59,11 @@ def post_json(
     if key:
         headers["Authorization"] = f"Bearer {key}"
     last_error: Exception | None = None
+    retry_after: str | None = None
     for attempt in range(1, max_attempts + 1):
+        if attempt > 1:
+            _sleep(_retry_delay(attempt - 1, retry_after))
+            retry_after = None
         try:
             response = session.post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
@@ -53,6 +73,7 @@ def post_json(
             last_error = TransportError(
                 f"{service} returned {response.status_code}", retriable=True, attempts=attempt
             )
+            retry_after = response.headers.get("Retry-After")
             continue
         if response.status_code != 200:
             raise TransportError(
@@ -71,3 +92,15 @@ def post_json(
         retriable=True,
         attempts=max_attempts,
     )
+
+
+def _retry_delay(failed: int, retry_after: str | None) -> float:
+    """Seconds to wait after ``failed`` attempts: the server's ``Retry-After``, else jittered backoff."""
+    try:
+        seconds = float(retry_after)
+    except (TypeError, ValueError):  # absent, or an HTTP date
+        seconds = -1.0
+    if seconds >= 0:  # not NaN either
+        return min(seconds, RETRY_AFTER_MAX_S)
+    # The exponent is bounded so that no attempt count overflows a float.
+    return _random() * min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** min(failed - 1, 32))

@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from adagate import transport
 from adagate.corpus import builtin_fixture_path, chunk_corpus, load_examples
 from adagate.index import HashingEmbedder, VectorIndex
 from adagate.oracle import RuleBasedOracle
@@ -34,3 +35,11 @@ def fixture_index(fixture_chunks):
 @pytest.fixture
 def oracle():
     return RuleBasedOracle()
+
+
+@pytest.fixture(autouse=True)
+def retry_sleeps(monkeypatch):
+    """The waits ``transport`` asks for between attempts, in order; no test sleeps."""
+    sleeps = []
+    monkeypatch.setattr(transport, "_sleep", sleeps.append)
+    return sleeps

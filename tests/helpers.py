@@ -97,10 +97,11 @@ def brute_force_top_k(
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, body: dict | None = None):
+    def __init__(self, status_code: int, body: dict | None = None, headers: dict | None = None):
         self.status_code = status_code
         self._body = body or {}
         self.text = json.dumps(self._body)
+        self.headers = headers or {}
 
     def json(self):
         return self._body

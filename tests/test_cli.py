@@ -8,6 +8,7 @@ import pytest
 
 from adagate.cli import main
 from adagate.corpus import builtin_fixture_path
+from adagate.index import SNAPSHOT_SCHEMA
 
 DIM = str(2**20)
 
@@ -112,6 +113,7 @@ def test_run_rejects_zero_iterations(tmp_path):
         ["perturb", "--kind", "noise", "--rho", "2"],
         ["perturb", "--kind", "redundancy", "--cap", "0"],
         ["index", "--namespace", "clean", "--dim", "0"],
+        ["index", "--namespace", "clean", "--dim", "4294967297"],  # 2**32 + 1: a coordinate outgrows a uint32
         # Config-file values: the JSON after --config is written to a file.
         ["run", "--mode", "adaptive_k", "--config", '{"adaptive_k": {"pool": 0}}'],
         ["run", "--config", '{"adaptive_k": {"pool": "many"}}'],
@@ -338,10 +340,11 @@ def test_importing_cli_does_not_import_requests():
     "header",
     [
         "not json",
-        '{"schema": "index@1"}',
-        '{"schema": "index@1", "dim": "x", "embedder": "hash"}',
-        '{"schema": "index@1", "dim": 0, "embedder": "hash"}',
-        '[{"schema": "index@1", "dim": 256}]',
+        json.dumps({"schema": SNAPSHOT_SCHEMA}),
+        json.dumps({"schema": SNAPSHOT_SCHEMA, "dim": "x", "embedder": "hash"}),
+        json.dumps({"schema": SNAPSHOT_SCHEMA, "dim": 0, "embedder": "hash"}),
+        json.dumps({"schema": SNAPSHOT_SCHEMA, "dim": 2**32 + 1, "embedder": "hash"}),
+        json.dumps([{"schema": SNAPSHOT_SCHEMA, "dim": 256}]),
     ],
 )
 def test_bad_snapshot_header_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys, header, remote):
@@ -361,6 +364,19 @@ def test_bad_snapshot_header_is_an_error_not_a_traceback(tmp_path, monkeypatch, 
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not requests_sent
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_a_store_of_the_previous_schema_is_an_error_that_says_to_rebuild_it(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    header = {"schema": "index@1", "dim": 256, "embedder": "hash"}
+    store.write_text(json.dumps(header) + "\n", encoding="utf-8")
+    argv = ["run", "--data", str(builtin_fixture_path()), "--store", str(store), "--out", str(tmp_path / "r.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'index@1'" in err and "adagate index" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "r.jsonl").exists()
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import base64
 import json
 import math
 import random
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from adagate.corpus import make_chunk
 from adagate.errors import DuplicateIdError, ParseError, SchemaError, TransportError, UnknownNamespaceError
-from adagate.index import HashingEmbedder, RemoteEmbedder, VectorIndex, cosine, normalize_tokens
+from adagate.index import SNAPSHOT_SCHEMA, HashingEmbedder, RemoteEmbedder, VectorIndex, cosine, normalize_tokens
 
 from helpers import (
     FakeResponse,
@@ -211,11 +213,64 @@ def test_snapshot_roundtrip(tmp_path):
     assert loaded.get_chunk("noise", "c5") == chunks[5]
 
 
+def _assert_same_entries(loaded: VectorIndex, index: VectorIndex) -> None:
+    """Same namespaces, chunks and vectors, each vector with the same keys in the same order."""
+    assert loaded.namespaces() == index.namespaces()
+    for namespace in index.namespaces():
+        assert loaded.chunks(namespace) == index.chunks(namespace)
+        for chunk in index.chunks(namespace):
+            vector = index.get_entry(namespace, chunk.chunk_id)[1]
+            restored = loaded.get_entry(namespace, chunk.chunk_id)[1]
+            assert restored == vector
+            assert [(c, v.hex()) for c, v in restored.items()] == [(c, v.hex()) for c, v in vector.items()]
+
+
+@pytest.mark.parametrize("dim", [2**20, 2**32])
+def test_hash_snapshot_round_trip_is_bit_identical(tmp_path, dim):
+    index = VectorIndex(HashingEmbedder(dim=dim))
+    # Repeated tokens give components other than 1/sqrt(n).
+    index.upsert("clean", [make_chunk("a", "page", "alpha alpha beta gamma gamma gamma", "ex"), sized_chunk("b", 9)])
+    index.upsert("noise", [make_chunk("c", "other", "", "ex")])
+    assert len(set(index.get_entry("clean", "a")[1].values())) == 3
+    path = tmp_path / "store.jsonl"
+    index.save(path)
+    loaded = VectorIndex.load(path)
+    _assert_same_entries(loaded, index)
+    assert loaded.embedder.dim == dim
+
+
+class _TinyEmbeddingSession:
+    """Embeddings service double: dense vectors with negative and subnormal components."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        data = [
+            {"embedding": [1.0, -1e-310, 0.0, 5e-324, -0.75 * len(text), -2.5e-308]} for text in json["input"]
+        ]
+        return FakeResponse(200, {"data": data})
+
+
+def test_remote_snapshot_round_trip_is_bit_identical(tmp_path):
+    embedder = RemoteEmbedder(url="http://svc", dim=6, session=_TinyEmbeddingSession())
+    index = VectorIndex(embedder)
+    index.upsert("ns", [sized_chunk("a", 4), sized_chunk("bb", 7)])
+    vector = index.get_entry("ns", "a")[1]
+    assert list(vector) == [0, 1, 3, 4, 5]
+    assert any(0 < abs(v) < 2.2250738585072014e-308 for v in vector.values())  # subnormal
+    path = tmp_path / "store.jsonl"
+    index.save(path)
+    _assert_same_entries(VectorIndex.load(path, embedder=embedder), index)
+
+
 def test_snapshot_schema_and_dim_checks(tmp_path):
     path = tmp_path / "store.jsonl"
-    path.write_text(json.dumps({"schema": "other@9", "dim": 4, "embedder": "hash"}) + "\n")
-    with pytest.raises(SchemaError):
-        VectorIndex.load(path)
+    for header, message in [
+        ({"schema": "other@9", "dim": 4}, "'other@9'"),
+        ({"schema": "index@1", "dim": 64}, "'index@1'.*rebuild the store with `adagate index`"),  # number lists
+        ({"schema": SNAPSHOT_SCHEMA, "dim": 2**32 + 1}, "dim must be"),  # a coordinate outgrows a uint32
+    ]:
+        path.write_text(json.dumps({**header, "embedder": "hash"}) + "\n")
+        with pytest.raises(SchemaError, match=message):
+            VectorIndex.load(path)
     index = VectorIndex(HashingEmbedder(dim=64))
     index.upsert("ns", [sized_chunk("c", 8)])
     index.save(path)
@@ -235,9 +290,20 @@ def test_snapshot_read_errors_keep_their_classes(tmp_path):
     index.upsert("ns", [sized_chunk("a", 8), sized_chunk("b", 8)])
     index.save(path)
     header, first, second = path.read_text().splitlines()
-    path.write_text("\n".join([header, first, second.replace('"vector"', '"vec"')]) + "\n")
-    with pytest.raises(ParseError, match="snapshot record 2"):
-        VectorIndex.load(path)
+    record = json.loads(second)
+    packed = record["vector"]
+    one_coordinate = base64.b64encode(struct.pack("<I", 3)).decode()
+    broken_records = [
+        {"vec" if key == "vector" else key: value for key, value in record.items()},
+        {**record, "vector": {**packed, "idx": "not base64!"}},
+        {**record, "vector": {**packed, "idx": one_coordinate}},  # fewer coordinates than components
+        {**record, "vector": {**packed, "val": "AAAAAAAA"}},  # 6 bytes: not a whole float64
+        {**record, "vector": {**packed, "idx": [3, 5]}},  # the number lists of the previous schema
+    ]
+    for broken in broken_records:
+        path.write_text("\n".join([header, first, json.dumps(broken)]) + "\n")
+        with pytest.raises(ParseError, match="snapshot record 2"):
+            VectorIndex.load(path)
 
 
 def test_remote_embedder_normalizes_and_caches():

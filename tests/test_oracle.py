@@ -222,6 +222,7 @@ class _FakeResponse:
         self.status_code = status_code
         self._content = content
         self.text = content or ""
+        self.headers = {}
 
     def json(self):
         return {"choices": [{"message": {"content": self._content}}]}

@@ -2,10 +2,12 @@
 
 One CLI sweep over a 60-question seed-7 world at dim 256 with a rho-0.5
 redundancy namespace: every mode at ``--L 3 --trace full``, then ``report``.
-A rho-0.5 noise chunk file of the same world is pinned too. The sha256 of
-each results file, of the report CSV and of the noise file must not change; a
-refactor that alters any selection, score, trace field or record layout
-shows up here. The world reaches all three adagate termination reasons.
+A rho-0.5 noise chunk file of the same world is pinned too, and so is the
+snapshot that ``index`` and the redundancy ``perturb`` leave, which holds
+the packed little-endian vectors. The sha256 of each results file, of the
+report CSV, of the noise file and of the store must not change; a refactor
+that alters any selection, score, trace field, record layout or snapshot
+byte shows up here. The world reaches all three adagate termination reasons.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ EXPECTED_SHA256 = {
     "seal_style": "06e918fd09e99f0b96d66545e48e7da93ecbe5b4f36797c1b1ff02b4c7144a08",
     "report.csv": "2fa4bf75367121a6458798c2cecb8c47d7468e2d02e5a7e87708523cd948eb7d",
     "perturb-noise": "35d3f30f04c98ab2d6bb23a5be4bf2b809d9fd22d9a5659f25a09351727cf7cc",
+    "store": "572ae0ad21c399992823bf17a7e6eb644e2aa9a619be2622c94b2179d9de8c88",
 }
 
 
@@ -40,8 +43,8 @@ def test_offline_sweep_outputs_are_pinned(tmp_path, capsys):
     assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "256"]) == 0
     perturb = ["perturb", "--data", str(data), "--kind", "redundancy", "--rho", "0.5", "--seed", "3"]
     assert main(perturb + ["--out", str(tmp_path / "red.jsonl"), "--store", str(store), "--dim", "256"]) == 0
+    digests = {"store": _sha256(store)}
 
-    digests = {}
     outs = []
     for mode in MODES:
         out = tmp_path / f"{mode}.jsonl"
