@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .controller import ControllerConfig, ControllerTrace, run_adagate, run_baseline, run_example
 from .corpus import Chunk, Example, chunk_corpus, count_tokens, load_examples
-from .evaluate import ExampleResult, Report, evidence_prf, token_stats
+from .evaluate import ExampleResult, evidence_prf
 from .index import HashingEmbedder, RetrievalHit, VectorIndex
 from .oracle import ABSTAIN, Fact, Gap, Ledger, LiveOracle, RuleBasedOracle, SufficiencyVerdict
 from .perturb import PerturbConfig, inject_noise, inject_redundancy
@@ -27,7 +27,6 @@ __all__ = [
     "Ledger",
     "LiveOracle",
     "PerturbConfig",
-    "Report",
     "RetrievalHit",
     "RuleBasedOracle",
     "SufficiencyVerdict",
@@ -47,5 +46,4 @@ __all__ = [
     "run_example",
     "score_candidate",
     "select_evidence",
-    "token_stats",
 ]

@@ -109,7 +109,7 @@ def _make_embedder(kind: str, dim: int, config: dict):
         url = _cfg(config, "index.remote.url", None)
         if not url:
             raise AdagateError("remote embedder requires index.remote.url in the config file")
-        return RemoteEmbedder(url=url, dim=dim, **_cfg_set(config, "index.remote", ("key_env", "model")))
+        return _checked(RemoteEmbedder, url=url, dim=dim, **_cfg_set(config, "index.remote", ("key_env", "model")))
     raise AdagateError(f"unknown embedder {kind!r}")
 
 
@@ -358,10 +358,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise AdagateError(
                 f"{path} has no manifest ({manifest.name}); re-run or pass --force"
             )
-    report = aggregate(read_results(args.inputs))
-    print(render_table(report))
+    rows = aggregate(read_results(args.inputs))
+    print(render_table(rows))
     if args.out:
-        write_atomic(args.out, [render_csv(report)])
+        write_atomic(args.out, [render_csv(rows)])
         print(f"csv -> {args.out}")
     return 0
 

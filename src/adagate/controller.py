@@ -310,7 +310,7 @@ def run_baseline(
     evidence = [index.get_chunk(config.namespace, h.chunk_id) for h in hits]
     if config.mode == MODE_SEAL_STYLE:
         ledger = oracle.extract_ledger(evidence)
-        evidence = _seal_select(question, evidence, oracle, ledger)
+        evidence = _seal_select(question, evidence, ledger)
         record.ledger_size = len(ledger)
 
     record.queries = {CHANNEL_SEED: [question]}
@@ -325,20 +325,15 @@ def run_baseline(
     return trace
 
 
-def _seal_select(
-    question: str, retrieved: Sequence[Chunk], oracle: OracleBackend, ledger: Ledger | None = None
-) -> list[Chunk]:
-    """Keep only the chunks sourcing the single best question-matching fact.
+def _seal_select(question: str, retrieved: Sequence[Chunk], ledger: Ledger) -> list[Chunk]:
+    """Keep only the chunks of ``retrieved`` sourcing its ledger's best question-matching fact.
 
     Falls back to the best fact of any kind when no slot matches, and to
     the top retrieved chunk when the ledger is empty, reproducing the
-    one-document collapse of entity-selection controllers. ``ledger`` is
-    the ledger of ``retrieved`` when the caller has already extracted it.
+    one-document collapse of entity-selection controllers.
     """
     if not retrieved:
         return []
-    if ledger is None:
-        ledger = oracle.extract_ledger(retrieved)
     candidates = sorted(
         match_slots(question, ledger) or ledger.facts,
         key=lambda f: (-f.confidence, f.entity, f.relation, f.value, f.source_chunk),

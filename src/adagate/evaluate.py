@@ -1,10 +1,11 @@
-"""Evidence precision/recall/F1, token-efficiency statistics, and reports.
+"""Evidence precision/recall/F1, result records, and the report.
 
 Evidence quality is computed against gold supporting titles with selected
-titles deduplicated first. ``tokens_per_correct`` is the mean input token
-count over correctly answered questions only; when nothing was answered
-correctly it is reported as an undefined marker, never zero. Reports carry
-one row per (condition, mode) pair actually present in the results.
+titles deduplicated first. A report is the list of ``ReportRow`` that
+``aggregate`` computes, one per (condition, mode) pair present in the
+results. ``tokens_per_correct`` is the mean input token count over
+correctly answered questions only; when nothing was answered correctly it
+is ``None``, rendered as an undefined marker, never zero.
 """
 
 from __future__ import annotations
@@ -77,23 +78,6 @@ def evidence_prf(
 
 
 @dataclass(frozen=True)
-class TokenStats:
-    avg_tokens: float
-    avg_docs: float
-    tokens_per_correct: float | None
-
-
-def token_stats(results: Sequence[ExampleResult]) -> TokenStats:
-    if not results:
-        raise ValidationError("token_stats needs at least one result")
-    avg_tokens = sum(r.input_tokens for r in results) / len(results)
-    avg_docs = sum(r.docs_passed for r in results) / len(results)
-    correct = [r.input_tokens for r in results if r.correct]
-    tokens_per_correct = sum(correct) / len(correct) if correct else None
-    return TokenStats(avg_tokens=avg_tokens, avg_docs=avg_docs, tokens_per_correct=tokens_per_correct)
-
-
-@dataclass(frozen=True)
 class ReportRow:
     condition: str
     mode: str
@@ -107,51 +91,40 @@ class ReportRow:
     tokens_per_correct: float | None
 
 
-@dataclass(frozen=True)
-class Report:
-    rows: tuple[ReportRow, ...]
-
-
-def aggregate(results: Sequence[ExampleResult]) -> Report:
+def aggregate(results: Sequence[ExampleResult]) -> list[ReportRow]:
     """One row of arithmetic means per (condition, mode) pair present."""
     groups: dict[tuple[str, str], list[ExampleResult]] = {}
     for result in results:
         groups.setdefault((result.condition, result.mode), []).append(result)
     rows = []
     for (condition, mode), members in sorted(groups.items()):
-        stats = token_stats(members)
+        n = len(members)
+        correct = [r.input_tokens for r in members if r.correct]
         rows.append(
             ReportRow(
                 condition=condition,
                 mode=mode,
-                n=len(members),
-                accuracy=100.0 * sum(1 for r in members if r.correct) / len(members),
-                precision=sum(r.precision for r in members) / len(members),
-                recall=sum(r.recall for r in members) / len(members),
-                f1=sum(r.f1 for r in members) / len(members),
-                avg_tokens=stats.avg_tokens,
-                avg_docs=stats.avg_docs,
-                tokens_per_correct=stats.tokens_per_correct,
+                n=n,
+                accuracy=100.0 * len(correct) / n,
+                precision=sum(r.precision for r in members) / n,
+                recall=sum(r.recall for r in members) / n,
+                f1=sum(r.f1 for r in members) / n,
+                avg_tokens=sum(r.input_tokens for r in members) / n,
+                avg_docs=sum(r.docs_passed for r in members) / n,
+                tokens_per_correct=sum(correct) / len(correct) if correct else None,
             )
         )
-    return Report(rows=tuple(rows))
+    return rows
 
 
 def read_results(paths: Sequence[str | Path]) -> list[ExampleResult]:
-    """Read line-delimited result records; mixed schema tags are an error."""
+    """Read line-delimited result records; any schema tag but ``result@1`` is an error."""
     results: list[ExampleResult] = []
-    schema_seen: str | None = None
     for path in paths:
         for i, record in json_lines(path, f"{path}: record"):
             if record.get("error"):
                 continue
             schema = record.get("schema")
-            if schema_seen is None:
-                schema_seen = schema
-            elif schema != schema_seen:
-                raise SchemaError(
-                    f"{path}: record {i}: schema {schema!r} mixed with {schema_seen!r}"
-                )
             if schema != RESULT_SCHEMA:
                 raise SchemaError(f"{path}: record {i}: unexpected schema {schema!r}")
             results.append(ExampleResult.from_record(record))
@@ -161,8 +134,7 @@ def read_results(paths: Sequence[str | Path]) -> list[ExampleResult]:
 _COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
-def _row_cells(row: ReportRow) -> list[str]:
-    tpc = UNDEFINED if row.tokens_per_correct is None else f"{row.tokens_per_correct:.1f}"
+def _row_cells(row: ReportRow, undefined: str) -> list[str]:
     return [
         row.condition,
         row.mode,
@@ -173,24 +145,22 @@ def _row_cells(row: ReportRow) -> list[str]:
         f"{row.f1:.3f}",
         f"{row.avg_tokens:.1f}",
         f"{row.avg_docs:.1f}",
-        tpc,
+        undefined if row.tokens_per_correct is None else f"{row.tokens_per_correct:.1f}",
     ]
 
 
-def render_table(report: Report) -> str:
+def render_table(rows: Sequence[ReportRow]) -> str:
     """Aligned text table, header always present."""
-    table = [list(_COLUMNS)] + [_row_cells(row) for row in report.rows]
+    table = [list(_COLUMNS)] + [_row_cells(row, UNDEFINED) for row in rows]
     widths = [max(len(line[i]) for line in table) for i in range(len(_COLUMNS))]
     lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip() for line in table]
     return "\n".join(lines)
 
 
-def render_csv(report: Report) -> str:
+def render_csv(rows: Sequence[ReportRow]) -> str:
+    """CSV with a header row; an undefined ``tokens_per_correct`` is an empty cell."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(_COLUMNS)
-    for row in report.rows:
-        cells = _row_cells(row)
-        cells[-1] = "" if row.tokens_per_correct is None else cells[-1]
-        writer.writerow(cells)
+    writer.writerows(_row_cells(row, "") for row in rows)
     return buffer.getvalue()

@@ -160,15 +160,20 @@ def cosine(a: Vector, b: Vector) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def _checked_dim(dim: int) -> int:
+    """``dim`` if an embedder can have it; ValueError otherwise."""
+    if not 0 < dim <= MAX_DIM:
+        raise ValueError(f"dim must be between 1 and 2**32, not {dim}")
+    return dim
+
+
 class HashingEmbedder:
     """Deterministic hashed bag-of-words embedder."""
 
     backend = "hash"
 
     def __init__(self, dim: int = DEFAULT_DIM):
-        if not 0 < dim <= MAX_DIM:
-            raise ValueError(f"dim must be between 1 and 2**32, not {dim}")
-        self.dim = dim
+        self.dim = _checked_dim(dim)
         self._cache: dict[str, Vector] = {}
         # FNV-1a is exact modulo 2**bits for any bits <= 64, so a power-of-two
         # dim needs only its own bits of the state, and they are the coordinate.
@@ -265,7 +270,7 @@ class RemoteEmbedder:
         session: requests.Session | None = None,
     ):
         self.url = url.rstrip("/")
-        self.dim = dim
+        self.dim = _checked_dim(dim)
         self.key_env = key_env
         self.model = model
         self.timeout = timeout
@@ -492,6 +497,10 @@ class VectorIndex:
                     if len(coords) != len(values):
                         raise ValueError(f"{len(coords)} coordinates but {len(values)} components")
                     vec = dict(zip(coords, values))
+                    if len(vec) != len(coords):
+                        raise ValueError("a coordinate repeats")
+                    if vec and max(vec) >= dim:
+                        raise ValueError(f"coordinate {max(vec)} is outside dim {dim}")
                     namespace = str(record["namespace"])
                 except (KeyError, TypeError, ValueError, ParseError) as exc:
                     raise ParseError(f"snapshot record {i}: {exc}") from exc

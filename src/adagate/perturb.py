@@ -3,9 +3,12 @@
 Noise injection appends syntax-distorted copies of an example's own
 passages and irrelevant passages sampled from other examples. Redundancy
 injection appends rule-built paraphrastic variants of the gold supporting
-passages. Both leave every original chunk, question, gold answer, and gold
-title byte-identical, and both are deterministic for a given seed: each
-example draws from its own RNG seeded by (seed, kind, example id).
+passages. Both run through one loop, ``_inject``: for each example in
+turn it seeds the example's own RNG by (seed, kind, example id), lets the
+condition draw that example's injected chunks from it, and appends them
+after every original chunk. So every original chunk, question, gold
+answer, and gold title stays byte-identical, and the output is
+deterministic for a given seed.
 
 The injected count per example follows ``round(n_orig * rho / (1 - rho))``,
 so rho is the injected fraction of the final pool (rho=0.5 doubles it).
@@ -13,13 +16,14 @@ so rho is the injected fraction of the final pool (rho=0.5 doubles it).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import (
     PROVENANCE_NOISE_CROSSQUERY,
@@ -130,6 +134,9 @@ def load_synonym_table() -> dict[str, str]:
     return json.loads(raw)
 
 
+_synonym_table = functools.cache(load_synonym_table)
+
+
 def _reorder(body: str, rng: random.Random) -> str:
     sentences = _split_sentences(body)
     rng.shuffle(sentences)
@@ -146,7 +153,9 @@ def _subset(body: str, rng: random.Random) -> str:
     return " ".join(sentences[i] for i in indices)
 
 
-def _synonym(body: str, table: dict[str, str]) -> str:
+def _synonym(body: str, rng: random.Random) -> str:
+    # Draws nothing from ``rng``: every synonym variant of a passage is the same text.
+    table = _synonym_table()
     out = []
     for word in body.split():
         core = word.strip(".,;:!?")
@@ -161,12 +170,32 @@ def _synonym(body: str, table: dict[str, str]) -> str:
     return " ".join(out)
 
 
-def _positions_by_example(chunks: Sequence[Chunk]) -> dict[str, list[int]]:
-    """The ascending positions in ``chunks`` of each source example's chunks."""
+_VARIANT_OPS = {"reorder": _reorder, "synonym": _synonym, "subset": _subset}
+
+_Injection = tuple[str, Chunk, str, str]
+
+
+def _inject(
+    examples: Sequence[Example],
+    chunks: Sequence[Chunk],
+    config: PerturbConfig,
+    variants: Callable[[Example, list[int], random.Random], Iterator[_Injection]],
+) -> list[Chunk]:
+    """``chunks`` followed by the chunks that ``variants`` yields for each example, in order.
+
+    ``variants`` gets the example, the positions of its chunks in ``chunks``
+    and the example's own RNG, seeded by (seed, kind, example id). It yields
+    (chunk id, source chunk, body, provenance) for each chunk to inject.
+    """
     positions: dict[str, list[int]] = {}
     for at, chunk in enumerate(chunks):
         positions.setdefault(chunk.source_example, []).append(at)
-    return positions
+    injected: list[Chunk] = []
+    for example in examples:
+        rng = random.Random(f"{config.seed}:{config.kind}:{example.id}")
+        for chunk_id, source, body, provenance in variants(example, positions.get(example.id, []), rng):
+            injected.append(make_chunk(chunk_id, source.title, body, example.id, provenance))
+    return list(chunks) + injected
 
 
 def inject_noise(
@@ -177,34 +206,20 @@ def inject_noise(
     """Append syntax-distorted copies and cross-query passages per example pool."""
     if config.kind != KIND_NOISE:
         raise ValueError("config.kind must be 'noise'")
-    positions = _positions_by_example(chunks)
-    injected: list[Chunk] = []
-    for example in examples:
-        own_positions = positions.get(example.id, [])
-        own = [chunks[at] for at in own_positions]
-        n_inj = injected_count(len(own), config.rho)
-        if n_inj == 0:
-            continue
-        n_foreign = len(chunks) - len(own)
-        if not n_foreign:
+
+    def variants(example: Example, own_positions: list[int], rng: random.Random) -> Iterator[_Injection]:
+        n_inj = injected_count(len(own_positions), config.rho)
+        n_foreign = len(chunks) - len(own_positions)
+        if n_inj and not n_foreign:
             raise ValidationError(
                 "noise injection needs at least two examples to supply cross-query passages"
             )
-        rng = random.Random(f"{config.seed}:{KIND_NOISE}:{example.id}")
         n_syntax = n_inj - n_inj // 2
         for j in range(n_syntax):
-            source = own[j % len(own)]
+            source = chunks[own_positions[j % len(own_positions)]]
             op = rng.choices(DISTORTIONS, weights=DISTORTION_WEIGHTS)[0]
             body = _DISTORT_OPS[op](source.body, rng)
-            injected.append(
-                make_chunk(
-                    chunk_id=f"{source.chunk_id}-n{j}",
-                    title=source.title,
-                    body=body,
-                    source_example=example.id,
-                    provenance=PROVENANCE_NOISE_SYNTAX,
-                )
-            )
+            yield f"{source.chunk_id}-n{j}", source, body, PROVENANCE_NOISE_SYNTAX
         for j in range(n_inj - n_syntax):
             # The draw of rng.choice over the other examples' chunks, in order,
             # mapped to its position in ``chunks`` past this example's own.
@@ -214,16 +229,9 @@ def inject_noise(
                     break
                 at += 1
             source = chunks[at]
-            injected.append(
-                make_chunk(
-                    chunk_id=f"{example.id}-x{j}",
-                    title=source.title,
-                    body=source.body,
-                    source_example=example.id,
-                    provenance=PROVENANCE_NOISE_CROSSQUERY,
-                )
-            )
-    return list(chunks) + injected
+            yield f"{example.id}-x{j}", source, source.body, PROVENANCE_NOISE_CROSSQUERY
+
+    return _inject(examples, chunks, config, variants)
 
 
 def inject_redundancy(
@@ -234,36 +242,16 @@ def inject_redundancy(
     """Append paraphrastic variants of gold supporting chunks, capped per gold."""
     if config.kind != KIND_REDUNDANCY:
         raise ValueError("config.kind must be 'redundancy'")
-    table = load_synonym_table()
-    positions = _positions_by_example(chunks)
-    injected: list[Chunk] = []
-    for example in examples:
-        own = [chunks[at] for at in positions.get(example.id, [])]
+
+    def variants(example: Example, own_positions: list[int], rng: random.Random) -> Iterator[_Injection]:
+        own = [chunks[at] for at in own_positions]
         golds = [c for c in own if c.title in example.gold_titles]
-        if not golds:
-            continue
-        target = injected_count(len(own), config.rho)
-        n_vars = min(target, len(golds) * config.variant_cap)
-        rng = random.Random(f"{config.seed}:{KIND_REDUNDANCY}:{example.id}")
-        per_gold: dict[str, int] = {g.chunk_id: 0 for g in golds}
+        n_vars = min(injected_count(len(own), config.rho), len(golds) * config.variant_cap)
+        # Golds are taken round-robin, so variant j is number j // len(golds) of its gold.
         for j in range(n_vars):
             gold = golds[j % len(golds)]
-            g_index = per_gold[gold.chunk_id]
-            per_gold[gold.chunk_id] += 1
-            kind = VARIANT_KINDS[g_index % len(VARIANT_KINDS)]
-            if kind == "reorder":
-                body = _reorder(gold.body, rng)
-            elif kind == "synonym":
-                body = _synonym(gold.body, table)
-            else:
-                body = _subset(gold.body, rng)
-            injected.append(
-                make_chunk(
-                    chunk_id=f"{gold.chunk_id}-r{g_index}",
-                    title=gold.title,
-                    body=body,
-                    source_example=example.id,
-                    provenance=PROVENANCE_REDUNDANT,
-                )
-            )
-    return list(chunks) + injected
+            g_index = j // len(golds)
+            body = _VARIANT_OPS[VARIANT_KINDS[g_index % len(VARIANT_KINDS)]](gold.body, rng)
+            yield f"{gold.chunk_id}-r{g_index}", gold, body, PROVENANCE_REDUNDANT
+
+    return _inject(examples, chunks, config, variants)

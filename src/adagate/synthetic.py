@@ -1,6 +1,7 @@
 """Generator for self-contained two-hop QA worlds in the corpus file schema.
 
-Each generated question has two gold paragraphs. The first names the
+Each generated question has two gold paragraphs, written by one loop over
+their (title, entity, relation, value) facts. The first, the hop, names the
 question's subject and links it to a bridge entity; the second carries the
 bridge entity's target attribute, whose value is the gold answer. Bridge
 paragraphs share no vocabulary with their question, so retrieval can reach
@@ -62,29 +63,20 @@ def generate_world(spec: WorldSpec) -> list[Example]:
     fresh = count(spec.seed * 1_000_003)
     examples: list[Example] = []
     for i in range(spec.n_questions):
-        subj = f"subj{i:03d}"
-        mid = f"mid{i:03d}"
-        obj = f"obj{i:03d}"
-        rel_a = f"rel{i:03d}a"
-        rel_b = f"rel{i:03d}b"
+        subj, mid, obj = f"subj{i:03d}", f"mid{i:03d}", f"obj{i:03d}"
+        rel_a, rel_b = f"rel{i:03d}a", f"rel{i:03d}b"
+        # (title, entity, relation, value) of each gold paragraph: the hop, then the bridge.
+        golds = ((f"{subj} profile", subj, rel_a, mid), (f"{mid} record", mid, rel_b, obj))
 
         paragraphs: list[tuple[str, tuple[str, ...]]] = []
         for _ in range(DISTRACTORS):
             junk_title = f"entry w{next(fresh)}"
             junk_sentences = _pad_paragraph(junk_title, [], CHUNK_TOKENS, fresh)
             paragraphs.append((junk_title, tuple(junk_sentences)))
-
-        hop_title = f"{subj} profile"
-        hop_sentences = [f"the {subj} {rel_a} {mid}."] * FACT_REPEATS
-        hop_sentences.append(f"ENT[{subj}] REL[{rel_a}] VAL[{mid}].")
-        hop_sentences = _pad_paragraph(hop_title, hop_sentences, CHUNK_TOKENS, fresh)
-        paragraphs.append((hop_title, tuple(hop_sentences)))
-
-        bridge_title = f"{mid} record"
-        bridge_sentences = [f"the {mid} {rel_b} {obj}."] * FACT_REPEATS
-        bridge_sentences.append(f"ENT[{mid}] REL[{rel_b}] VAL[{obj}].")
-        bridge_sentences = _pad_paragraph(bridge_title, bridge_sentences, CHUNK_TOKENS, fresh)
-        paragraphs.append((bridge_title, tuple(bridge_sentences)))
+        for title, entity, relation, value in golds:
+            sentences = [f"the {entity} {relation} {value}."] * FACT_REPEATS
+            sentences.append(f"ENT[{entity}] REL[{relation}] VAL[{value}].")
+            paragraphs.append((title, tuple(_pad_paragraph(title, sentences, CHUNK_TOKENS, fresh))))
 
         question = (
             f"what do we learn about {subj} via SLOT[{subj}|{rel_a}] "
@@ -95,7 +87,7 @@ def generate_world(spec: WorldSpec) -> list[Example]:
                 id=f"q{i:03d}",
                 question=question,
                 gold_answer=obj,
-                gold_titles=frozenset({hop_title, bridge_title}),
+                gold_titles=frozenset(title for title, *_ in golds),
                 paragraphs=tuple(paragraphs),
             )
         )

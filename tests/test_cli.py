@@ -114,6 +114,8 @@ def test_run_rejects_zero_iterations(tmp_path):
         ["perturb", "--kind", "redundancy", "--cap", "0"],
         ["index", "--namespace", "clean", "--dim", "0"],
         ["index", "--namespace", "clean", "--dim", "4294967297"],  # 2**32 + 1: a coordinate outgrows a uint32
+        ["index", "--namespace", "clean", "--embedder", "remote", "--dim", "0",
+         "--config", '{"index": {"remote": {"url": "http://embed.invalid"}}}'],
         # Config-file values: the JSON after --config is written to a file.
         ["run", "--mode", "adaptive_k", "--config", '{"adaptive_k": {"pool": 0}}'],
         ["run", "--config", '{"adaptive_k": {"pool": "many"}}'],
@@ -125,7 +127,11 @@ def test_run_rejects_zero_iterations(tmp_path):
     ],
     ids=" ".join,
 )
-def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
+def test_invalid_value_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    from adagate import index
+
+    requests_sent = []
+    monkeypatch.setattr(index, "post_json", lambda *args, **kwargs: requests_sent.append(args))
     data = str(builtin_fixture_path())
     chunks = tmp_path / "chunks.jsonl"
     assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
@@ -144,6 +150,7 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+    assert not requests_sent
     assert not (tmp_path / "r.jsonl").exists()
 
 

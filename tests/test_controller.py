@@ -209,9 +209,11 @@ def test_seal_select_matches_question_slots_for_any_backend():
     retrieved = [fact_chunk("c1", "aaa", "rel", "x"), fact_chunk("c2", "zed", "born", "y")]
     question = "where was zed born SLOT[zed|born]"
     for backend in (RuleBasedOracle(), LedgerOnlyOracle()):
-        assert [c.chunk_id for c in _seal_select(question, retrieved, backend)] == ["c2"]
+        ledger = backend.extract_ledger(retrieved)
+        assert [c.chunk_id for c in _seal_select(question, retrieved, ledger)] == ["c2"]
     # Without slot markup the best fact of any kind wins, for every backend.
-    assert [c.chunk_id for c in _seal_select("where was zed born", retrieved, LedgerOnlyOracle())] == ["c1"]
+    ledger = LedgerOnlyOracle().extract_ledger(retrieved)
+    assert [c.chunk_id for c in _seal_select("where was zed born", retrieved, ledger)] == ["c1"]
 
 
 class CountingOracle:

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from adagate.errors import ParseError, SchemaError, ValidationError
 from adagate.evaluate import (
     RESULT_SCHEMA,
+    UNDEFINED,
     ExampleResult,
     aggregate,
     evidence_prf,
     read_results,
     render_csv,
     render_table,
-    token_stats,
 )
 
 
@@ -88,26 +88,21 @@ def test_token_stats_mixed_correctness():
         result(example_id="a", input_tokens=100, correct=True),
         result(example_id="b", input_tokens=300, correct=False),
     ]
-    stats = token_stats(results)
-    assert stats.avg_tokens == 200.0
-    assert stats.tokens_per_correct == 100.0
+    [row] = aggregate(results)
+    assert row.avg_tokens == 200.0
+    assert row.tokens_per_correct == 100.0
 
 
 def test_token_stats_all_incorrect_is_undefined():
-    stats = token_stats([result(correct=False)])
-    assert stats.tokens_per_correct is None
+    [row] = aggregate([result(correct=False)])
+    assert row.tokens_per_correct is None
 
 
 def test_token_stats_all_correct_equal_tokens():
     results = [result(example_id=str(i), input_tokens=250) for i in range(4)]
-    stats = token_stats(results)
-    assert stats.avg_tokens == 250.0
-    assert stats.tokens_per_correct == 250.0
-
-
-def test_token_stats_empty_is_error():
-    with pytest.raises(ValidationError):
-        token_stats([])
+    [row] = aggregate(results)
+    assert row.avg_tokens == 250.0
+    assert row.tokens_per_correct == 250.0
 
 
 def test_aggregate_matches_brute_force():
@@ -116,12 +111,12 @@ def test_aggregate_matches_brute_force():
         result(example_id="b", correct=False, precision=0.5, recall=1.0, f1=2 / 3, input_tokens=300, docs_passed=3),
         result(example_id="c", condition="noise", correct=True, input_tokens=200, docs_passed=2),
     ]
-    report = aggregate(results)
-    assert [(r.condition, r.mode) for r in report.rows] == [
+    rows = aggregate(results)
+    assert [(r.condition, r.mode) for r in rows] == [
         ("clean", "adagate"),
         ("noise", "adagate"),
     ]
-    clean = report.rows[0]
+    clean = rows[0]
     assert clean.n == 2
     assert clean.accuracy == 50.0
     assert clean.precision == pytest.approx((1.0 + 0.5) / 2)
@@ -138,25 +133,25 @@ def test_single_doc_selection_replay_mean_f1():
         result(example_id=str(i), mode="seal_style", precision=p, recall=r, f1=f1)
         for i, (p, r, f1) in enumerate(evidence_prf({"A"}, {"A", "B"}) for _ in range(3))
     ]
-    report = aggregate(rows)
-    assert report.rows[0].f1 == pytest.approx(0.67, abs=0.005)
+    assert aggregate(rows)[0].f1 == pytest.approx(0.67, abs=0.005)
 
 
 def test_report_renders_header_only_for_empty_results():
-    report = aggregate([])
-    table = render_table(report)
+    rows = aggregate([])
+    assert rows == []
+    table = render_table(rows)
     assert table.splitlines()[0].startswith("condition")
     assert len(table.splitlines()) == 1
-    csv_text = render_csv(report)
+    csv_text = render_csv(rows)
     assert csv_text.splitlines() == [
         "condition,mode,n,accuracy,precision,recall,f1,avg_tokens,avg_docs,tokens_per_correct"
     ]
 
 
 def test_csv_undefined_marker_is_empty_cell():
-    report = aggregate([result(correct=False)])
-    line = render_csv(report).splitlines()[1]
-    assert line.endswith(",")
+    rows = aggregate([result(correct=False)])
+    assert render_csv(rows).splitlines()[1].endswith(",")
+    assert render_table(rows).splitlines()[1].endswith(UNDEFINED)
 
 
 def test_read_results_roundtrip(tmp_path):
@@ -165,7 +160,7 @@ def test_read_results_roundtrip(tmp_path):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     loaded = read_results([path])
     assert [r.example_id for r in loaded] == ["a", "b"]
-    assert aggregate(loaded).rows[0].n == 2
+    assert aggregate(loaded)[0].n == 2
 
 
 def test_read_results_skips_error_records(tmp_path):
@@ -205,3 +200,13 @@ def test_result_record_missing_field(tmp_path):
 
 def test_result_schema_tag():
     assert result().to_record()["schema"] == RESULT_SCHEMA
+
+
+def test_star_import_binds_every_public_name():
+    import adagate
+
+    namespace: dict = {}
+    exec("from adagate import *", namespace)
+    for name in adagate.__all__:
+        assert name in namespace
+        assert namespace[name] is getattr(adagate, name)

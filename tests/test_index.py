@@ -300,10 +300,17 @@ def test_snapshot_read_errors_keep_their_classes(tmp_path):
         {**record, "vector": {**packed, "val": "AAAAAAAA"}},  # 6 bytes: not a whole float64
         {**record, "vector": {**packed, "idx": [3, 5]}},  # the number lists of the previous schema
     ]
+    two_components = base64.b64encode(struct.pack("<2d", 0.6, 0.8)).decode()
+    for coords in ((5, 5), (3, 64)):  # a repeated coordinate; one at the header dim
+        idx = base64.b64encode(struct.pack("<2I", *coords)).decode()
+        broken_records.append({**record, "vector": {"idx": idx, "val": two_components}})
     for broken in broken_records:
         path.write_text("\n".join([header, first, json.dumps(broken)]) + "\n")
         with pytest.raises(ParseError, match="snapshot record 2"):
             VectorIndex.load(path)
+    empty = {**record, "vector": {"idx": "", "val": ""}}
+    path.write_text("\n".join([header, first, json.dumps(empty)]) + "\n")
+    assert VectorIndex.load(path).size("ns") == 2
 
 
 def test_remote_embedder_normalizes_and_caches():

@@ -274,7 +274,8 @@ def test_live_seal_style_keeps_the_passage_holding_the_best_fact():
     first, second = fact_chunk("c0", "a", "r", "v"), fact_chunk("c1", "b", "s", "w")
     line = json.dumps({"passage": 2, "entity": "b", "relation": "s", "value": "w"})
     live = _live([_FakeResponse(200, line)])
-    assert _seal_select("what is the s of b", [first, second], live) == [second]
+    ledger = live.extract_ledger([first, second])
+    assert _seal_select("what is the s of b", [first, second], ledger) == [second]
 
 
 def test_live_oracle_temperature_pinned_to_zero():

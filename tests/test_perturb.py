@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 
 import pytest
 
-from adagate.corpus import chunk_to_record, count_tokens
+from adagate.corpus import chunk_corpus, chunk_to_record, count_tokens
 from adagate.errors import ValidationError
 from adagate.index import HashingEmbedder, cosine
 from adagate.perturb import (
+    _DISTORT_OPS,
+    DISTORTION_WEIGHTS,
+    DISTORTIONS,
     PerturbConfig,
     injected_count,
     inject_noise,
     inject_redundancy,
     load_synonym_table,
 )
+from adagate.synthetic import WorldSpec, generate_world
 
 
 def _serialize(chunks) -> str:
@@ -194,3 +199,38 @@ def test_gold_titles_of_examples_never_touched(fixture_examples, fixture_chunks)
         fixture_examples, fixture_chunks, PerturbConfig(kind="redundancy", rho=0.5, seed=3)
     )
     assert [sorted(e.gold_titles) for e in fixture_examples] == before
+
+
+def test_noise_crossquery_draws_over_interleaved_chunks():
+    world = generate_world(WorldSpec(n_questions=5, seed=2))
+    chunks = chunk_corpus(world)
+    random.Random(0).shuffle(chunks)  # each example's chunks are scattered among the others'
+    config = PerturbConfig(kind="noise", rho=0.5, seed=3)
+    out = inject_noise(world, chunks, config)
+    injected = {c.chunk_id: c for c in out[len(chunks) :]}
+    for example in world:
+        own = [c for c in chunks if c.source_example == example.id]
+        foreign = [c for c in chunks if c.source_example != example.id]
+        n_inj = injected_count(len(own), config.rho)
+        n_syntax = n_inj - n_inj // 2
+        rng = random.Random(f"{config.seed}:noise:{example.id}")
+        for j in range(n_syntax):
+            op = rng.choices(DISTORTIONS, weights=DISTORTION_WEIGHTS)[0]
+            _DISTORT_OPS[op](own[j % len(own)].body, rng)
+        for j in range(n_inj - n_syntax):
+            expected = rng.choice(foreign)
+            got = injected[f"{example.id}-x{j}"]
+            assert (got.title, got.body) == (expected.title, expected.body)
+
+
+def test_redundancy_skips_an_example_without_gold_chunks():
+    world = generate_world(WorldSpec(n_questions=4, seed=2))
+    chunks = chunk_corpus(world)
+    config = PerturbConfig(kind="redundancy", rho=0.5, seed=3)
+    bare = world[1]
+    kept = [c for c in chunks if not (c.source_example == bare.id and c.title in bare.gold_titles)]
+    full = inject_redundancy(world, chunks, config)[len(chunks) :]
+    partial = inject_redundancy(world, kept, config)[len(kept) :]
+    assert partial
+    assert not [c for c in partial if c.source_example == bare.id]
+    assert _serialize(partial) == _serialize([c for c in full if c.source_example != bare.id])
