@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__
 from .controller import MODES, ControllerConfig, run_example
 from .corpus import chunk_corpus, load_examples, read_chunks, write_atomic, write_chunks, write_json_lines
-from .errors import AdagateError, UnknownNamespaceError
+from .errors import AdagateError
 from .evaluate import ExampleResult, aggregate, evidence_prf, read_results, render_csv, render_table
 from .index import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot
 from .oracle import LiveOracle, LiveOracleConfig, RuleBasedOracle
@@ -220,11 +220,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_store(store: str, dim: int | None, embedder_kind: str, config: dict) -> VectorIndex:
+def _open_store(
+    store: str, dim: int | None, embedder_kind: str, config: dict, namespace: str | None = None
+) -> VectorIndex:
     """Load the snapshot at ``store``, or start an empty index when there is none.
 
     The dim is the ``--dim`` flag's, else the config file's ``index.dim``;
-    an existing store whose dim differs from it is a usage error.
+    an existing store whose dim differs from it is a usage error. With
+    ``namespace``, only that namespace is loaded, and a store without it is
+    an error; a command that saves the store back loads all of it.
     """
     path = Path(store)
     given = "--dim"
@@ -237,7 +241,7 @@ def _open_store(store: str, dim: int | None, embedder_kind: str, config: dict) -
     if dim is not None and dim != stored_dim:
         raise UsageError(f"{given} {dim} does not match the dim {stored_dim} of store {store}")
     embedder = _make_embedder("remote", stored_dim, config) if embedder_kind == "remote" else None
-    return VectorIndex.load(path, embedder=embedder)
+    return VectorIndex.load(path, embedder=embedder, namespace=namespace)
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
@@ -294,11 +298,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kind = _resolve_embedder_kind(args.embedder, config)
     if not Path(args.store).exists():
         raise AdagateError(f"store {args.store} does not exist")
-    index = _open_store(args.store, None, kind, config)
-    held = index.namespaces()
-    if args.namespace not in held:
-        listed = ", ".join(held) or "no namespaces"
-        raise UnknownNamespaceError(f"unknown namespace {args.namespace!r} (store holds: {listed})")
+    index = _open_store(args.store, None, kind, config, namespace=args.namespace)
     examples = load_examples(args.data, limit=args.limit)
 
     def process(example):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,23 +41,31 @@ class ExampleResult:
 
     @classmethod
     def from_record(cls, record: dict) -> "ExampleResult":
-        try:
-            return cls(
-                example_id=str(record["example_id"]),
-                condition=str(record["condition"]),
-                mode=str(record["mode"]),
-                correct=bool(record["correct"]),
-                precision=float(record["precision"]),
-                recall=float(record["recall"]),
-                f1=float(record["f1"]),
-                input_tokens=int(record["input_tokens"]),
-                docs_passed=int(record["docs_passed"]),
-                termination_reason=str(record.get("termination_reason", "none")),
-            )
-        except KeyError as exc:
-            raise ParseError(f"result record missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"result record has a malformed field: {exc}") from exc
+        """The result a record holds; ParseError naming the first field missing or of the wrong JSON type."""
+        values = {}
+        for f in fields(cls):
+            if f.name not in record:
+                if f.default is MISSING:
+                    raise ParseError(f"result record missing field {f.name!r}")
+                continue
+            value = record[f.name]
+            expected, valid = _FIELD_TYPES[f.type]
+            if not valid(value):
+                raise ParseError(f"result record field {f.name!r} must be {expected}, not {value!r}")
+            values[f.name] = float(value) if f.type == "float" else value
+        return cls(**values)
+
+
+# JSON type of each field type of ExampleResult (annotations are strings here).
+_FIELD_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "float": (
+        "a finite number in [0, 1]",
+        lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,  # NaN fails both comparisons
+    ),
+}
 
 
 def evidence_prf(

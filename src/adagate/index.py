@@ -66,6 +66,13 @@ from 146 ms to 41 ms and the file from 3.54 MB to 2.45 MB against the
 number lists of ``index@1``, which is no longer read. Decoding is C-level
 work (base64, ``array``, ``dict(zip(...))``) and gives back bit-identical
 vectors with their keys in the same order.
+
+``load`` can be given one namespace, as ``run`` does: every line is still
+parsed as JSON and read as far as its namespace, but only that namespace's
+records are decoded and checked, so a damaged record fails only the loads
+that decode it. On the same store (median of 15, on a busier host than
+above) the whole store loaded in 57 ms and its 1,000 noise records alone in
+41 ms; parsing the 1,500 lines takes about 17 ms of either.
 """
 
 from __future__ import annotations
@@ -334,12 +341,13 @@ class RetrievalHit:
 class VectorIndex:
     """In-memory vector store with isolated namespaces and exact top-k queries.
 
-    Reads are lock-free; writes take a lock per index. A namespace of
-    hashed vectors is scored over postings built by its first query after
-    a write: buckets of chunk ids, one per masked coordinate, laid end to
-    end, and the chunk vectors in ascending id order. A namespace of
-    remote (dense) vectors is scanned. Both paths return the same hits with
-    bit-identical scores.
+    Reads are lock-free; writes take a lock per index and swap in a new map
+    of the namespace, so a read iterates a map that nothing changes. A
+    namespace of hashed vectors is scored over postings built by its first
+    query after a write: buckets of chunk ids, one per masked coordinate,
+    laid end to end, and the chunk vectors in ascending id order. A
+    namespace of remote (dense) vectors is scanned. Both paths return the
+    same hits with bit-identical scores.
     """
 
     def __init__(self, embedder: HashingEmbedder | RemoteEmbedder):
@@ -367,9 +375,11 @@ class VectorIndex:
             raise DuplicateIdError(sorted(duplicates))
         vectors = self.embedder.embed([c.text for c in chunks])
         with self._lock:
-            space = self._spaces.setdefault(namespace, {})
+            # A new map, swapped in whole: a query may be iterating the old one.
+            space = dict(self._spaces.get(namespace, {}))
             for chunk, vec in zip(chunks, vectors):
                 space[chunk.chunk_id] = (chunk, vec)
+            self._spaces[namespace] = space
             self._postings.pop(namespace, None)
         return len(chunks)
 
@@ -380,16 +390,14 @@ class VectorIndex:
         space = self._space(namespace)
         query = self.embedder.embed_one(query_text)
         if self.embedder.backend == HashingEmbedder.backend:
-            ranked = self._postings_top_k(namespace, space, query, k)
+            ranked = self._postings_top_k(namespace, query, k)
         else:
             ranked = _scan_top_k(space, query, k)
         return [
             RetrievalHit(chunk_id=chunk_id, score=score, namespace=namespace) for chunk_id, score in ranked
         ]
 
-    def _postings_top_k(
-        self, namespace: str, space: dict[str, tuple[Chunk, Vector]], query: Vector, k: int
-    ) -> list[tuple[str, float]]:
+    def _postings_top_k(self, namespace: str, query: Vector, k: int) -> list[tuple[str, float]]:
         """Term-at-a-time scoring, bit-identical to ``_scan_top_k`` for non-negative vectors.
 
         Each chunk's products are summed from 0.0 in ascending coordinate
@@ -401,14 +409,16 @@ class VectorIndex:
         fill the remaining places in ascending id order, as the scan's sort
         puts them: the first untouched ids of the sorted vector map. A query
         sees the namespace as it was when the postings were built, even
-        while an upsert replaces vectors.
+        while an upsert replaces vectors. They are built from the map
+        current under the lock, never from one the caller read earlier: an
+        upsert in between has already dropped the postings of that map.
         """
         built = self._postings.get(namespace)
         if built is None:
             with self._lock:
                 built = self._postings.get(namespace)
                 if built is None:
-                    built = self._postings[namespace] = _build_postings(space)
+                    built = self._postings[namespace] = _build_postings(self._spaces[namespace])
         ids, starts, vectors = built
         mask = len(starts) - 2  # one start per bucket, then the end
         acc: dict[str, float] = {}
@@ -470,8 +480,17 @@ class VectorIndex:
 
     @classmethod
     def load(
-        cls, path: str | Path, embedder: HashingEmbedder | RemoteEmbedder | None = None
+        cls,
+        path: str | Path,
+        embedder: HashingEmbedder | RemoteEmbedder | None = None,
+        namespace: str | None = None,
     ) -> "VectorIndex":
+        """The index a snapshot holds; with ``namespace``, only that namespace of it.
+
+        Every record must be a JSON object with a namespace, but only the
+        records that are loaded are decoded and checked. A ``namespace`` no
+        record carries raises UnknownNamespaceError listing those held.
+        """
         dim, backend, records = read_snapshot(path)
         with closing(records):
             if embedder is None:
@@ -489,8 +508,13 @@ class VectorIndex:
                     f"not {embedder.backend!r}"
                 )
             index = cls(embedder)
+            held: set[str] = set()
             for i, record in records:
                 try:
+                    name = str(record["namespace"])
+                    if namespace is not None and name != namespace:
+                        held.add(name)
+                        continue
                     chunk = chunk_from_record(record["chunk"])
                     sparse = record["vector"]
                     coords, values = _unpack(_COORDS, sparse["idx"]), _unpack(_VALUES, sparse["val"])
@@ -501,10 +525,12 @@ class VectorIndex:
                         raise ValueError("a coordinate repeats")
                     if vec and max(vec) >= dim:
                         raise ValueError(f"coordinate {max(vec)} is outside dim {dim}")
-                    namespace = str(record["namespace"])
                 except (KeyError, TypeError, ValueError, ParseError) as exc:
                     raise ParseError(f"snapshot record {i}: {exc}") from exc
-                index._spaces.setdefault(namespace, {})[chunk.chunk_id] = (chunk, vec)
+                index._spaces.setdefault(name, {})[chunk.chunk_id] = (chunk, vec)
+        if namespace is not None and namespace not in index._spaces:
+            listed = ", ".join(sorted(held)) or "no namespaces"
+            raise UnknownNamespaceError(f"unknown namespace {namespace!r} (store holds: {listed})")
         return index
 
 

@@ -472,3 +472,34 @@ def test_run_with_unknown_namespace_fails_before_the_batch(tmp_path, capsys):
     assert captured.err == "error: unknown namespace 'nope' (store holds: clean, noise)\n"
     assert captured.out == ""
     assert sorted(path.name for path in tmp_path.iterdir()) == ["chunks.jsonl", "noise.jsonl", "store.jsonl"]
+
+
+def test_run_decodes_only_its_namespace(tmp_path, capsys):
+    import base64
+    import struct
+
+    data = str(builtin_fixture_path())
+    chunks = tmp_path / "chunks.jsonl"
+    store = tmp_path / "store.jsonl"
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", DIM]) == 0
+    perturb = ["perturb", "--data", data, "--kind", "noise", "--rho", "0.5", "--seed", "3"]
+    assert main(perturb + ["--out", str(tmp_path / "noise.jsonl"), "--store", str(store), "--dim", DIM]) == 0
+    run = ["run", "--data", data, "--store", str(store), "--L", "1", "--budget", "140", "--namespace"]
+    assert main(run + ["noise", "--out", str(tmp_path / "intact.jsonl")]) == 0
+    # Records are in namespace order, so line 1 is a clean record; repeat a coordinate in it.
+    lines = store.read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["namespace"] == "clean"
+    record["vector"] = {
+        "idx": base64.b64encode(struct.pack("<2I", 5, 5)).decode(),
+        "val": base64.b64encode(struct.pack("<2d", 0.6, 0.8)).decode(),
+    }
+    store.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+    capsys.readouterr()
+    assert main(run + ["noise", "--out", str(tmp_path / "damaged.jsonl")]) == 0
+    assert (tmp_path / "damaged.jsonl").read_bytes() == (tmp_path / "intact.jsonl").read_bytes()
+    capsys.readouterr()
+    assert main(run + ["clean", "--out", str(tmp_path / "clean.jsonl")]) == 1
+    assert capsys.readouterr().err == "error: snapshot record 1: a coordinate repeats\n"
+    assert not (tmp_path / "clean.jsonl").exists()

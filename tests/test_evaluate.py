@@ -198,6 +198,34 @@ def test_result_record_missing_field(tmp_path):
         read_results([path])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("correct", "false"),  # bool("false") is True
+        ("input_tokens", 12.9),  # int() would truncate it
+        ("precision", "nan"),  # float() would parse it
+        ("precision", 1.5),
+        ("docs_passed", -1),
+        ("docs_passed", True),
+        ("example_id", 7),
+        ("termination_reason", None),
+    ],
+)
+def test_result_record_field_of_the_wrong_json_type_is_named(tmp_path, field, value):
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps(dict(result().to_record(), **{field: value})) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"result record field '{field}' must be"):
+        read_results([path])
+
+
+def test_result_record_accepts_whole_numbers_as_ratios_and_no_termination_reason():
+    record = dict(result().to_record(), precision=1, recall=0)
+    del record["termination_reason"]
+    parsed = ExampleResult.from_record(record)
+    assert (parsed.precision, parsed.recall, parsed.termination_reason) == (1.0, 0.0, "none")
+    assert type(parsed.precision) is float
+
+
 def test_result_schema_tag():
     assert result().to_record()["schema"] == RESULT_SCHEMA
 

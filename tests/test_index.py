@@ -213,10 +213,12 @@ def test_snapshot_roundtrip(tmp_path):
     assert loaded.get_chunk("noise", "c5") == chunks[5]
 
 
-def _assert_same_entries(loaded: VectorIndex, index: VectorIndex) -> None:
-    """Same namespaces, chunks and vectors, each vector with the same keys in the same order."""
-    assert loaded.namespaces() == index.namespaces()
-    for namespace in index.namespaces():
+def _assert_same_entries(loaded: VectorIndex, index: VectorIndex, namespaces: list[str] | None = None) -> None:
+    """Same chunks and vectors in ``namespaces`` (all of them by default), each vector with the same keys in order."""
+    if namespaces is None:
+        assert loaded.namespaces() == index.namespaces()
+        namespaces = index.namespaces()
+    for namespace in namespaces:
         assert loaded.chunks(namespace) == index.chunks(namespace)
         for chunk in index.chunks(namespace):
             vector = index.get_entry(namespace, chunk.chunk_id)[1]
@@ -237,6 +239,57 @@ def test_hash_snapshot_round_trip_is_bit_identical(tmp_path, dim):
     loaded = VectorIndex.load(path)
     _assert_same_entries(loaded, index)
     assert loaded.embedder.dim == dim
+
+
+def test_loading_one_namespace_gives_the_entries_of_a_full_load(tmp_path):
+    index = VectorIndex(HashingEmbedder(dim=2**20))
+    index.upsert("clean", [make_chunk("a", "page", "alpha alpha beta gamma", "ex"), sized_chunk("b", 9)])
+    index.upsert("noise", [sized_chunk(f"n{i}", 6 + i) for i in range(5)] + [make_chunk("z", "other", "", "ex")])
+    index.upsert("redundancy", [sized_chunk("r", 7)])
+    path = tmp_path / "store.jsonl"
+    index.save(path)
+    full = VectorIndex.load(path)
+    for namespace in index.namespaces():
+        only = VectorIndex.load(path, namespace=namespace)
+        assert only.namespaces() == [namespace]
+        _assert_same_entries(only, full, [namespace])
+
+
+def test_loading_one_namespace_decodes_only_its_records(tmp_path):
+    index = VectorIndex(HashingEmbedder(dim=64))
+    index.upsert("clean", [sized_chunk("a", 8)])
+    index.upsert("noise", [sized_chunk("b", 8)])
+    path = tmp_path / "store.jsonl"
+    index.save(path)
+    header, clean, noise = path.read_text().splitlines()
+    damaged = json.loads(clean)
+    damaged["vector"] = {
+        "idx": base64.b64encode(struct.pack("<2I", 5, 5)).decode(),
+        "val": base64.b64encode(struct.pack("<2d", 0.6, 0.8)).decode(),
+    }
+    path.write_text("\n".join([header, json.dumps(damaged), noise]) + "\n")
+    assert VectorIndex.load(path, namespace="noise").chunks("noise") == index.chunks("noise")
+    for namespace in (None, "clean"):
+        with pytest.raises(ParseError, match="snapshot record 1: a coordinate repeats"):
+            VectorIndex.load(path, namespace=namespace)
+    # Every record is still read as far as its namespace.
+    for line in ("[1]", json.dumps({key: value for key, value in json.loads(clean).items() if key != "namespace"})):
+        path.write_text("\n".join([header, line, noise]) + "\n")
+        with pytest.raises(ParseError, match="snapshot record 1"):
+            VectorIndex.load(path, namespace="noise")
+
+
+def test_loading_a_namespace_the_store_lacks_names_those_it_holds(tmp_path):
+    path = tmp_path / "store.jsonl"
+    index = VectorIndex(HashingEmbedder(dim=64))
+    index.save(path)
+    with pytest.raises(UnknownNamespaceError, match=r"^unknown namespace 'nope' \(store holds: no namespaces\)$"):
+        VectorIndex.load(path, namespace="nope")
+    index.upsert("noise", [sized_chunk("b", 8)])
+    index.upsert("clean", [sized_chunk("a", 8), sized_chunk("c", 8)])
+    index.save(path)
+    with pytest.raises(UnknownNamespaceError, match=r"^unknown namespace 'nope' \(store holds: clean, noise\)$"):
+        VectorIndex.load(path, namespace="nope")
 
 
 class _TinyEmbeddingSession:
@@ -475,6 +528,88 @@ def test_queries_racing_upserts_see_one_consistent_namespace():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def test_dense_queries_racing_upserts_of_new_ids_see_one_consistent_namespace():
+    import sys
+    import threading
+
+    embedder = RemoteEmbedder(url="http://svc", dim=8, session=_SignedEmbeddingSession(8))
+    index = VectorIndex(embedder)
+    base = [sized_chunk(f"c{i:03d}", 4 + i % 5) for i in range(200)]
+    batches = [[sized_chunk(f"n{b:02d}x{i}", 3 + i) for i in range(4)] for b in range(25)]
+    index.upsert("ns", base)
+    queries = ["c001w1", "title n03x2 n07x1w0", "something else"]
+    allowed: dict[str, set] = {q: set() for q in queries}
+    for j in range(len(batches) + 1):
+        chunks = base + [chunk for batch in batches[:j] for chunk in batch]
+        for q in queries:
+            allowed[q].add(tuple(brute_force_top_k(embedder, chunks, q, 5)))
+    errors: list[Exception] = []
+    reading = threading.Barrier(5)
+    written = threading.Event()
+
+    def write():
+        reading.wait()
+        for batch in batches:
+            index.upsert("ns", batch)
+        written.set()
+
+    def read():
+        try:
+            reading.wait()
+            while not written.is_set():
+                for q in queries:
+                    hits = tuple(_hits(index, "ns", q, 5))
+                    if hits not in allowed[q]:
+                        raise AssertionError(f"{q!r} saw a mixed namespace: {hits}")
+        except Exception as exc:  # reported to the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write)] + [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        written.set()
+        reading.abort()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert index.size("ns") == 300
+
+
+class _UpsertFirst:
+    """An index lock that lets one upsert in before its first holder takes it."""
+
+    def __init__(self, lock, upsert):
+        self._lock, self._upsert = lock, upsert
+
+    def __enter__(self):
+        upsert, self._upsert = self._upsert, None
+        if upsert is not None:
+            upsert()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def test_postings_are_built_from_the_namespace_current_under_the_lock():
+    # The first query reads the namespace, then an upsert replaces every
+    # vector before the query takes the lock to build its postings.
+    embedder = HashingEmbedder(dim=2**20)
+    index = VectorIndex(embedder)
+    old = [sized_chunk(f"c{i}", 8) for i in range(10)]
+    new = [make_chunk(c.chunk_id, "fresh", f"fresh {c.chunk_id}w5", "ex") for c in old]
+    index.upsert("ns", old)
+    index._lock = _UpsertFirst(index._lock, lambda: index.upsert("ns", new))
+    index.query_top_k("ns", "fresh c3w5", 3)
+    assert _hits(index, "ns", "fresh c3w5", 3) == brute_force_top_k(embedder, new, "fresh c3w5", 3)
 
 
 # Coordinates up to 2**20 make a set's iteration order differ from ascending
