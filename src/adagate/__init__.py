@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .controller import ControllerConfig, ControllerTrace, run_adagate, run_baseline, run_example
 from .corpus import Chunk, Example, chunk_corpus, count_tokens, load_examples
 from .evaluate import ExampleResult, evidence_prf
-from .index import HashingEmbedder, RetrievalHit, VectorIndex
+from .index import HashingEmbedder, VectorIndex
 from .oracle import ABSTAIN, Fact, Gap, Ledger, LiveOracle, RuleBasedOracle, SufficiencyVerdict
 from .perturb import PerturbConfig, inject_noise, inject_redundancy
 from .scoring import DEFAULT_WEIGHTS, TermBreakdown, UtilityWeights, score_candidate
@@ -27,7 +27,6 @@ __all__ = [
     "Ledger",
     "LiveOracle",
     "PerturbConfig",
-    "RetrievalHit",
     "RuleBasedOracle",
     "SufficiencyVerdict",
     "TermBreakdown",

@@ -29,7 +29,7 @@ from .corpus import chunk_corpus, load_examples, read_chunks, write_atomic, writ
 from .errors import AdagateError
 from .evaluate import ExampleResult, aggregate, evidence_prf, read_results, render_csv, render_table
 from .index import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot
-from .oracle import LiveOracle, LiveOracleConfig, RuleBasedOracle
+from .oracle import LiveOracle, RuleBasedOracle
 from .perturb import DEFAULT_VARIANT_CAP, KIND_NOISE, PerturbConfig, inject_noise, inject_redundancy
 from .scoring import DEFAULT_WEIGHTS, UtilityWeights
 
@@ -105,24 +105,19 @@ def _resolve_embedder_kind(flag_value: str | None, config: dict) -> str:
 def _make_embedder(kind: str, dim: int, config: dict):
     if kind == "hash":
         return _checked(HashingEmbedder, dim=dim)
-    if kind == "remote":
-        url = _cfg(config, "index.remote.url", None)
-        if not url:
-            raise AdagateError("remote embedder requires index.remote.url in the config file")
-        return _checked(RemoteEmbedder, url=url, dim=dim, **_cfg_set(config, "index.remote", ("key_env", "model")))
-    raise AdagateError(f"unknown embedder {kind!r}")
+    url = _cfg(config, "index.remote.url", None)
+    if not url:
+        raise AdagateError("remote embedder requires index.remote.url in the config file")
+    return _checked(RemoteEmbedder, url=url, dim=dim, **_cfg_set(config, "index.remote", ("key_env", "model")))
 
 
 def _make_oracle(kind: str, config: dict, log_path: str | None):
     if kind == "rules":
         return RuleBasedOracle()
-    if kind == "live":
-        url = _cfg(config, "oracle.url", None)
-        if not url:
-            raise AdagateError("live oracle requires oracle.url in the config file")
-        overrides = _cfg_set(config, "oracle", ("model", "judge_model", "key_env"))
-        return LiveOracle(LiveOracleConfig(url=url, log_path=log_path, **overrides))
-    raise AdagateError(f"unknown oracle {kind!r}")
+    url = _cfg(config, "oracle.url", None)
+    if not url:
+        raise AdagateError("live oracle requires oracle.url in the config file")
+    return LiveOracle(url, log_path=log_path, **_cfg_set(config, "oracle", ("model", "judge_model", "key_env")))
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -256,6 +251,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
+    for flag, value in (("--dim", args.dim), ("--namespace", args.namespace), ("--config", args.config)):
+        if value is not None and not args.store:
+            raise UsageError(f"{flag} applies only to the --store that perturb upserts into")
     config = _load_config(args.config)
     examples = load_examples(args.data)
     chunks = chunk_corpus(examples)
@@ -281,6 +279,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
+    if args.log_oracle is not None and args.oracle != "live":
+        raise UsageError("--log-oracle logs the requests of --oracle live only")
     defaults = ControllerConfig
     controller_config = _checked(
         lambda: ControllerConfig(

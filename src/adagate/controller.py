@@ -30,7 +30,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .corpus import Chunk, Example, count_tokens
-from .index import RetrievalHit, Vector, VectorIndex, cosine
+from .index import Vector, VectorIndex, cosine
 from .oracle import Ledger, OracleBackend, match_slots
 # The benchmark's traced pass wraps score_candidate, effective_capacity,
 # select_evidence and replace_update by looking each name up in this module
@@ -149,12 +149,12 @@ class _RunMemo:
 
     def __init__(self, index: VectorIndex, namespace: str, k: int):
         self._index, self._namespace, self._k = index, namespace, k
-        self._hits: dict[str, list[RetrievalHit]] = {}
+        self._hits: dict[str, list[tuple[str, float]]] = {}
         self._query_vecs: dict[str, Vector] = {}
         self._chunk_sims: dict[tuple[str, str], float] = {}
         self._query_sims: dict[tuple[str, str], float] = {}
 
-    def hits(self, query: str) -> list[RetrievalHit]:
+    def hits(self, query: str) -> list[tuple[str, float]]:
         hits = self._hits.get(query)
         if hits is None:
             hits = self._hits[query] = self._index.query_top_k(self._namespace, query, self._k)
@@ -185,12 +185,12 @@ class _RunMemo:
 
 
 def _assemble_candidates(
-    hits: Iterable[RetrievalHit],
+    hits: Iterable[tuple[str, float]],
     memo: _RunMemo,
     evidence: Sequence[Chunk],
     threshold: float,
 ) -> list[Chunk]:
-    """Deduplicate retrieved hits into a candidate list.
+    """Deduplicate retrieved ``(chunk_id, score)`` hits into a candidate list.
 
     Drops ids already selected or already kept, and suppresses near
     duplicates: any candidate whose cosine against a selected passage or an
@@ -200,8 +200,7 @@ def _assemble_candidates(
     """
     others = [c.chunk_id for c in evidence]
     kept: list[Chunk] = []
-    for hit in hits:
-        chunk_id = hit.chunk_id
+    for chunk_id, _ in hits:
         if chunk_id in others or any(memo.chunk_sim(chunk_id, other) >= threshold for other in others):
             continue
         kept.append(memo.chunk(chunk_id))
@@ -256,10 +255,9 @@ def run_adagate(
             queries = {CHANNEL_GAP: gap_queries, CHANNEL_FALLBACK: fb_queries}
 
         record.queries = queries
-        hits = {ch: [h for q in qs for h in memo.hits(q)] for ch, qs in queries.items()}
-        record.hits = {ch: [(h.chunk_id, h.score) for h in channel_hits] for ch, channel_hits in hits.items()}
+        record.hits = {ch: [h for q in qs for h in memo.hits(q)] for ch, qs in queries.items()}
         candidates = _assemble_candidates(
-            chain.from_iterable(hits.values()), memo, state.selected, config.dedup_threshold
+            chain.from_iterable(record.hits.values()), memo, state.selected, config.dedup_threshold
         )
         scored = [(c, score(c, state.selected)) for c in candidates]
         record.scores = {c.chunk_id: tb for c, tb in sorted(scored, key=lambda pair: pair[0].chunk_id)}
@@ -306,15 +304,15 @@ def run_baseline(
     depth = config.adaptive_pool if config.mode == MODE_ADAPTIVE_K else config.k
     hits = index.query_top_k(config.namespace, question, depth)
     if config.mode == MODE_ADAPTIVE_K:
-        hits = hits[: adaptive_cut([h.score for h in hits])]
-    evidence = [index.get_chunk(config.namespace, h.chunk_id) for h in hits]
+        hits = hits[: adaptive_cut([score for _, score in hits])]
+    evidence = [index.get_chunk(config.namespace, chunk_id) for chunk_id, _ in hits]
     if config.mode == MODE_SEAL_STYLE:
         ledger = oracle.extract_ledger(evidence)
         evidence = _seal_select(question, evidence, ledger)
         record.ledger_size = len(ledger)
 
     record.queries = {CHANNEL_SEED: [question]}
-    record.hits = {CHANNEL_SEED: [(h.chunk_id, h.score) for h in hits]}
+    record.hits = {CHANNEL_SEED: hits}
     record.selected_ids = [c.chunk_id for c in evidence]
     record.used_tokens = sum(c.token_len for c in evidence)
     trace.iterations.append(record)

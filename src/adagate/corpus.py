@@ -175,18 +175,18 @@ def _example_from_record(record: dict, index: int) -> Example:
             raise ParseError(f"record {index}: missing field {field!r}")
     try:
         gold_titles = frozenset(str(title) for title, _ in record["supporting_facts"])
-        paragraphs = tuple(
-            (str(title), tuple(str(s) for s in sentences))
-            for title, sentences in record["context"]
-        )
+        context = [(str(title), sentences) for title, sentences in record["context"]]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"record {index}: malformed context or supporting_facts ({exc})") from exc
+    for title, sentences in context:
+        if type(sentences) is not list:  # a string would become one sentence per character
+            raise ParseError(f"record {index}: the sentences of paragraph {title!r} are not a list")
     example = Example(
         id=str(record["_id"]),
         question=str(record["question"]),
         gold_answer=str(record["answer"]),
         gold_titles=gold_titles,
-        paragraphs=paragraphs,
+        paragraphs=tuple((title, tuple(map(str, sentences))) for title, sentences in context),
     )
     try:
         example.validate()

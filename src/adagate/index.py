@@ -6,7 +6,10 @@ tests reproduce independently, is:
 1. lowercase the text and split on whitespace;
 2. strip leading and trailing characters outside ``[a-z0-9_]`` from each
    token, dropping tokens that become empty;
-3. hash each token with FNV-1a 64-bit over its UTF-8 bytes;
+3. hash each token with FNV-1a 64-bit over its UTF-8 bytes, where a lone
+   surrogate (which ``json.loads`` yields from an escape such as ``\\ud800``)
+   takes the three bytes of its code point, as the ``surrogatepass`` error
+   handler writes them;
 4. accumulate a count at coordinate ``hash % dim`` (dim defaults to 256);
 5. L2-normalize the result. Empty text yields the all-zero vector, and
    cosine against a zero vector is defined as 0.
@@ -87,7 +90,6 @@ from array import array
 from base64 import b64decode, b64encode
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -119,6 +121,7 @@ _LOCKSTEP_MIN_TOKENS = 32
 
 SNAPSHOT_SCHEMA = "index@2"
 DEFAULT_DIM = 256
+EMBED_TIMEOUT_S = 30.0
 # Coordinates are stored as uint32, so every coordinate below dim must fit one.
 MAX_DIM = 1 << 32
 
@@ -207,7 +210,12 @@ class HashingEmbedder:
 
     def _coordinates(self, tokens: list[str]) -> list[int]:
         """``fnv1a64(token) % dim`` for every token, in order."""
-        data = list(map(str.encode, tokens))
+        # Only text with a lone surrogate pays for the error handler: applied to
+        # every token it took 30 ms per 300k tokens against 21 ms for the map.
+        try:
+            data = list(map(str.encode, tokens))
+        except UnicodeEncodeError:
+            data = [token.encode("utf-8", "surrogatepass") for token in tokens]
         if len(data) < _LOCKSTEP_MIN_TOKENS or not self._lockstep_fits:
             return [fnv1a64(token) % self.dim for token in data]
         return self._lockstep(data)
@@ -261,7 +269,8 @@ class RemoteEmbedder:
 
     The API key is read from the environment variable named ``key_env``;
     it is never passed on the command line. Requests follow the shared
-    policy of ``transport.post_json``.
+    policy of ``transport.post_json``, each with a timeout of
+    ``EMBED_TIMEOUT_S``.
     """
 
     backend = "remote"
@@ -272,16 +281,12 @@ class RemoteEmbedder:
         dim: int,
         key_env: str = "ADAGATE_EMBED_KEY",
         model: str = "text-embedding-3-small",
-        timeout: float = 30.0,
-        max_attempts: int = 3,
         session: requests.Session | None = None,
     ):
         self.url = url.rstrip("/")
         self.dim = _checked_dim(dim)
         self.key_env = key_env
         self.model = model
-        self.timeout = timeout
-        self.max_attempts = max_attempts
         if session is None:
             import requests
 
@@ -315,8 +320,7 @@ class RemoteEmbedder:
             f"{self.url}/embeddings",
             {"model": self.model, "input": texts},
             key_env=self.key_env,
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
+            timeout=EMBED_TIMEOUT_S,
             service="embedding service",
         )
         try:
@@ -329,13 +333,6 @@ class RemoteEmbedder:
                 retriable=False,
             )
         return embeddings
-
-
-@dataclass(frozen=True)
-class RetrievalHit:
-    chunk_id: str
-    score: float
-    namespace: str
 
 
 class VectorIndex:
@@ -383,19 +380,15 @@ class VectorIndex:
             self._postings.pop(namespace, None)
         return len(chunks)
 
-    def query_top_k(self, namespace: str, query_text: str, k: int) -> list[RetrievalHit]:
-        """Top-k hits by cosine, tie-broken by ascending chunk id."""
+    def query_top_k(self, namespace: str, query_text: str, k: int) -> list[tuple[str, float]]:
+        """Top-k ``(chunk_id, cosine)`` pairs, tie-broken by ascending chunk id."""
         if k < 1:
             raise ValueError("k must be positive")
         space = self._space(namespace)
         query = self.embedder.embed_one(query_text)
         if self.embedder.backend == HashingEmbedder.backend:
-            ranked = self._postings_top_k(namespace, query, k)
-        else:
-            ranked = _scan_top_k(space, query, k)
-        return [
-            RetrievalHit(chunk_id=chunk_id, score=score, namespace=namespace) for chunk_id, score in ranked
-        ]
+            return self._postings_top_k(namespace, query, k)
+        return _scan_top_k(space, query, k)
 
     def _postings_top_k(self, namespace: str, query: Vector, k: int) -> list[tuple[str, float]]:
         """Term-at-a-time scoring, bit-identical to ``_scan_top_k`` for non-negative vectors.

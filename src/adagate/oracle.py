@@ -44,6 +44,7 @@ _BACKREF = re.compile(r"^\*(\d+)$")
 
 LOW_CONFIDENCE = 0.5
 FULL_CONFIDENCE = 1.0
+COMPLETION_TIMEOUT_S = 60.0
 
 LEDGER_PROMPT = (
     "Extract every atomic fact from the numbered passages below as one JSON object per line "
@@ -51,6 +52,7 @@ LEDGER_PROMPT = (
     '"value", "confidence" (0 to 1). '
     "Use the passage heading as context. Output JSON lines only.\n\nPassages:\n{passages}"
 )
+# Only the "entity" and "relation" of each gap line are read.
 GAP_PROMPT = (
     "Given the question and the known facts, list the missing facts still needed to answer, "
     'one JSON object per line with keys "entity", "relation", "rationale". '
@@ -125,7 +127,6 @@ class Ledger:
 class Gap:
     entity: str
     relation: str
-    rationale: str = ""
 
 
 @dataclass(frozen=True)
@@ -228,8 +229,6 @@ def match_slots(question: str, ledger: Ledger) -> list[Fact]:
 class RuleBasedOracle:
     """Deterministic oracle over the markup conventions documented above."""
 
-    backend = "rules"
-
     def extract_ledger(self, evidence: Sequence[Chunk]) -> Ledger:
         ledger = Ledger()
         for chunk in evidence:
@@ -262,12 +261,8 @@ class RuleBasedOracle:
         if resolved and all(fact is not None for _, _, fact in resolved):
             return SufficiencyVerdict(sufficient=True)
         gaps = tuple(
-            Gap(
-                entity=entity,
-                relation=slot.relation,
-                rationale=f"slot {i + 1} of the question is unresolved",
-            )
-            for i, (slot, entity, fact) in enumerate(resolved)
+            Gap(entity=entity, relation=slot.relation)
+            for slot, entity, fact in resolved
             if fact is None and entity is not None
         )
         return SufficiencyVerdict(sufficient=False, gaps=gaps)
@@ -303,29 +298,32 @@ class RuleBasedOracle:
         return len([p for p in pairs if p not in known]) / len(pairs)
 
 
-@dataclass
-class LiveOracleConfig:
-    url: str
-    model: str = "gpt-4o-mini"
-    judge_model: str = "gpt-4o"
-    key_env: str = "ADAGATE_ORACLE_KEY"
-    timeout: float = 60.0
-    max_attempts: int = 3
-    log_path: str | None = None
-
-
 class LiveOracle:
     """HTTP chat-completion backend with fixed prompts, temperature 0.
 
-    One request is in flight per session; run one session per question for
-    parallel batches. Malformed model output yields an empty result plus an
-    entry in ``warnings`` instead of raising.
+    The API key is read from the environment variable named ``key_env``.
+    Requests follow the shared policy of ``transport.post_json``, each with
+    a timeout of ``COMPLETION_TIMEOUT_S``; with ``log_path``, every request
+    and response is appended to that file as one JSON line. One request is
+    in flight per session; run one session per question for parallel
+    batches. Malformed model output yields an empty result plus an entry in
+    ``warnings`` instead of raising.
     """
 
-    backend = "live"
-
-    def __init__(self, config: LiveOracleConfig, session: requests.Session | None = None):
-        self.config = config
+    def __init__(
+        self,
+        url: str,
+        model: str = "gpt-4o-mini",
+        judge_model: str = "gpt-4o",
+        key_env: str = "ADAGATE_ORACLE_KEY",
+        log_path: str | None = None,
+        session: requests.Session | None = None,
+    ):
+        self.url = url.rstrip("/")
+        self.model = model
+        self.judge_model = judge_model
+        self.key_env = key_env
+        self.log_path = log_path
         self.warnings: list[str] = []
         if session is None:
             import requests
@@ -338,7 +336,7 @@ class LiveOracle:
         if not evidence:
             return ledger
         passages = "\n\n".join(f"[{number}] {c.text}" for number, c in enumerate(evidence, 1))
-        raw = self._complete(self.config.model, LEDGER_PROMPT.format(passages=passages))
+        raw = self._complete(self.model, LEDGER_PROMPT.format(passages=passages))
 
         def fact(record: dict) -> Fact:
             number = record["passage"]
@@ -358,14 +356,10 @@ class LiveOracle:
 
     def assess_sufficiency(self, question: str, ledger: Ledger) -> SufficiencyVerdict:
         facts = "\n".join(f.as_text() for f in ledger.facts) or "(none)"
-        raw = self._complete(self.config.model, GAP_PROMPT.format(question=question, facts=facts))
+        raw = self._complete(self.model, GAP_PROMPT.format(question=question, facts=facts))
 
         def gap(record: dict) -> Gap:
-            return Gap(
-                entity=str(record["entity"]),
-                relation=str(record["relation"]),
-                rationale=str(record.get("rationale", "")),
-            )
+            return Gap(entity=str(record["entity"]), relation=str(record["relation"]))
 
         gaps = self._parse_lines(raw, "gap", gap)
         if gaps:
@@ -378,13 +372,13 @@ class LiveOracle:
     def generate_answer(self, question: str, evidence: Sequence[Chunk]) -> str:
         passages = "\n\n".join(c.text for c in evidence) or "(none)"
         answer = self._complete(
-            self.config.model, ANSWER_PROMPT.format(question=question, passages=passages)
+            self.model, ANSWER_PROMPT.format(question=question, passages=passages)
         ).strip()
         return answer or ABSTAIN
 
     def judge_answer(self, question: str, gold: str, predicted: str) -> bool:
         raw = self._complete(
-            self.config.judge_model,
+            self.judge_model,
             JUDGE_PROMPT.format(question=question, gold=gold, predicted=predicted),
         )
         return raw.strip().lower().startswith("yes")
@@ -426,15 +420,14 @@ class LiveOracle:
         }
         body = post_json(
             self._session,
-            f"{self.config.url.rstrip('/')}/chat/completions",
+            f"{self.url}/chat/completions",
             payload,
-            key_env=self.config.key_env,
-            timeout=self.config.timeout,
-            max_attempts=self.config.max_attempts,
+            key_env=self.key_env,
+            timeout=COMPLETION_TIMEOUT_S,
             service="oracle endpoint",
         )
-        if self.config.log_path:  # before parsing, so a malformed completion is logged too
-            with Path(self.config.log_path).open("a", encoding="utf-8") as handle:
+        if self.log_path:  # before parsing, so a malformed completion is logged too
+            with Path(self.log_path).open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps({"request": payload, "response": body}) + "\n")
         try:
             content = body["choices"][0]["message"]["content"]

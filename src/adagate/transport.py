@@ -29,6 +29,7 @@ if TYPE_CHECKING:
     import requests
 
 RETRIABLE_STATUS = (429, 500, 502, 503)
+MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 0.5
 BACKOFF_CAP_S = 8.0
 RETRY_AFTER_MAX_S = 60.0
@@ -45,12 +46,12 @@ def post_json(
     *,
     key_env: str,
     timeout: float,
-    max_attempts: int,
     service: str,
 ) -> dict:
     """POST ``payload`` and return the decoded body of the first 200 response.
 
-    ``service`` names the remote end in error messages.
+    Makes at most ``MAX_ATTEMPTS`` attempts, each waiting up to ``timeout``
+    seconds. ``service`` names the remote end in error messages.
     """
     import requests
 
@@ -60,7 +61,7 @@ def post_json(
         headers["Authorization"] = f"Bearer {key}"
     last_error: Exception | None = None
     retry_after: str | None = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         if attempt > 1:
             _sleep(_retry_delay(attempt - 1, retry_after))
             retry_after = None
@@ -88,9 +89,9 @@ def post_json(
                 f"{service} returned a body that is not JSON: {exc}", retriable=False, attempts=attempt
             ) from exc
     raise TransportError(
-        f"{service} unreachable after {max_attempts} attempts: {last_error}",
+        f"{service} unreachable after {MAX_ATTEMPTS} attempts: {last_error}",
         retriable=True,
-        attempts=max_attempts,
+        attempts=MAX_ATTEMPTS,
     )
 
 

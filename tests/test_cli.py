@@ -390,11 +390,13 @@ def test_a_store_of_the_previous_schema_is_an_error_that_says_to_rebuild_it(tmp_
 def test_live_oracle_and_remote_embedder_defaults_come_from_their_classes():
     from adagate.cli import _make_embedder, _make_oracle
     from adagate.index import RemoteEmbedder
-    from adagate.oracle import LiveOracleConfig
+    from adagate.oracle import LiveOracle
 
     url = "http://svc/v1"
     oracle = _make_oracle("live", {"oracle": {"url": url}}, None)
-    assert oracle.config == LiveOracleConfig(url=url)
+    reference = LiveOracle(url, session=object())
+    settings = ("url", "model", "judge_model", "key_env", "log_path")
+    assert [getattr(oracle, name) for name in settings] == [getattr(reference, name) for name in settings]
     embedder = _make_embedder("remote", 64, {"index": {"remote": {"url": url}}})
     reference = RemoteEmbedder(url=url, dim=64, session=object())
     assert (embedder.key_env, embedder.model) == (reference.key_env, reference.model)
@@ -503,3 +505,69 @@ def test_run_decodes_only_its_namespace(tmp_path, capsys):
     assert main(run + ["clean", "--out", str(tmp_path / "clean.jsonl")]) == 1
     assert capsys.readouterr().err == "error: snapshot record 1: a coordinate repeats\n"
     assert not (tmp_path / "clean.jsonl").exists()
+
+
+def _fixture_with(tmp_path: Path, change) -> Path:
+    """A copy of the bundled fixture with ``change`` applied to its first record."""
+    lines = builtin_fixture_path().read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    change(first)
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_index_embeds_a_chunk_holding_a_lone_surrogate(tmp_path, capsys):
+    # json.loads reads the escape "\ud800" as a lone surrogate, which strict UTF-8 cannot encode.
+    data = _fixture_with(tmp_path, lambda record: record["context"][0][1].append("bad x\ud800y token."))
+    assert '"bad x\\ud800y token."' in data.read_text(encoding="utf-8")
+    chunks, store = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl"
+    assert main(["ingest", "--data", str(data), "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", DIM]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    from adagate.index import VectorIndex
+
+    chunk = VectorIndex.load(store).get_chunk("clean", "q000-p0")
+    assert chunk.body.endswith("bad x\ud800y token.")
+
+
+def test_run_writes_the_record_of_a_question_holding_a_lone_surrogate(tmp_path):
+    data = str(builtin_fixture_path())
+    chunks, store, out = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "r.jsonl"
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", DIM]) == 0
+    odd = _fixture_with(tmp_path, lambda record: record.update(question=record["question"] + " x\ud800y"))
+    assert main(["run", "--data", str(odd), "--store", str(store), "--budget", "140", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [record["example_id"] for record in records] == ["q000", "q001"]
+    assert all("error" not in record for record in records)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["perturb", "--dim", "256"], "--dim"),
+        (["perturb", "--namespace", "extra"], "--namespace"),
+        (["perturb", "--config", "CONFIG"], "--config"),
+        (["run", "--store", "STORE", "--log-oracle", "LOG"], "--log-oracle"),
+        (["run", "--store", "STORE", "--oracle", "rules", "--log-oracle", "LOG"], "--log-oracle"),
+    ],
+    ids=["perturb-dim", "perturb-namespace", "perturb-config", "run-log-oracle", "run-rules-log-oracle"],
+)
+def test_flag_without_effect_is_usage_error(tmp_path, capsys, argv, flag):
+    data = str(builtin_fixture_path())
+    chunks, store, config = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "config.json"
+    config.write_text("{}", encoding="utf-8")
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", DIM]) == 0
+    capsys.readouterr()
+    names = {"STORE": str(store), "CONFIG": str(config), "LOG": str(tmp_path / "oracle.log")}
+    rest = {
+        "perturb": ["--data", data, "--kind", "noise", "--out", str(tmp_path / "p.jsonl")],
+        "run": ["--data", data, "--out", str(tmp_path / "r.jsonl")],
+    }[argv[0]]
+    assert main([names.get(arg, arg) for arg in argv] + rest) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} ")
+    assert "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["chunks.jsonl", "config.json", "store.jsonl"]

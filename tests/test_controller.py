@@ -53,7 +53,7 @@ def test_two_hop_recovery_via_gap_query(oracle):
     for example in examples:
         bridge_title = next(t for t in example.gold_titles if t.endswith("record"))
         seed_hits = index.query_top_k("clean", example.question, 3)
-        seed_titles = {index.get_chunk("clean", h.chunk_id).title for h in seed_hits}
+        seed_titles = {index.get_chunk("clean", chunk_id).title for chunk_id, _ in seed_hits}
         assert bridge_title not in seed_titles  # bridge unreachable from the question
 
         trace = run_adagate(example, WORLD_CONFIG, index, oracle)

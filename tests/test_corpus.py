@@ -76,6 +76,31 @@ def test_gold_title_absent_from_context_is_validation_error(tmp_path):
         load_examples(path)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"question": "  "}, "record 0: example 'x': empty question"),
+        ({"supporting_facts": []}, "record 0: example 'x': no gold titles"),
+    ],
+)
+def test_empty_question_or_gold_titles_is_validation_error(tmp_path, change, message):
+    record = {"_id": "x", "question": "q", "answer": "a", "supporting_facts": [["T", 0]], "context": [["T", ["s."]]]}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({**record, **change}) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        load_examples(path)
+
+
+def test_sentences_that_are_not_a_list_are_a_parse_error(tmp_path):
+    record = {"_id": "x", "question": "q", "answer": "a", "supporting_facts": [["T", 0]]}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({**record, "context": [["T", "One sentence."]]}) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^record 0: the sentences of paragraph 'T' are not a list$"):
+        load_examples(path)
+    path.write_text(json.dumps({**record, "context": [["T", ["One sentence."]]]}) + "\n", encoding="utf-8")
+    assert chunk_corpus(load_examples(path))[0].body == "One sentence."
+
+
 def test_chunk_corpus_empty():
     assert chunk_corpus([]) == []
 

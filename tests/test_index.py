@@ -38,7 +38,7 @@ def reference_vector(text: str, dim: int) -> dict[int, float]:
         if not token:
             continue
         h = 0xCBF29CE484222325
-        for byte in token.encode("utf-8"):
+        for byte in token.encode("utf-8", "surrogatepass"):
             h ^= byte
             h = (h * 0x100000001B3) % (1 << 64)
         counts[h % dim] = counts.get(h % dim, 0.0) + 1.0
@@ -68,8 +68,9 @@ def test_embedder_matches_documented_hash_spec():
 
 
 # Unicode whitespace that str.split() and the regex \s both split on, edge
-# characters that lowercase or encode oddly, and plain token characters.
-_ODD_CHARS = "\x1c\x1d\x1e\x1f\x85\xa0\u3000 \t\nİßé€𝄞.,!?'-()\x00"
+# characters that lowercase or encode oddly (lone surrogates among them), and
+# plain token characters.
+_ODD_CHARS = "\x1c\x1d\x1e\x1f\x85\xa0\u3000 \t\nİßé€𝄞.,!?'-()\x00\ud800\udfff"
 _chars = st.one_of(st.characters(), st.sampled_from(_ODD_CHARS), st.sampled_from("abxyz019_ABZ"))
 _texts = st.one_of(
     st.text(_chars, max_size=60),
@@ -86,6 +87,7 @@ _DIMS = [1, 7, 64, 256, 1000, 2**20, 2**23, 2**24]
 @example(texts=["a" * 300 + " b\xa0c", "é" * 130, "", "..."], filler=40, repeat=True, dim=2**20)
 @example(texts=["The Quick, brown fox!"], filler=260, repeat=True, dim=1000)
 @example(texts=["x " * 31, "y " * 32], filler=0, repeat=False, dim=2**24)
+@example(texts=["x\ud800y " * 40, "\udfff"], filler=0, repeat=False, dim=2**20)  # lone surrogates
 def test_embed_batch_equals_spec_exactly(texts, filler, repeat, dim):
     batch = texts + [f"f{i} x{i % 7}y" for i in range(filler)]
     if repeat and batch:
@@ -140,10 +142,9 @@ def test_query_exact_text_scores_one():
     index = VectorIndex(HashingEmbedder(dim=512))
     chunks = [sized_chunk(f"c{i}", 15) for i in range(5)]
     index.upsert("clean", chunks)
-    hits = index.query_top_k("clean", chunks[2].text, 3)
-    assert hits[0].chunk_id == "c2"
-    assert hits[0].score == pytest.approx(1.0, abs=1e-9)
-    assert hits[0].namespace == "clean"
+    chunk_id, score = index.query_top_k("clean", chunks[2].text, 3)[0]
+    assert chunk_id == "c2"
+    assert score == pytest.approx(1.0, abs=1e-9)
 
 
 def test_top_k_matches_brute_force_scan():
@@ -154,7 +155,7 @@ def test_top_k_matches_brute_force_scan():
     for query in ("c0w1 c0w2", "title c3", "c4w0 c1w0 shared", "nothing matches here"):
         hits = index.query_top_k("ns", query, 3)
         expected = brute_force_top_k(embedder, chunks, query, 3)
-        assert [(h.chunk_id, h.score) for h in hits] == [
+        assert hits == [
             (cid, pytest.approx(score)) for cid, score in expected
         ]
 
@@ -168,8 +169,8 @@ def test_hits_sorted_by_score_then_id():
     twin_b = make_chunk("a-twin", "same text", "same words", "ex")
     index.upsert("ns", [twin_a, twin_b])
     hits = index.query_top_k("ns", "same words", 2)
-    assert [h.chunk_id for h in hits] == ["a-twin", "b-twin"]
-    assert hits[0].score == hits[1].score
+    assert [chunk_id for chunk_id, _ in hits] == ["a-twin", "b-twin"]
+    assert hits[0][1] == hits[1][1]
 
 
 def test_k_larger_than_index_returns_all_sorted():
@@ -178,7 +179,7 @@ def test_k_larger_than_index_returns_all_sorted():
     index.upsert("ns", chunks)
     hits = index.query_top_k("ns", chunks[0].text, 50)
     assert len(hits) == 3
-    scores = [h.score for h in hits]
+    scores = [score for _, score in hits]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -188,7 +189,7 @@ def test_namespaces_are_disjoint():
     index.upsert("b", [sized_chunk("c1", 10)])
     assert index.size("a") == 1
     assert index.size("b") == 1
-    assert [h.chunk_id for h in index.query_top_k("a", "anything", 5)] == ["c0"]
+    assert [chunk_id for chunk_id, _ in index.query_top_k("a", "anything", 5)] == ["c0"]
 
 
 def test_unknown_namespace_raises():
@@ -207,9 +208,7 @@ def test_snapshot_roundtrip(tmp_path):
     loaded = VectorIndex.load(path)
     assert loaded.namespaces() == ["clean", "noise"]
     for query in ("c0w0 c0w1", "title c5"):
-        original = [(h.chunk_id, h.score) for h in index.query_top_k("clean", query, 3)]
-        restored = [(h.chunk_id, h.score) for h in loaded.query_top_k("clean", query, 3)]
-        assert restored == original
+        assert loaded.query_top_k("clean", query, 3) == index.query_top_k("clean", query, 3)
     assert loaded.get_chunk("noise", "c5") == chunks[5]
 
 
@@ -333,6 +332,22 @@ def test_snapshot_schema_and_dim_checks(tmp_path):
         VectorIndex.load(path, embedder=RemoteEmbedder(url="http://svc", dim=64, session=FakeSession([])))
 
 
+def test_remote_snapshot_needs_its_embedder(tmp_path):
+    path = tmp_path / "store.jsonl"
+    index = VectorIndex(RemoteEmbedder(url="http://svc", dim=6, session=_TinyEmbeddingSession()))
+    index.upsert("ns", [sized_chunk("a", 4)])
+    index.save(path)
+    with pytest.raises(SchemaError, match="remote embedder; pass the matching embedder explicitly"):
+        VectorIndex.load(path)
+
+
+def test_get_entry_of_an_id_the_namespace_lacks_is_an_unknown_namespace_error():
+    index = VectorIndex(HashingEmbedder(dim=64))
+    index.upsert("ns", [sized_chunk("a", 4)])
+    with pytest.raises(UnknownNamespaceError, match="^chunk 'b' not in namespace 'ns'$"):
+        index.get_entry("ns", "b")
+
+
 def test_snapshot_read_errors_keep_their_classes(tmp_path):
     path = tmp_path / "store.jsonl"
     for text in ("", "\n", "[1]\n"):  # no header, or one that is not an object
@@ -380,11 +395,29 @@ def test_remote_embedder_normalizes_and_caches():
 
 def test_remote_embedder_retries_then_surfaces_transport_error():
     session = FakeSession([FakeResponse(503), FakeResponse(503), FakeResponse(503)])
-    embedder = RemoteEmbedder(url="http://svc", dim=2, session=session, max_attempts=3)
+    embedder = RemoteEmbedder(url="http://svc", dim=2, session=session)
     with pytest.raises(TransportError) as exc:
         embedder.embed_one("x")
     assert exc.value.retriable
     assert exc.value.attempts == 3
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({"data": [{"vector": [1.0, 2.0]}]}, "malformed embedding response"),
+        ({"embeddings": []}, "malformed embedding response"),
+        ({"data": [{"embedding": [1.0, 2.0]}]}, "returned 1 embeddings for 2 inputs"),
+    ],
+    ids=["no-embedding", "no-data", "too-few"],
+)
+def test_remote_embedder_rejects_a_malformed_body_without_retrying(body, message):
+    session = FakeSession([FakeResponse(200, body), FakeResponse(200, body)])
+    embedder = RemoteEmbedder(url="http://svc", dim=2, session=session)
+    with pytest.raises(TransportError, match=message) as exc:
+        embedder.embed(["x", "y"])
+    assert not exc.value.retriable
+    assert len(session.calls) == 1
 
 
 def test_remote_embedder_rejects_wrong_dim():
@@ -399,10 +432,6 @@ def test_remote_embedder_rejects_wrong_dim():
 _VOCAB = ["alpha", "beta", "gamma", "delta", "born", "in", "the", "city", "x1", "x2", "x3", "x4"]
 _words = st.lists(st.sampled_from(_VOCAB), max_size=6).map(" ".join)
 _query_words = st.lists(st.sampled_from(_VOCAB + ["unseen", "nowhere"]), max_size=6).map(" ".join)
-
-
-def _hits(index: VectorIndex, namespace: str, query: str, k: int) -> list[tuple[str, float]]:
-    return [(h.chunk_id, h.score) for h in index.query_top_k(namespace, query, k)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -426,13 +455,13 @@ def test_query_top_k_equals_brute_force_exactly(bodies, order, queries, dim, k, 
     # A chunk's own text can sum past 1.0 by rounding, so the clamp matters.
     queries = queries + ["", chunks[0].text]
     for query in queries:
-        assert _hits(index, "ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
+        assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
     # Re-upserting an id with new text must drop the postings built above.
     j = replaced % len(chunks)
     chunks[j] = make_chunk(chunks[j].chunk_id, "page", new_body + " fresh words", "ex")
     index.upsert("ns", [chunks[j]])
     for query in queries + ["fresh"]:
-        assert _hits(index, "ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
+        assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
 
 
 def test_loaded_snapshot_matches_brute_force_exactly():
@@ -445,8 +474,8 @@ def test_loaded_snapshot_matches_brute_force_exactly():
     for query in queries:
         for k in (1, 3, 20):
             expected = brute_force_top_k(loaded.embedder, chunks, query, k)
-            assert _hits(loaded, "clean", query, k) == expected
-            assert _hits(index, "clean", query, k) == expected
+            assert loaded.query_top_k("clean", query, k) == expected
+            assert index.query_top_k("clean", query, k) == expected
 
 
 class _SignedEmbeddingSession:
@@ -470,8 +499,8 @@ def test_remote_index_keeps_exact_scan_with_negative_components():
     index.upsert("ns", chunks)
     for query in ("c0w1", "title c3 c5w2", "something else", ""):
         expected = brute_force_top_k(embedder, chunks, query, len(chunks))
-        assert _hits(index, "ns", query, len(chunks)) == expected
-        assert _hits(index, "ns", query, 3) == expected[:3]
+        assert index.query_top_k("ns", query, len(chunks)) == expected
+        assert index.query_top_k("ns", query, 3) == expected[:3]
     # The zero-vector chunk outranks every negative score, which a postings
     # walk that appends untouched chunks last would get wrong.
     ranked = brute_force_top_k(embedder, chunks, "c0w1", len(chunks))
@@ -505,7 +534,7 @@ def test_queries_racing_upserts_see_one_consistent_namespace():
         try:
             for _ in range(100):
                 for q in queries:
-                    hits = tuple(_hits(index, "ns", q, 3))
+                    hits = tuple(index.query_top_k("ns", q, 3))
                     if hits not in allowed[q]:
                         raise AssertionError(f"{q!r} saw a mixed namespace: {hits}")
         except Exception as exc:  # reported to the main thread below
@@ -560,7 +589,7 @@ def test_dense_queries_racing_upserts_of_new_ids_see_one_consistent_namespace():
             reading.wait()
             while not written.is_set():
                 for q in queries:
-                    hits = tuple(_hits(index, "ns", q, 5))
+                    hits = tuple(index.query_top_k("ns", q, 5))
                     if hits not in allowed[q]:
                         raise AssertionError(f"{q!r} saw a mixed namespace: {hits}")
         except Exception as exc:  # reported to the main thread below
@@ -609,7 +638,7 @@ def test_postings_are_built_from_the_namespace_current_under_the_lock():
     index.upsert("ns", old)
     index._lock = _UpsertFirst(index._lock, lambda: index.upsert("ns", new))
     index.query_top_k("ns", "fresh c3w5", 3)
-    assert _hits(index, "ns", "fresh c3w5", 3) == brute_force_top_k(embedder, new, "fresh c3w5", 3)
+    assert index.query_top_k("ns", "fresh c3w5", 3) == brute_force_top_k(embedder, new, "fresh c3w5", 3)
 
 
 # Coordinates up to 2**20 make a set's iteration order differ from ascending
@@ -654,9 +683,9 @@ def test_query_touching_one_of_many_chunks_fills_from_the_smallest_untouched_ids
     expected = brute_force_top_k(embedder, chunks, "c0001w1", 3)
     assert [chunk_id for chunk_id, _ in expected] == ["c0001", "c0000", "c0002"]
     assert expected[0][1] > 0.0 and expected[1][1] == expected[2][1] == 0.0
-    assert _hits(index, "ns", "c0001w0", 3)[0][0] == "c0001"  # builds the postings
+    assert index.query_top_k("ns", "c0001w0", 3)[0][0] == "c0001"  # builds the postings
     _CountedId.comparisons = 0
-    assert _hits(index, "ns", "c0001w1", 3) == expected
+    assert index.query_top_k("ns", "c0001w1", 3) == expected
     # The zero-score places cost the chunks the query touched, not a pass over all ids.
     assert _CountedId.comparisons < 10
 
@@ -678,7 +707,7 @@ def test_query_top_k_equals_brute_force_in_small_colliding_namespaces(bodies, or
     index = VectorIndex(embedder)
     index.upsert("ns", chunks)
     for query in queries + ["", " ".join(_VOCAB), chunks[0].text]:
-        assert _hits(index, "ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
+        assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
 
 
 def test_postings_of_a_large_namespace_take_under_half_a_coordinate_map():

@@ -12,7 +12,6 @@ from adagate.oracle import (
     Gap,
     Ledger,
     LiveOracle,
-    LiveOracleConfig,
     RuleBasedOracle,
     SufficiencyVerdict,
     fallback_queries,
@@ -209,7 +208,7 @@ def test_novelty_fraction(oracle):
 
 
 def test_live_novelty_counts_capitalised_tokens_the_ledger_does_not_name():
-    live = LiveOracle(LiveOracleConfig(url="http://svc/v1"), session=FakeSession([]))
+    live = LiveOracle("http://svc/v1", session=FakeSession([]))
     chunk = make_chunk("c0", "t", "Paris hosts the Louvre, near Seine.", "ex")
     ledger = Ledger([Fact("Louvre museum", "in", "Paris", 1.0, "c9")])
     assert live.novelty(chunk, Ledger()) == 1.0
@@ -229,7 +228,7 @@ class _FakeResponse:
 
 
 def _live(responses) -> LiveOracle:
-    return LiveOracle(LiveOracleConfig(url="http://svc/v1"), session=FakeSession(responses))
+    return LiveOracle("http://svc/v1", session=FakeSession(responses))
 
 
 def test_live_oracle_parses_fact_lines():
@@ -310,7 +309,7 @@ def test_trace_carries_only_its_own_runs_warnings(fixture_examples, fixture_inde
 
     malformed = FakeResponse(200, {"choices": []})
     clean = FakeResponse(200, {"choices": [{"message": {"content": "Paris"}}]})
-    live = LiveOracle(LiveOracleConfig(url="http://svc/v1"), session=FakeSession([malformed, clean]))
+    live = LiveOracle("http://svc/v1", session=FakeSession([malformed, clean]))
     config = ControllerConfig(mode="basic", k=2)
     first = run_example(fixture_examples[0], config, fixture_index, live)
     second = run_example(fixture_examples[1], config, fixture_index, live)
@@ -321,8 +320,7 @@ def test_trace_carries_only_its_own_runs_warnings(fixture_examples, fixture_inde
 
 def test_malformed_completion_is_logged(tmp_path):
     log = tmp_path / "oracle.jsonl"
-    config = LiveOracleConfig(url="http://svc/v1", log_path=str(log))
-    live = LiveOracle(config, session=FakeSession([FakeResponse(200, {"choices": []})]))
+    live = LiveOracle("http://svc/v1", log_path=str(log), session=FakeSession([FakeResponse(200, {"choices": []})]))
     assert live.generate_answer("q", []) == ABSTAIN
     entries = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(entries) == 1

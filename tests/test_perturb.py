@@ -11,6 +11,7 @@ from adagate.errors import ValidationError
 from adagate.index import HashingEmbedder, cosine
 from adagate.perturb import (
     _DISTORT_OPS,
+    _VARIANT_OPS,
     DISTORTION_WEIGHTS,
     DISTORTIONS,
     PerturbConfig,
@@ -19,6 +20,7 @@ from adagate.perturb import (
     inject_redundancy,
     load_synonym_table,
 )
+from adagate.oracle import FACT_PATTERN
 from adagate.synthetic import WorldSpec, generate_world
 
 
@@ -190,6 +192,19 @@ def test_subset_variant_keeps_sentence_subset(fixture_examples, fixture_chunks):
         source = originals[variant.chunk_id.rsplit("-r", 1)[0]]
         assert len(sentences(variant.body)) < len(sentences(source.body))
         assert sentences(variant.body) <= sentences(source.body)
+
+
+def test_reorder_and_subset_keep_sentence_ends_inside_brackets():
+    # Only ".", "!" or "?" outside brackets ends a sentence, as for the oracle.
+    body = "The town ENT[St. Ives] REL[county] VAL[Cornwall]. It is by the sea. Many visit."
+    facts = FACT_PATTERN.findall(body)
+    for seed in range(6):
+        reordered = _VARIANT_OPS["reorder"](body, random.Random(seed))
+        assert FACT_PATTERN.findall(reordered) == facts
+        subset = _VARIANT_OPS["subset"](body, random.Random(seed))
+        kept = FACT_PATTERN.findall(subset)
+        assert kept in ([], facts)
+        assert subset.count("[") == subset.count("]") == 3 * len(kept)  # no fact cut apart
 
 
 def test_gold_titles_of_examples_never_touched(fixture_examples, fixture_chunks):

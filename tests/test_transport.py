@@ -12,16 +12,8 @@ from adagate.transport import post_json
 from helpers import FakeResponse, FakeSession
 
 
-def _post(session: FakeSession, max_attempts: int = 3) -> dict:
-    return post_json(
-        session,
-        "http://svc/x",
-        {"q": 1},
-        key_env="ADAGATE_TEST_KEY",
-        timeout=1.0,
-        max_attempts=max_attempts,
-        service="test service",
-    )
+def _post(session: FakeSession) -> dict:
+    return post_json(session, "http://svc/x", {"q": 1}, key_env="ADAGATE_TEST_KEY", timeout=1.0, service="test service")
 
 
 def test_non_retriable_status_fails_after_one_request(retry_sleeps):
@@ -43,8 +35,9 @@ def test_connection_error_is_retried(retry_sleeps):
 
 def test_retries_back_off_exponentially_with_full_jitter(monkeypatch, retry_sleeps):
     monkeypatch.setattr(transport, "_random", lambda: 0.5)
+    monkeypatch.setattr(transport, "MAX_ATTEMPTS", 7)
     with pytest.raises(TransportError) as exc:
-        _post(FakeSession([FakeResponse(503)] * 7), max_attempts=7)
+        _post(FakeSession([FakeResponse(503)] * 7))
     assert exc.value.attempts == 7
     # Half of 0.5 s doubling per failed attempt, capped at 8 s; no wait after the last attempt.
     assert retry_sleeps == [0.25, 0.5, 1.0, 2.0, 4.0, 4.0]
@@ -53,14 +46,16 @@ def test_retries_back_off_exponentially_with_full_jitter(monkeypatch, retry_slee
 def test_backoff_is_drawn_uniformly_below_its_ceiling(monkeypatch, retry_sleeps):
     draws = random.Random(5)
     monkeypatch.setattr(transport, "_random", draws.random)
+    monkeypatch.setattr(transport, "MAX_ATTEMPTS", 6)
     with pytest.raises(TransportError):
-        _post(FakeSession([requests.ConnectionError("reset")] * 6), max_attempts=6)
+        _post(FakeSession([requests.ConnectionError("reset")] * 6))
     expected = random.Random(5)
     assert retry_sleeps == [expected.random() * ceiling for ceiling in (0.5, 1.0, 2.0, 4.0, 8.0)]
 
 
 def test_retry_after_in_seconds_takes_precedence(monkeypatch, retry_sleeps):
     monkeypatch.setattr(transport, "_random", lambda: 1.0)
+    monkeypatch.setattr(transport, "MAX_ATTEMPTS", 5)
     session = FakeSession(
         [
             FakeResponse(429, headers={"Retry-After": "3"}),
@@ -70,7 +65,7 @@ def test_retry_after_in_seconds_takes_precedence(monkeypatch, retry_sleeps):
             FakeResponse(200, {"ok": True}),
         ]
     )
-    assert _post(session, max_attempts=5) == {"ok": True}
+    assert _post(session) == {"ok": True}
     # Seconds are honoured up to a cap; a date, or no response at all, falls back to backoff.
     assert retry_sleeps == [3.0, 1.0, 60.0, 4.0]
 
