@@ -42,15 +42,33 @@ class UsageError(Exception):
 
 
 def _checked(build, *args, **kwargs):
-    """Build a parameter object, reporting a value it rejects as a usage error.
-
-    A config-file value of the wrong type (``null``, a list) raises TypeError
-    in its conversion, so that is a usage error too.
-    """
+    """Build a parameter object, reporting a value it rejects as a usage error."""
     try:
         return build(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+# Every key the config file may hold: where the remote backends are and which
+# credentials they use. A None leaf is a string; experiment settings are flags.
+CONFIG_KEYS = {
+    "index": {"remote": {"url": None, "key_env": None, "model": None}},
+    "oracle": {"url": None, "model": None, "judge_model": None, "key_env": None},
+}
+
+
+def _check_config(node: dict, keys: dict, prefix: str = "") -> None:
+    """Reject a key missing from ``keys``, a section that is not an object and a value that is not a string."""
+    for key, value in node.items():
+        name = prefix + key
+        if key not in keys:
+            raise UsageError(f"--config holds unknown key {name!r}")
+        section = keys[key]
+        if not isinstance(value, str if section is None else dict):
+            kind = "a string" if section is None else "an object"
+            raise UsageError(f"--config {name} must be {kind}, not {json.dumps(value)}")
+        if section is not None:
+            _check_config(value, section, name + ".")
 
 
 def _load_config(path: str | None) -> dict:
@@ -63,61 +81,35 @@ def _load_config(path: str | None) -> dict:
             raise UsageError(f"--config {path} is not JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"--config {path} holds a JSON {type(config).__name__}, not an object")
+    _check_config(config, CONFIG_KEYS)
     return config
 
 
-def _cfg(config: dict, dotted: str, default):
-    node = config
-    for key in dotted.split("."):
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
-
-
-def _cfg_set(config: dict, dotted: str, names: tuple[str, ...]) -> dict:
-    """The keys among ``names`` that the config file sets under ``dotted``; defaults stay the callee's."""
-    node = _cfg(config, dotted, {})
-    return {name: node[name] for name in names if isinstance(node, dict) and name in node}
-
-
-def _parse_weights(text: str | None, config: dict) -> UtilityWeights:
-    names = [f.name for f in fields(UtilityWeights)]
-    if text:
-        values = text.split(",")
-        if len(values) != len(names):
-            raise UsageError("--weights needs five comma-separated values")
-    else:
-        values = [_cfg(config, f"weights.{name}", getattr(DEFAULT_WEIGHTS, name)) for name in names]
-    return _checked(lambda: UtilityWeights(*(float(v) for v in values)))
-
-
-def _resolve_embedder_kind(flag_value: str | None, config: dict) -> str:
-    if flag_value:
-        return flag_value
-    backend = _cfg(config, "index.backend", "memory")
-    kinds = {"memory": "hash", "remote": "remote"}
-    if not isinstance(backend, str) or backend not in kinds:
-        raise UsageError(f"index.backend must be 'memory' or 'remote', not {backend!r}")
-    return kinds[backend]
+def _parse_weights(text: str | None) -> UtilityWeights:
+    if text is None:
+        return DEFAULT_WEIGHTS
+    values = text.split(",")
+    if len(values) != len(fields(UtilityWeights)):
+        raise UsageError("--weights needs five comma-separated values")
+    return _checked(lambda: UtilityWeights(*map(float, values)))
 
 
 def _make_embedder(kind: str, dim: int, config: dict):
     if kind == "hash":
         return _checked(HashingEmbedder, dim=dim)
-    url = _cfg(config, "index.remote.url", None)
-    if not url:
+    settings = config.get("index", {}).get("remote", {})
+    if not settings.get("url"):
         raise AdagateError("remote embedder requires index.remote.url in the config file")
-    return _checked(RemoteEmbedder, url=url, dim=dim, **_cfg_set(config, "index.remote", ("key_env", "model")))
+    return _checked(RemoteEmbedder, dim=dim, **settings)
 
 
 def _make_oracle(kind: str, config: dict, log_path: str | None):
     if kind == "rules":
         return RuleBasedOracle()
-    url = _cfg(config, "oracle.url", None)
-    if not url:
+    settings = config.get("oracle", {})
+    if not settings.get("url"):
         raise AdagateError("live oracle requires oracle.url in the config file")
-    return LiveOracle(url, log_path=log_path, **_cfg_set(config, "oracle", ("model", "judge_model", "key_env")))
+    return LiveOracle(log_path=log_path, **settings)
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -149,15 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = sub.add_parser("ingest", help="load examples and write chunk records")
     p_ingest.add_argument("--data", required=True, help="line-delimited examples file")
     p_ingest.add_argument("--out", required=True, help="output chunk file")
-    p_ingest.add_argument("--limit", type=int, default=None)
+    p_ingest.add_argument("--limit", type=int, default=None, help="load only the first N examples")
 
     p_index = sub.add_parser("index", help="embed chunks and upsert into a snapshot namespace")
     p_index.add_argument("--chunks", required=True)
     p_index.add_argument("--store", required=True, help="index snapshot file (created if absent)")
     p_index.add_argument("--namespace", required=True)
-    p_index.add_argument("--dim", type=int, default=None)
-    p_index.add_argument("--embedder", choices=("hash", "remote"), default=None)
-    p_index.add_argument("--config", default=None)
+    p_index.add_argument("--dim", type=int, default=None, help=f"for a new store (default {DEFAULT_DIM})")
+    p_index.add_argument("--embedder", choices=("hash", "remote"), default=None, help="for a new store (default hash)")
+    p_index.add_argument("--config", default=None, help="JSON file with the remote endpoints")
 
     p_perturb = sub.add_parser("perturb", help="build a noise or redundancy namespace")
     p_perturb.add_argument("--data", required=True)
@@ -168,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_perturb.add_argument("--out", required=True, help="output chunk file")
     p_perturb.add_argument("--store", default=None, help="snapshot to upsert into")
     p_perturb.add_argument("--namespace", default=None, help="defaults to the kind")
-    p_perturb.add_argument("--dim", type=int, default=None)
-    p_perturb.add_argument("--config", default=None)
+    p_perturb.add_argument("--dim", type=int, default=None, help=f"for a new store (default {DEFAULT_DIM})")
+    p_perturb.add_argument("--config", default=None, help="JSON file with the remote endpoints")
 
     p_run = sub.add_parser("run", help="run a controller over a namespace")
     p_run.add_argument("--data", required=True, help="examples file with questions and golds")
@@ -180,12 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--L", dest="max_iterations", type=int, default=defaults.max_iterations, help="repair iterations")
     p_run.add_argument("--k", type=int, default=defaults.k, help="retrieval depth per query")
     p_run.add_argument(
-        "--budget", "--B", dest="budget", type=int, default=None, help=f"token budget (default {defaults.budget})"
+        "--budget", "--B", dest="budget", type=int, default=defaults.budget, help="token budget (default %(default)s)"
     )
-    p_run.add_argument("--buffer", type=int, default=None, help=f"capacity buffer (default {defaults.buffer})")
+    p_run.add_argument("--buffer", type=int, default=defaults.buffer, help="capacity buffer (default %(default)s)")
     p_run.add_argument("--weights", default=None, help="five comma-separated lambda values")
     p_run.add_argument("--oracle", choices=("rules", "live"), default="rules")
-    p_run.add_argument("--embedder", choices=("hash", "remote"), default=None)
+    p_run.add_argument("--embedder", choices=("hash", "remote"), default=None, help="must match the store's")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
         "--jobs",
@@ -193,10 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker threads; they speed up only I/O-bound runs (--oracle live or a remote embedder)",
     )
-    p_run.add_argument("--limit", type=int, default=None)
+    p_run.add_argument("--limit", type=int, default=None, help="run only the first N examples")
     p_run.add_argument("--trace", choices=("summary", "full"), default="summary")
     p_run.add_argument("--log-oracle", dest="log_oracle", default=None)
-    p_run.add_argument("--config", default=None)
+    p_run.add_argument("--config", default=None, help="JSON file with the remote endpoints")
     p_run.add_argument("--out", required=True)
 
     p_report = sub.add_parser("report", help="aggregate results into a table and CSV")
@@ -207,7 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 1:
+        raise UsageError("--limit must be >= 1")
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    _check_limit(args.limit)
     examples = load_examples(args.data, limit=args.limit)
     chunks = chunk_corpus(examples)
     write_chunks(args.out, chunks)
@@ -216,33 +214,29 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _open_store(
-    store: str, dim: int | None, embedder_kind: str, config: dict, namespace: str | None = None
+    store: str, dim: int | None, embedder_kind: str | None, config: dict, namespace: str | None = None
 ) -> VectorIndex:
-    """Load the snapshot at ``store``, or start an empty index when there is none.
+    """Load the snapshot at ``store``, or start an empty index from the flags when there is none.
 
-    The dim is the ``--dim`` flag's, else the config file's ``index.dim``;
-    an existing store whose dim differs from it is a usage error. With
-    ``namespace``, only that namespace is loaded, and a store without it is
-    an error; a command that saves the store back loads all of it.
+    An existing store decides its dim and embedder; a flag that differs is a
+    usage error. With ``namespace``, only that namespace is loaded, and a
+    store without it is an error; a command that saves the store back loads all of it.
     """
     path = Path(store)
-    given = "--dim"
-    if dim is None and "dim" in _cfg_set(config, "index", ("dim",)):
-        dim, given = _checked(int, config["index"]["dim"]), "config index.dim"
     if not path.exists():
-        return VectorIndex(_make_embedder(embedder_kind, DEFAULT_DIM if dim is None else dim, config))
-    stored_dim, _, records = read_snapshot(path)
+        return VectorIndex(_make_embedder(embedder_kind or "hash", DEFAULT_DIM if dim is None else dim, config))
+    stored_dim, stored_kind, records = read_snapshot(path)
     records.close()
-    if dim is not None and dim != stored_dim:
-        raise UsageError(f"{given} {dim} does not match the dim {stored_dim} of store {store}")
-    embedder = _make_embedder("remote", stored_dim, config) if embedder_kind == "remote" else None
+    for flag, given, stored in (("--dim", dim, stored_dim), ("--embedder", embedder_kind, stored_kind)):
+        if given is not None and given != stored:
+            raise UsageError(f"{flag} {given} does not match the {flag[2:]} {stored} of store {store}")
+    embedder = _make_embedder("remote", stored_dim, config) if stored_kind == "remote" else None
     return VectorIndex.load(path, embedder=embedder, namespace=namespace)
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    kind = _resolve_embedder_kind(args.embedder, config)
-    index = _open_store(args.store, args.dim, kind, config)
+    index = _open_store(args.store, args.dim, args.embedder, config)
     chunks = read_chunks(args.chunks)
     n = index.upsert(args.namespace, chunks)
     index.save(args.store)
@@ -259,7 +253,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     chunks = chunk_corpus(examples)
     perturb_config = _checked(PerturbConfig, kind=args.kind, rho=args.rho, seed=args.seed, variant_cap=args.cap)
     # The store is checked before --out is written.
-    index = _open_store(args.store, args.dim, _resolve_embedder_kind(None, config), config) if args.store else None
+    index = _open_store(args.store, args.dim, None, config) if args.store else None
     if args.kind == KIND_NOISE:
         perturbed = inject_noise(examples, chunks, perturb_config)
     else:
@@ -279,26 +273,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.jobs < 1:
         raise UsageError("--jobs must be >= 1")
+    _check_limit(args.limit)
     if args.log_oracle is not None and args.oracle != "live":
         raise UsageError("--log-oracle logs the requests of --oracle live only")
-    defaults = ControllerConfig
     controller_config = _checked(
-        lambda: ControllerConfig(
-            mode=args.mode,
-            max_iterations=args.max_iterations,
-            k=args.k,
-            budget=args.budget if args.budget is not None else int(_cfg(config, "controller.budget", defaults.budget)),
-            buffer=args.buffer if args.buffer is not None else int(_cfg(config, "controller.buffer", defaults.buffer)),
-            weights=_parse_weights(args.weights, config),
-            namespace=args.namespace,
-            adaptive_pool=int(_cfg(config, "adaptive_k.pool", defaults.adaptive_pool)),
-            dedup_threshold=float(_cfg(config, "controller.dedup_threshold", defaults.dedup_threshold)),
-        )
+        ControllerConfig,
+        mode=args.mode,
+        max_iterations=args.max_iterations,
+        k=args.k,
+        budget=args.budget,
+        buffer=args.buffer,
+        weights=_parse_weights(args.weights),
+        namespace=args.namespace,
     )
-    kind = _resolve_embedder_kind(args.embedder, config)
     if not Path(args.store).exists():
         raise AdagateError(f"store {args.store} does not exist")
-    index = _open_store(args.store, None, kind, config, namespace=args.namespace)
+    index = _open_store(args.store, None, args.embedder, config, namespace=args.namespace)
     examples = load_examples(args.data, limit=args.limit)
 
     def process(example):

@@ -54,6 +54,9 @@ CHANNEL_SEED = "seed"
 CHANNEL_GAP = "gap"
 CHANNEL_FALLBACK = "fallback"
 
+ADAPTIVE_POOL = 20  # retrieval depth that the adaptive_k baseline cuts
+DEDUP_THRESHOLD = 0.95  # cosine at or above which a candidate is a near-duplicate
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -64,8 +67,6 @@ class ControllerConfig:
     buffer: int = 2
     weights: UtilityWeights = DEFAULT_WEIGHTS
     namespace: str = "clean"
-    adaptive_pool: int = 20
-    dedup_threshold: float = 0.95
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -78,8 +79,6 @@ class ControllerConfig:
             raise ValueError("budget must be positive")
         if self.buffer < 0:
             raise ValueError("buffer must be non-negative")
-        if self.adaptive_pool < 1:
-            raise ValueError("adaptive_pool must be >= 1")
 
 
 @dataclass
@@ -188,20 +187,19 @@ def _assemble_candidates(
     hits: Iterable[tuple[str, float]],
     memo: _RunMemo,
     evidence: Sequence[Chunk],
-    threshold: float,
 ) -> list[Chunk]:
     """Deduplicate retrieved ``(chunk_id, score)`` hits into a candidate list.
 
     Drops ids already selected or already kept, and suppresses near
     duplicates: any candidate whose cosine against a selected passage or an
-    earlier-kept candidate reaches ``threshold``. Hits are processed in the
+    earlier-kept candidate reaches ``DEDUP_THRESHOLD``. Hits are processed in the
     order given (channel, query, then retrieval rank), so the assembly is
     deterministic.
     """
     others = [c.chunk_id for c in evidence]
     kept: list[Chunk] = []
     for chunk_id, _ in hits:
-        if chunk_id in others or any(memo.chunk_sim(chunk_id, other) >= threshold for other in others):
+        if chunk_id in others or any(memo.chunk_sim(chunk_id, other) >= DEDUP_THRESHOLD for other in others):
             continue
         kept.append(memo.chunk(chunk_id))
         others.append(chunk_id)
@@ -256,9 +254,7 @@ def run_adagate(
 
         record.queries = queries
         record.hits = {ch: [h for q in qs for h in memo.hits(q)] for ch, qs in queries.items()}
-        candidates = _assemble_candidates(
-            chain.from_iterable(record.hits.values()), memo, state.selected, config.dedup_threshold
-        )
+        candidates = _assemble_candidates(chain.from_iterable(record.hits.values()), memo, state.selected)
         scored = [(c, score(c, state.selected)) for c in candidates]
         record.scores = {c.chunk_id: tb for c, tb in sorted(scored, key=lambda pair: pair[0].chunk_id)}
         rescored: list[float] = []
@@ -301,7 +297,7 @@ def run_baseline(
 
     if config.mode not in (MODE_BASIC, MODE_ADAPTIVE_K, MODE_SEAL_STYLE):
         raise ValueError(f"mode {config.mode!r} is not a baseline")
-    depth = config.adaptive_pool if config.mode == MODE_ADAPTIVE_K else config.k
+    depth = ADAPTIVE_POOL if config.mode == MODE_ADAPTIVE_K else config.k
     hits = index.query_top_k(config.namespace, question, depth)
     if config.mode == MODE_ADAPTIVE_K:
         hits = hits[: adaptive_cut([score for _, score in hits])]

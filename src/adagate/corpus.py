@@ -173,8 +173,12 @@ def _example_from_record(record: dict, index: int) -> Example:
     for field in ("_id", "question", "answer", "supporting_facts", "context"):
         if field not in record:
             raise ParseError(f"record {index}: missing field {field!r}")
+    facts = record["supporting_facts"]
+    if type(facts) is not list or any(type(fact) is not list for fact in facts):
+        # A string fact would unpack character by character: "T0" as the title "T".
+        raise ParseError(f"record {index}: supporting_facts must be a list of [title, sentence_idx] lists")
     try:
-        gold_titles = frozenset(str(title) for title, _ in record["supporting_facts"])
+        gold_titles = frozenset(str(title) for title, _ in facts)
         context = [(str(title), sentences) for title, sentences in record["context"]]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"record {index}: malformed context or supporting_facts ({exc})") from exc
@@ -216,19 +220,22 @@ def chunk_to_record(chunk: Chunk) -> dict:
 
 
 def chunk_from_record(record: dict) -> Chunk:
+    """The chunk of a chunk-file line or snapshot record: five strings and ``token_len``, else ParseError.
+
+    ``token_len`` must be the integer token count of the text, so a record cannot understate its cost.
+    """
     try:
-        return Chunk(
-            chunk_id=str(record["chunk_id"]),
-            title=str(record["title"]),
-            body=str(record["body"]),
-            token_len=int(record["token_len"]),
-            source_example=str(record["source_example"]),
-            provenance=str(record["provenance"]),
-        )
+        texts = {name: record[name] for name in ("chunk_id", "title", "body", "source_example", "provenance")}
+        token_len = record["token_len"]
     except KeyError as exc:
         raise ParseError(f"chunk record missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"chunk record has a malformed field: {exc}") from exc
+    for name, value in texts.items():
+        if type(value) is not str:
+            raise ParseError(f"chunk record field {name!r} must be a string, not {json.dumps(value)}")
+    chunk = make_chunk(**texts)
+    if type(token_len) is not int or token_len != chunk.token_len:
+        raise ParseError(f"chunk {chunk.chunk_id!r}: token_len {json.dumps(token_len)}, not {chunk.token_len}")
+    return chunk
 
 
 def write_chunks(path: str | Path, chunks: Iterable[Chunk]) -> None:

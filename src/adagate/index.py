@@ -527,7 +527,7 @@ class VectorIndex:
         return index
 
 
-def read_snapshot(path: str | Path) -> tuple[int, object, Iterator[tuple[int, dict]]]:
+def read_snapshot(path: str | Path) -> tuple[int, str, Iterator[tuple[int, dict]]]:
     """A snapshot's checked dim and embedder backend, then its ``json_lines`` records from 1.
 
     The records' iterator holds the file open until it is read to the end or closed.
@@ -545,10 +545,13 @@ def read_snapshot(path: str | Path) -> tuple[int, object, Iterator[tuple[int, di
         dim = header.get("dim")
         if type(dim) is not int or not 0 < dim <= MAX_DIM:
             raise SchemaError(f"snapshot dim must be an integer between 1 and 2**32, not {dim!r}")
+        backend = header.get("embedder")
+        if backend not in (HashingEmbedder.backend, RemoteEmbedder.backend):
+            raise SchemaError(f"snapshot embedder must be 'hash' or 'remote', not {backend!r}")
     except BaseException:
         records.close()
         raise
-    return dim, header.get("embedder"), records
+    return dim, backend, records
 
 
 def _pack(typecode: str, values) -> str:

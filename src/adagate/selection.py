@@ -26,8 +26,8 @@ class EvidenceState:
     empty and no selection ran.
     """
 
+    budget: int
     selected: list[Chunk] = field(default_factory=list)
-    budget: int = 3000
     used_tokens: int = 0
     k_eff: int = 0
 

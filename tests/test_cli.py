@@ -68,17 +68,12 @@ def test_run_writes_manifest_with_corpus_hash(tmp_path):
 def test_run_manifest_records_the_resolved_settings_and_the_store(tmp_path):
     data = str(builtin_fixture_path())
     chunks, store, out = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "r.jsonl"
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"controller": {"dedup_threshold": 0.5, "budget": 200}, "adaptive_k": {"pool": 5}}),
-        encoding="utf-8",
-    )
     assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
     assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "256"]) == 0
-    assert main(["run", "--data", data, "--store", str(store), "--config", str(config), "--out", str(out)]) == 0
+    assert main(["run", "--data", data, "--store", str(store), "--budget", "200", "--out", str(out)]) == 0
     recorded = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))["config"]
     expected = {
-        "budget": 200, "buffer": 2, "dedup_threshold": 0.5, "adaptive_pool": 5, "k": 3, "max_iterations": 1,
+        "budget": 200, "buffer": 2, "k": 3, "max_iterations": 1,
         "mode": "adagate", "namespace": "clean", "store_dim": 256, "store_embedder": "hash",
     }
     assert {key: recorded.get(key) for key in expected} == expected
@@ -110,13 +105,16 @@ def test_run_rejects_zero_iterations(tmp_path):
         ["run", "--weights", "a,b,c,d,e"],
         ["run", "--weights", "0,0,0,0,0"],
         ["run", "--jobs", "0"],
+        ["run", "--limit", "0"],
+        ["ingest", "--limit", "0"],
+        ["ingest", "--limit", "-1"],
         ["perturb", "--kind", "noise", "--rho", "2"],
         ["perturb", "--kind", "redundancy", "--cap", "0"],
         ["index", "--namespace", "clean", "--dim", "0"],
         ["index", "--namespace", "clean", "--dim", "4294967297"],  # 2**32 + 1: a coordinate outgrows a uint32
         ["index", "--namespace", "clean", "--embedder", "remote", "--dim", "0",
          "--config", '{"index": {"remote": {"url": "http://embed.invalid"}}}'],
-        # Config-file values: the JSON after --config is written to a file.
+        # Config-file keys that settings which are flags once had: the JSON after --config is written to a file.
         ["run", "--mode", "adaptive_k", "--config", '{"adaptive_k": {"pool": 0}}'],
         ["run", "--config", '{"adaptive_k": {"pool": "many"}}'],
         ["run", "--config", '{"controller": {"budget": "lots"}}'],
@@ -142,6 +140,7 @@ def test_invalid_value_is_usage_error(tmp_path, monkeypatch, capsys, argv):
         config.write_text(argv[at], encoding="utf-8")
         argv = argv[:at] + [str(config)] + argv[at + 1 :]
     paths = {
+        "ingest": ["--data", data, "--out", str(tmp_path / "r.jsonl")],
         "run": ["--data", data, "--store", str(tmp_path / "store.jsonl"), "--out", str(tmp_path / "r.jsonl")],
         "perturb": ["--data", data, "--out", str(tmp_path / "p.jsonl")],
         "index": ["--chunks", str(chunks), "--store", str(tmp_path / "store.jsonl")],
@@ -160,21 +159,21 @@ def test_invalid_value_is_usage_error(tmp_path, monkeypatch, capsys, argv):
         (["run", "--store", "MISSING"], 1, "error: store MISSING does not exist"),
         (["index", "--store", "STORE", "--dim", "512"], 2, "--dim 512 does not match the dim 256 of store STORE"),
         (["perturb", "--store", "STORE", "--dim", "512"], 2, "--dim 512 does not match the dim 256 of store STORE"),
-        (["index", "--store", "MISSING", "--config", "CONFIG"], 2, "must be 'memory' or 'remote', not 'remot'"),
-        (["perturb", "--store", "STORE", "--config", "CONFIG"], 2, "must be 'memory' or 'remote', not 'remot'"),
+        (["index", "--store", "STORE", "--embedder", "remote"], 2,
+         "--embedder remote does not match the embedder hash of store STORE"),
+        (["run", "--store", "STORE", "--embedder", "remote"], 2,
+         "--embedder remote does not match the embedder hash of store STORE"),
     ],
-    ids=["run-missing-store", "index-other-dim", "perturb-other-dim", "unknown-backend", "perturb-unknown-backend"],
+    ids=["run-missing-store", "index-other-dim", "perturb-other-dim", "index-other-embedder", "run-other-embedder"],
 )
 def test_store_and_backend_mistakes_are_reported(tmp_path, capsys, argv, code, message):
     data = str(builtin_fixture_path())
     chunks, store, missing = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "missing.jsonl"
-    config = tmp_path / "config.json"
-    config.write_text('{"index": {"backend": "remot"}}', encoding="utf-8")
     assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
     assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "256"]) == 0
     snapshot = store.read_bytes()
     capsys.readouterr()
-    names = {"MISSING": str(missing), "STORE": str(store), "CONFIG": str(config)}
+    names = {"MISSING": str(missing), "STORE": str(store)}
     rest = {
         "run": ["--data", data, "--out", str(tmp_path / "r.jsonl")],
         "index": ["--chunks", str(chunks), "--namespace", "clean"],
@@ -192,25 +191,70 @@ def test_store_and_backend_mistakes_are_reported(tmp_path, capsys, argv, code, m
     assert not list(tmp_path.glob("p.jsonl*"))  # perturb checks the store before it writes --out
 
 
-@pytest.mark.parametrize("command", ["index", "perturb"])
-def test_config_dim_that_differs_from_the_store_is_a_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"controller": {"budgt": 10}}, "--config holds unknown key 'controller'"),
+        ({"oracle": {"urll": "http://svc/v1"}}, "--config holds unknown key 'oracle.urll'"),
+        ({"index": {"remote": {"url": 5}}}, "--config index.remote.url must be a string, not 5"),
+        ({"index": {"remote": "http://svc/v1"}}, '--config index.remote must be an object, not "http://svc/v1"'),
+        ({"oracle": {"key_env": None}}, "--config oracle.key_env must be a string, not null"),
+    ],
+    ids=["removed-section", "misspelled-key", "url-not-string", "section-not-object", "null-value"],
+)
+def test_config_file_is_checked_strictly(tmp_path, monkeypatch, capsys, config, message):
+    from adagate import index
+
+    requests_sent = []
+    monkeypatch.setattr(index, "post_json", lambda *args, **kwargs: requests_sent.append(args))
+    chunks, store, path = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "config.json"
+    assert main(["ingest", "--data", str(builtin_fixture_path()), "--out", str(chunks)]) == 0
+    path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--embedder", "remote"]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not requests_sent
+    assert not store.exists()
+
+
+def _fake_embeddings(session, url, payload, **kwargs):
+    """An embeddings response whose 4-dim vectors depend on each input's length."""
+    return {"data": [{"embedding": [1.0, len(text) % 7, len(text) % 3, 0.5]} for text in payload["input"]]}
+
+
+def test_perturb_into_a_remote_store_follows_the_store(tmp_path, monkeypatch):
+    from adagate import index
+
+    monkeypatch.setattr(index, "post_json", _fake_embeddings)
     data = str(builtin_fixture_path())
     chunks, store, config = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "config.json"
-    config.write_text('{"index": {"dim": 512}}', encoding="utf-8")
+    config.write_text(json.dumps({"index": {"remote": {"url": "http://embed.invalid"}}}), encoding="utf-8")
     assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
-    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "256"]) == 0
-    snapshot = store.read_bytes()
-    capsys.readouterr()
-    rest = {
-        "index": ["--chunks", str(chunks), "--namespace", "clean"],
-        "perturb": ["--data", data, "--kind", "noise", "--out", str(tmp_path / "p.jsonl")],
-    }[command]
-    assert main([command, "--store", str(store), "--config", str(config)] + rest) == 2
-    err = capsys.readouterr().err
-    assert f"config index.dim 512 does not match the dim 256 of store {store}" in err
-    assert "Traceback" not in err
-    assert store.read_bytes() == snapshot
-    assert not list(tmp_path.glob("p.jsonl*"))
+    build = ["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "4"]
+    assert main(build + ["--embedder", "remote", "--config", str(config)]) == 0
+    perturb = ["perturb", "--data", data, "--kind", "noise", "--out", str(tmp_path / "noise.jsonl")]
+    assert main(perturb + ["--store", str(store), "--config", str(config)]) == 0
+    assert json.loads(store.read_text(encoding="utf-8").splitlines()[0])["embedder"] == "remote"
+    embedder = index.RemoteEmbedder(url="http://embed.invalid", dim=4, session=object())
+    assert index.VectorIndex.load(store, embedder=embedder).namespaces() == ["clean", "noise"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "index", "perturb", "run", "report"])
+def test_each_subcommand_renders_its_help(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: adagate {command}")
+
+
+def test_the_readme_config_example_is_a_valid_config(tmp_path):
+    from adagate.cli import _load_config
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration file", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block, encoding="utf-8")
+    assert _load_config(str(path)) == json.loads(block)
 
 
 def test_unknown_flag_is_usage_error(tmp_path):
@@ -351,6 +395,7 @@ def test_importing_cli_does_not_import_requests():
         json.dumps({"schema": SNAPSHOT_SCHEMA, "dim": "x", "embedder": "hash"}),
         json.dumps({"schema": SNAPSHOT_SCHEMA, "dim": 0, "embedder": "hash"}),
         json.dumps({"schema": SNAPSHOT_SCHEMA, "dim": 2**32 + 1, "embedder": "hash"}),
+        json.dumps({"schema": SNAPSHOT_SCHEMA, "dim": 256, "embedder": "memory"}),
         json.dumps([{"schema": SNAPSHOT_SCHEMA, "dim": 256}]),
     ],
 )

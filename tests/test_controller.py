@@ -159,7 +159,7 @@ def test_basic_baseline_passes_exactly_k_docs(oracle):
 
 def test_adaptive_k_cuts_at_largest_drop_on_world(oracle):
     examples, chunks, index = build_world(2, seed=99)
-    config = dataclasses.replace(WORLD_CONFIG, mode="adaptive_k", adaptive_pool=10)
+    config = dataclasses.replace(WORLD_CONFIG, mode="adaptive_k")
     trace = run_baseline(examples[0], config, index, oracle)
     # One dominant hit (the hop chunk), then near-zero ties: cut after 1.
     assert trace.docs_passed == 1

@@ -101,6 +101,16 @@ def test_sentences_that_are_not_a_list_are_a_parse_error(tmp_path):
     assert chunk_corpus(load_examples(path))[0].body == "One sentence."
 
 
+@pytest.mark.parametrize("facts", [["T0"], "T0", [["T", 0], "T0"], {"T": 0}], ids=repr)
+def test_supporting_facts_that_are_not_lists_are_a_parse_error(tmp_path, facts):
+    # Unpacking the string "T0" as a fact would read the gold title "T".
+    record = {"_id": "x", "question": "q", "answer": "a", "supporting_facts": facts, "context": [["T", ["s."]]]}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^record 0: supporting_facts must be a list of"):
+        load_examples(path)
+
+
 def test_chunk_corpus_empty():
     assert chunk_corpus([]) == []
 
@@ -153,6 +163,31 @@ def test_chunk_text_is_title_heading_plus_body(fixture_chunks):
 def test_chunk_record_roundtrip(fixture_chunks):
     for chunk in fixture_chunks[:3]:
         assert chunk_from_record(chunk_to_record(chunk)) == chunk
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("token_len", 12.9, "token_len 12.9, not"),
+        ("token_len", True, "token_len true, not"),
+        ("token_len", "7", 'token_len "7", not'),
+        ("token_len", 1, "token_len 1, not"),  # understates the passage's cost under the budget
+        ("chunk_id", 5, "field 'chunk_id' must be a string, not 5"),
+        ("body", None, "field 'body' must be a string, not null"),
+        ("provenance", ["original"], "field 'provenance' must be a string"),
+    ],
+    ids=["token_len-float", "token_len-bool", "token_len-string", "token_len-understated", "chunk_id-int",
+         "body-null", "provenance-list"],
+)
+def test_chunk_record_is_read_strictly(fixture_chunks, field, value, message):
+    chunk = fixture_chunks[0]
+    assert chunk.token_len > 1
+    record = chunk_to_record(chunk)
+    with pytest.raises(ParseError, match=message):
+        chunk_from_record({**record, field: value})
+    del record[field]
+    with pytest.raises(ParseError, match=f"missing field '{field}'"):
+        chunk_from_record(record)
 
 
 def test_unknown_provenance_rejected(fixture_chunks):

@@ -319,8 +319,9 @@ def test_snapshot_schema_and_dim_checks(tmp_path):
         ({"schema": "other@9", "dim": 4}, "'other@9'"),
         ({"schema": "index@1", "dim": 64}, "'index@1'.*rebuild the store with `adagate index`"),  # number lists
         ({"schema": SNAPSHOT_SCHEMA, "dim": 2**32 + 1}, "dim must be"),  # a coordinate outgrows a uint32
+        ({"schema": SNAPSHOT_SCHEMA, "dim": 4, "embedder": "memory"}, "embedder must be 'hash' or 'remote'"),
     ]:
-        path.write_text(json.dumps({**header, "embedder": "hash"}) + "\n")
+        path.write_text(json.dumps({"embedder": "hash", **header}) + "\n")
         with pytest.raises(SchemaError, match=message):
             VectorIndex.load(path)
     index = VectorIndex(HashingEmbedder(dim=64))
