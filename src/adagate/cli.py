@@ -30,7 +30,7 @@ from .errors import AdagateError
 from .evaluate import ExampleResult, aggregate, evidence_prf, read_results, render_csv, render_table
 from .index import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot
 from .oracle import LiveOracle, RuleBasedOracle
-from .perturb import DEFAULT_VARIANT_CAP, KIND_NOISE, PerturbConfig, inject_noise, inject_redundancy
+from .perturb import KIND_NOISE, PerturbConfig, inject_noise, inject_redundancy
 from .scoring import DEFAULT_WEIGHTS, UtilityWeights
 
 MANIFEST_SCHEMA = "manifest@1"
@@ -156,10 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_perturb.add_argument("--kind", choices=("noise", "redundancy"), required=True)
     p_perturb.add_argument("--rho", type=float, default=0.5)
     p_perturb.add_argument("--seed", type=int, default=0)
-    p_perturb.add_argument("--cap", type=int, default=DEFAULT_VARIANT_CAP, help="redundancy variants per gold")
     p_perturb.add_argument("--out", required=True, help="output chunk file")
-    p_perturb.add_argument("--store", default=None, help="snapshot to upsert into")
-    p_perturb.add_argument("--namespace", default=None, help="defaults to the kind")
+    p_perturb.add_argument("--store", default=None, help="snapshot to upsert into the namespace named by --kind")
     p_perturb.add_argument("--dim", type=int, default=None, help=f"for a new store (default {DEFAULT_DIM})")
     p_perturb.add_argument("--config", default=None, help="JSON file with the remote endpoints")
 
@@ -245,13 +243,13 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    for flag, value in (("--dim", args.dim), ("--namespace", args.namespace), ("--config", args.config)):
+    for flag, value in (("--dim", args.dim), ("--config", args.config)):
         if value is not None and not args.store:
             raise UsageError(f"{flag} applies only to the --store that perturb upserts into")
     config = _load_config(args.config)
     examples = load_examples(args.data)
     chunks = chunk_corpus(examples)
-    perturb_config = _checked(PerturbConfig, kind=args.kind, rho=args.rho, seed=args.seed, variant_cap=args.cap)
+    perturb_config = _checked(PerturbConfig, kind=args.kind, rho=args.rho, seed=args.seed)
     # The store is checked before --out is written.
     index = _open_store(args.store, args.dim, None, config) if args.store else None
     if args.kind == KIND_NOISE:
@@ -259,11 +257,10 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     else:
         perturbed = inject_redundancy(examples, chunks, perturb_config)
     write_chunks(args.out, perturbed)
-    namespace = args.namespace or args.kind
     if index is not None:
-        index.upsert(namespace, perturbed)
+        index.upsert(args.kind, perturbed)
         index.save(args.store)
-        print(f"perturbed {len(chunks)} -> {len(perturbed)} chunks; indexed namespace {namespace!r}")
+        print(f"perturbed {len(chunks)} -> {len(perturbed)} chunks; indexed namespace {args.kind!r}")
     else:
         print(f"perturbed {len(chunks)} -> {len(perturbed)} chunks -> {args.out}")
     return 0

@@ -30,7 +30,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .corpus import Chunk, Example, count_tokens
-from .index import Vector, VectorIndex, cosine
+from .index import VectorIndex, cosine
 from .oracle import Ledger, OracleBackend, match_slots
 # The benchmark's traced pass wraps score_candidate, effective_capacity,
 # select_evidence and replace_update by looking each name up in this module
@@ -112,25 +112,17 @@ class ControllerTrace:
     iterations: list[IterationRecord] = field(default_factory=list)
 
     def as_dict(self, full: bool = False) -> dict:
-        """The trace as plain data; the per-iteration records only when ``full``."""
-        return {name: _plain(value) for name, value in vars(self).items() if full or name != "iterations"}
+        """The trace as plain data; the per-iteration records only when ``full``.
 
-
-def _plain(value):
-    """``dataclasses.asdict``'s conversion without its deep copy of every leaf.
-
-    Scalars are returned as they are, containers are rebuilt, and any other
-    value is a dataclass whose fields ``vars`` lists in declaration order.
-    """
-    if value is None or type(value) in (str, int, float, bool):
-        return value
-    if type(value) is list:
-        return [_plain(item) for item in value]
-    if type(value) is tuple:
-        return tuple(_plain(item) for item in value)
-    if type(value) is dict:
-        return {_plain(key): _plain(item) for key, item in value.items()}
-    return {name: _plain(item) for name, item in vars(value).items()}
+        The result shares the trace's lists and dicts, not copies of them:
+        ``run`` serializes it at once and the benchmark only reads it.
+        """
+        record = {name: value for name, value in vars(self).items() if name != "iterations"}
+        if full:
+            record["iterations"] = [
+                dict(vars(it), scores={cid: vars(tb) for cid, tb in it.scores.items()}) for it in self.iterations
+            ]
+        return record
 
 
 def adaptive_cut(scores: Sequence[float]) -> int:
@@ -149,7 +141,6 @@ class _RunMemo:
     def __init__(self, index: VectorIndex, namespace: str, k: int):
         self._index, self._namespace, self._k = index, namespace, k
         self._hits: dict[str, list[tuple[str, float]]] = {}
-        self._query_vecs: dict[str, Vector] = {}
         self._chunk_sims: dict[tuple[str, str], float] = {}
         self._query_sims: dict[tuple[str, str], float] = {}
 
@@ -176,9 +167,7 @@ class _RunMemo:
         key = (chunk_id, query)
         sim = self._query_sims.get(key)
         if sim is None:
-            vec = self._query_vecs.get(query)
-            if vec is None:
-                vec = self._query_vecs[query] = self._index.embedder.embed_one(query)
+            vec = self._index.embedder.embed_one(query)
             sim = self._query_sims[key] = cosine(self._index.get_entry(self._namespace, chunk_id)[1], vec)
         return sim
 

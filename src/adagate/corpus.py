@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -178,19 +177,26 @@ def _example_from_record(record: dict, index: int) -> Example:
         # A string fact would unpack character by character: "T0" as the title "T".
         raise ParseError(f"record {index}: supporting_facts must be a list of [title, sentence_idx] lists")
     try:
-        gold_titles = frozenset(str(title) for title, _ in facts)
-        context = [(str(title), sentences) for title, sentences in record["context"]]
+        gold_titles = [title for title, _ in facts]
+        context = [(title, sentences) for title, sentences in record["context"]]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"record {index}: malformed context or supporting_facts ({exc})") from exc
     for title, sentences in context:
         if type(sentences) is not list:  # a string would become one sentence per character
             raise ParseError(f"record {index}: the sentences of paragraph {title!r} are not a list")
+    # Every text must be a JSON string, as in a chunk record: str() would read null as "None".
+    texts = [(name, record[name]) for name in ("_id", "question", "answer")]
+    texts += [("title", title) for title in gold_titles] + [("title", title) for title, _ in context]
+    texts += [("sentence", sentence) for _, sentences in context for sentence in sentences]
+    for name, value in texts:
+        if type(value) is not str:
+            raise ParseError(f"record {index}: {name} must be a string, not {json.dumps(value)}")
     example = Example(
-        id=str(record["_id"]),
-        question=str(record["question"]),
-        gold_answer=str(record["answer"]),
-        gold_titles=gold_titles,
-        paragraphs=tuple((title, tuple(map(str, sentences))) for title, sentences in context),
+        id=record["_id"],
+        question=record["question"],
+        gold_answer=record["answer"],
+        gold_titles=frozenset(gold_titles),
+        paragraphs=tuple((title, tuple(sentences)) for title, sentences in context),
     )
     try:
         example.validate()
@@ -245,7 +251,3 @@ def write_chunks(path: str | Path, chunks: Iterable[Chunk]) -> None:
 def read_chunks(path: str | Path) -> list[Chunk]:
     return [chunk_from_record(record) for _, record in json_lines(path, "chunk record")]
 
-
-def builtin_fixture_path() -> Path:
-    """Path of the bundled two-example fixture corpus."""
-    return Path(str(resources.files("adagate").joinpath("data/fixture.jsonl")))

@@ -19,8 +19,7 @@ class DuplicateIdError(AdagateError):
     """A batch contained the same chunk id more than once."""
 
     def __init__(self, duplicates: list[str]):
-        self.duplicates = list(duplicates)
-        super().__init__(f"duplicate chunk ids in one batch: {', '.join(self.duplicates)}")
+        super().__init__(f"duplicate chunk ids in one batch: {', '.join(duplicates)}")
 
 
 class UnknownNamespaceError(AdagateError):
@@ -32,9 +31,4 @@ class SchemaError(AdagateError):
 
 
 class TransportError(AdagateError):
-    """A remote backend call failed; carries retry metadata."""
-
-    def __init__(self, message: str, *, retriable: bool = False, attempts: int = 1):
-        self.retriable = retriable
-        self.attempts = attempts
-        super().__init__(message)
+    """A remote backend call failed; the message says how."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,7 +34,7 @@ class ExampleResult:
     f1: float
     input_tokens: int
     docs_passed: int
-    termination_reason: str = "none"
+    termination_reason: str
 
     def to_record(self) -> dict:
         return {"schema": RESULT_SCHEMA, **asdict(self)}
@@ -45,9 +45,7 @@ class ExampleResult:
         values = {}
         for f in fields(cls):
             if f.name not in record:
-                if f.default is MISSING:
-                    raise ParseError(f"result record missing field {f.name!r}")
-                continue
+                raise ParseError(f"result record missing field {f.name!r}")
             value = record[f.name]
             expected, valid = _FIELD_TYPES[f.type]
             if not valid(value):

@@ -81,6 +81,7 @@ above) the whole store loaded in 57 ms and its 1,000 noise records alone in
 from __future__ import annotations
 
 import heapq
+import json
 import math
 import re
 import struct
@@ -300,10 +301,7 @@ class RemoteEmbedder:
         if distinct:
             for text, values in zip(distinct, self._request(distinct)):
                 if len(values) != self.dim:
-                    raise TransportError(
-                        f"embedding service returned dim {len(values)}, expected {self.dim}",
-                        retriable=False,
-                    )
+                    raise TransportError(f"embedding service returned dim {len(values)}, expected {self.dim}")
                 norm = math.sqrt(sum(v * v for v in values))
                 vectors[text] = {i: v / norm for i, v in enumerate(values) if v} if norm else {}
         return [vectors[t] for t in texts]
@@ -326,12 +324,9 @@ class RemoteEmbedder:
         try:
             embeddings = [item["embedding"] for item in body["data"]]
         except (KeyError, TypeError) as exc:
-            raise TransportError(f"malformed embedding response: {exc}", retriable=False) from exc
+            raise TransportError(f"malformed embedding response: {exc}") from exc
         if len(embeddings) != len(texts):
-            raise TransportError(
-                f"embedding service returned {len(embeddings)} embeddings for {len(texts)} inputs",
-                retriable=False,
-            )
+            raise TransportError(f"embedding service returned {len(embeddings)} embeddings for {len(texts)} inputs")
         return embeddings
 
 
@@ -480,7 +475,7 @@ class VectorIndex:
     ) -> "VectorIndex":
         """The index a snapshot holds; with ``namespace``, only that namespace of it.
 
-        Every record must be a JSON object with a namespace, but only the
+        Every record must be a JSON object with a string namespace, but only the
         records that are loaded are decoded and checked. A ``namespace`` no
         record carries raises UnknownNamespaceError listing those held.
         """
@@ -504,7 +499,9 @@ class VectorIndex:
             held: set[str] = set()
             for i, record in records:
                 try:
-                    name = str(record["namespace"])
+                    name = record["namespace"]
+                    if type(name) is not str:
+                        raise ValueError(f"namespace must be a string, not {json.dumps(name)}")
                     if namespace is not None and name != namespace:
                         held.add(name)
                         continue

@@ -94,14 +94,13 @@ class Ledger:
 
     facts: list[Fact] = field(default_factory=list)
 
-    def add(self, fact: Fact) -> bool:
+    def add(self, fact: Fact) -> None:
         """Add unless an exact (entity, relation, value, source) duplicate exists."""
         key = (fact.entity, fact.relation, fact.value, fact.source_chunk)
         for existing in self.facts:
             if (existing.entity, existing.relation, existing.value, existing.source_chunk) == key:
-                return False
+                return
         self.facts.append(fact)
-        return True
 
     def pairs(self) -> set[tuple[str, str]]:
         return {(f.entity.lower(), f.relation.lower()) for f in self.facts}
@@ -298,6 +297,14 @@ class RuleBasedOracle:
         return len([p for p in pairs if p not in known]) / len(pairs)
 
 
+def _strings(record: dict, *names: str) -> list[str]:
+    """The fields ``names`` of a model's JSON line; ValueError unless each is a string."""
+    values = [record[name] for name in names]
+    if any(type(value) is not str for value in values):
+        raise ValueError(f"{' and '.join(names)} must be strings")
+    return values
+
+
 class LiveOracle:
     """HTTP chat-completion backend with fixed prompts, temperature 0.
 
@@ -307,7 +314,9 @@ class LiveOracle:
     and response is appended to that file as one JSON line. One request is
     in flight per session; run one session per question for parallel
     batches. Malformed model output yields an empty result plus an entry in
-    ``warnings`` instead of raising.
+    ``warnings`` instead of raising. So does a ledger or gap line whose
+    entity or relation is not a string, whose value is neither a string nor
+    a number, or whose confidence is not a number (a bool is neither).
     """
 
     def __init__(
@@ -342,11 +351,15 @@ class LiveOracle:
             number = record["passage"]
             if type(number) is not int or not 1 <= number <= len(evidence):
                 raise ValueError(f"passage {number!r} is not one of 1..{len(evidence)}")
+            entity, relation = _strings(record, "entity", "relation")
+            value, confidence = record["value"], record.get("confidence", 1.0)
+            if type(value) not in (str, int, float) or type(confidence) not in (int, float):
+                raise ValueError("value must be a string or a number, and confidence a number")
             return Fact(
-                entity=str(record["entity"]),
-                relation=str(record["relation"]),
-                value=str(record["value"]),
-                confidence=max(0.0, min(1.0, float(record.get("confidence", 1.0)))),
+                entity=entity,
+                relation=relation,
+                value=str(value),
+                confidence=max(0.0, min(1.0, float(confidence))),
                 source_chunk=evidence[number - 1].chunk_id,
             )
 
@@ -357,11 +370,7 @@ class LiveOracle:
     def assess_sufficiency(self, question: str, ledger: Ledger) -> SufficiencyVerdict:
         facts = "\n".join(f.as_text() for f in ledger.facts) or "(none)"
         raw = self._complete(self.model, GAP_PROMPT.format(question=question, facts=facts))
-
-        def gap(record: dict) -> Gap:
-            return Gap(entity=str(record["entity"]), relation=str(record["relation"]))
-
-        gaps = self._parse_lines(raw, "gap", gap)
+        gaps = self._parse_lines(raw, "gap", lambda record: Gap(*_strings(record, "entity", "relation")))
         if gaps:
             return SufficiencyVerdict(sufficient=False, gaps=tuple(gaps))
         return SufficiencyVerdict(sufficient=True)

@@ -47,7 +47,7 @@ VARIANT_KINDS = ("reorder", "synonym", "subset")
 MISSPELL_WORD_FRACTION = 0.10
 TRUNCATE_RANGE = (0.40, 0.70)
 SUBSET_RANGE = (0.50, 0.80)
-DEFAULT_VARIANT_CAP = 6
+VARIANT_CAP = 6  # redundancy variants per gold passage
 
 _SENTENCE_END = re.compile(r"(?<=[.!?])\s+")
 # The oracle's rule: a sentence end followed by a "]" before any "[" is inside brackets.
@@ -60,15 +60,12 @@ class PerturbConfig:
     kind: str
     rho: float
     seed: int = 0
-    variant_cap: int = DEFAULT_VARIANT_CAP
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_NOISE, KIND_REDUNDANCY):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError("rho must be in [0, 1)")
-        if self.variant_cap < 1:
-            raise ValueError("variant_cap must be >= 1")
 
 
 def injected_count(n_orig: int, rho: float) -> int:
@@ -259,7 +256,7 @@ def inject_redundancy(
     def variants(example: Example, own_positions: list[int], rng: random.Random) -> Iterator[_Injection]:
         own = [chunks[at] for at in own_positions]
         golds = [c for c in own if c.title in example.gold_titles]
-        n_vars = min(injected_count(len(own), config.rho), len(golds) * config.variant_cap)
+        n_vars = min(injected_count(len(own), config.rho), len(golds) * VARIANT_CAP)
         # Golds are taken round-robin, so variant j is number j // len(golds) of its gold.
         for j in range(n_vars):
             gold = golds[j % len(golds)]

@@ -4,9 +4,9 @@ The embedding service and the oracle endpoint are both JSON-over-POST
 services. A request sends a bearer token read from the environment variable
 named ``key_env`` when that variable is set. Connection errors and status
 429/500/502/503 are retried; any other non-200 status fails at once; when
-every attempt is spent the last error is reported as retriable. A 200
-response whose body is not JSON fails at once. Failures surface as
-TransportError with retry metadata.
+every attempt is spent the error names the attempt count and the last
+failure. A 200 response whose body is not JSON fails at once. Failures
+surface as TransportError.
 
 Between attempts the client sleeps, so a rate-limited or restarting service
 is not hit again at once. A ``Retry-After`` header given in seconds is
@@ -71,28 +71,16 @@ def post_json(
             last_error = exc
             continue
         if response.status_code in RETRIABLE_STATUS:
-            last_error = TransportError(
-                f"{service} returned {response.status_code}", retriable=True, attempts=attempt
-            )
+            last_error = TransportError(f"{service} returned {response.status_code}")
             retry_after = response.headers.get("Retry-After")
             continue
         if response.status_code != 200:
-            raise TransportError(
-                f"{service} returned {response.status_code}: {response.text[:200]}",
-                retriable=False,
-                attempts=attempt,
-            )
+            raise TransportError(f"{service} returned {response.status_code}: {response.text[:200]}")
         try:
             return response.json()
         except ValueError as exc:  # requests' JSONDecodeError is a ValueError
-            raise TransportError(
-                f"{service} returned a body that is not JSON: {exc}", retriable=False, attempts=attempt
-            ) from exc
-    raise TransportError(
-        f"{service} unreachable after {MAX_ATTEMPTS} attempts: {last_error}",
-        retriable=True,
-        attempts=MAX_ATTEMPTS,
-    )
+            raise TransportError(f"{service} returned a body that is not JSON: {exc}") from exc
+    raise TransportError(f"{service} unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 def _retry_delay(failed: int, retry_after: str | None) -> float:

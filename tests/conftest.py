@@ -8,11 +8,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from adagate import transport
-from adagate.corpus import builtin_fixture_path, chunk_corpus, load_examples
+from adagate.corpus import chunk_corpus, load_examples
 from adagate.index import HashingEmbedder, VectorIndex
 from adagate.oracle import RuleBasedOracle
 
-from helpers import WORLD_DIM
+from helpers import WORLD_DIM, builtin_fixture_path
 
 
 @pytest.fixture(scope="session")

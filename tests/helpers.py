@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
+from pathlib import Path
 from typing import Iterable
 
 from adagate.corpus import Chunk, chunk_corpus, make_chunk
@@ -10,6 +12,11 @@ from adagate.index import HashingEmbedder, RemoteEmbedder, Vector, VectorIndex, 
 from adagate.synthetic import WorldSpec, generate_world
 
 WORLD_DIM = 2**20
+
+
+def builtin_fixture_path() -> Path:
+    """Path of the bundled two-example fixture corpus."""
+    return Path(str(resources.files("adagate").joinpath("data/fixture.jsonl")))
 
 
 def sized_chunk(chunk_id: str, token_len: int, source: str = "ex", title: str | None = None) -> Chunk:

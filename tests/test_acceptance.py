@@ -17,7 +17,7 @@ import pytest
 
 from adagate.cli import main
 from adagate.controller import ControllerConfig, adaptive_cut, run_adagate, run_baseline
-from adagate.corpus import builtin_fixture_path, chunk_corpus
+from adagate.corpus import chunk_corpus
 from adagate.evaluate import evidence_prf
 from adagate.index import HashingEmbedder, VectorIndex, cosine
 from adagate.oracle import RuleBasedOracle
@@ -25,7 +25,7 @@ from adagate.perturb import PerturbConfig, inject_noise, inject_redundancy
 from adagate.selection import replace_update, select_evidence
 from adagate.synthetic import WorldSpec, generate_world
 
-from helpers import WORLD_DIM, sized_chunk
+from helpers import WORLD_DIM, builtin_fixture_path, sized_chunk
 
 ACCEPTANCE_SEED = 20240601
 

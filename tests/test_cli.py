@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from adagate.cli import main
-from adagate.corpus import builtin_fixture_path
 from adagate.index import SNAPSHOT_SCHEMA
+
+from helpers import builtin_fixture_path
 
 DIM = str(2**20)
 
@@ -109,7 +110,6 @@ def test_run_rejects_zero_iterations(tmp_path):
         ["ingest", "--limit", "0"],
         ["ingest", "--limit", "-1"],
         ["perturb", "--kind", "noise", "--rho", "2"],
-        ["perturb", "--kind", "redundancy", "--cap", "0"],
         ["index", "--namespace", "clean", "--dim", "0"],
         ["index", "--namespace", "clean", "--dim", "4294967297"],  # 2**32 + 1: a coordinate outgrows a uint32
         ["index", "--namespace", "clean", "--embedder", "remote", "--dim", "0",
@@ -318,7 +318,6 @@ def test_perturb_subcommand_writes_and_indexes(tmp_path):
                 "--seed", "3",
                 "--out", str(out_chunks),
                 "--store", str(store),
-                "--namespace", "noise",
                 "--dim", DIM,
             ]
         )
@@ -356,7 +355,7 @@ def test_judging_error_becomes_error_record_not_lost_batch(tmp_path, monkeypatch
 
     class FailingJudge(RuleBasedOracle):
         def judge_answer(self, question, gold, predicted):
-            raise TransportError("judge endpoint unreachable", retriable=True, attempts=3)
+            raise TransportError("judge endpoint unreachable")
 
     monkeypatch.setattr(cli, "_make_oracle", lambda kind, config, log_path: FailingJudge())
     data = str(builtin_fixture_path())
@@ -592,12 +591,11 @@ def test_run_writes_the_record_of_a_question_holding_a_lone_surrogate(tmp_path):
     "argv, flag",
     [
         (["perturb", "--dim", "256"], "--dim"),
-        (["perturb", "--namespace", "extra"], "--namespace"),
         (["perturb", "--config", "CONFIG"], "--config"),
         (["run", "--store", "STORE", "--log-oracle", "LOG"], "--log-oracle"),
         (["run", "--store", "STORE", "--oracle", "rules", "--log-oracle", "LOG"], "--log-oracle"),
     ],
-    ids=["perturb-dim", "perturb-namespace", "perturb-config", "run-log-oracle", "run-rules-log-oracle"],
+    ids=["perturb-dim", "perturb-config", "run-log-oracle", "run-rules-log-oracle"],
 )
 def test_flag_without_effect_is_usage_error(tmp_path, capsys, argv, flag):
     data = str(builtin_fixture_path())

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adagate.corpus import (
-    builtin_fixture_path,
     chunk_corpus,
     chunk_from_record,
     chunk_to_record,
@@ -16,6 +15,8 @@ from adagate.corpus import (
     write_chunks,
 )
 from adagate.errors import ParseError, ValidationError
+
+from helpers import builtin_fixture_path
 
 
 def test_fixture_loads_two_examples():
@@ -108,6 +109,28 @@ def test_supporting_facts_that_are_not_lists_are_a_parse_error(tmp_path, facts):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match="^record 0: supporting_facts must be a list of"):
+        load_examples(path)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"_id": 5}, "_id must be a string, not 5"),
+        ({"question": None}, "question must be a string, not null"),
+        ({"answer": ["x"]}, 'answer must be a string, not \\["x"\\]'),
+        ({"supporting_facts": [[7, 0]], "context": [[7, ["s."]]]}, "title must be a string, not 7"),
+        ({"context": [[["T"], ["s."]]]}, 'title must be a string, not \\["T"\\]'),
+        ({"context": [["T", [7, "s."]]]}, "sentence must be a string, not 7"),
+        ({"context": [["T", ["s.", None]]]}, "sentence must be a string, not null"),
+    ],
+    ids=["id", "question", "answer", "fact-title", "context-title", "sentence", "null-sentence"],
+)
+def test_example_texts_must_be_json_strings(tmp_path, change, message):
+    # str() would load these as the id "5", the question "None", the answer "['x']" and the sentence "7".
+    record = {"_id": "x", "question": "q", "answer": "a", "supporting_facts": [["T", 0]], "context": [["T", ["s."]]]}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({**record, **change}) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^record 0: {message}$"):
         load_examples(path)
 
 

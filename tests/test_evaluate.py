@@ -218,12 +218,19 @@ def test_result_record_field_of_the_wrong_json_type_is_named(tmp_path, field, va
         read_results([path])
 
 
-def test_result_record_accepts_whole_numbers_as_ratios_and_no_termination_reason():
+def test_result_record_accepts_whole_numbers_as_ratios():
     record = dict(result().to_record(), precision=1, recall=0)
-    del record["termination_reason"]
     parsed = ExampleResult.from_record(record)
-    assert (parsed.precision, parsed.recall, parsed.termination_reason) == (1.0, 0.0, "none")
+    assert (parsed.precision, parsed.recall) == (1.0, 0.0)
     assert type(parsed.precision) is float
+
+
+@pytest.mark.parametrize("field", ["example_id", "correct", "f1", "docs_passed", "termination_reason"])
+def test_result_record_missing_field_is_named(field):
+    record = result().to_record()
+    del record[field]
+    with pytest.raises(ParseError, match=f"result record missing field '{field}'"):
+        ExampleResult.from_record(record)
 
 
 def test_result_schema_tag():

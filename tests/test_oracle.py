@@ -287,7 +287,8 @@ def test_live_oracle_retries_then_raises():
     live = _live([_FakeResponse(503), _FakeResponse(503), _FakeResponse(503)])
     with pytest.raises(TransportError) as exc:
         live.generate_answer("q", [])
-    assert exc.value.retriable
+    assert len(live._session.calls) == 3
+    assert str(exc.value) == "oracle endpoint unreachable after 3 attempts: oracle endpoint returned 503"
 
 
 def test_live_judge_parses_yes_no():
@@ -334,9 +335,51 @@ def test_live_oracle_unparseable_gap_line_warns_and_keeps_the_others():
             json.dumps({"entity": "a", "relation": "born"}),
             "1" * 5000,  # too many digits for an int: a ValueError, not a JSONDecodeError
             json.dumps({"entity": "b", "relation": "died", "rationale": "r"}),
+            json.dumps({"entity": None, "relation": 5}),  # str() would make the micro-query "None 5"
+            json.dumps({"entity": "c", "relation": ["born"]}),
         ]
     )
     live = _live([_FakeResponse(200, lines)])
     verdict = live.assess_sufficiency("q", Ledger())
     assert [(g.entity, g.relation) for g in verdict.gaps] == [("a", "born"), ("b", "died")]
-    assert len(live.warnings) == 1 and live.warnings[0].startswith("unparseable gap line from model: 1111")
+    assert len(live.warnings) == 3 and live.warnings[0].startswith("unparseable gap line from model: 1111")
+    assert live.warnings[1:] == [f"unparseable gap line from model: {line}" for line in lines.splitlines()[3:]]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"entity": None},
+        {"relation": ["x"]},
+        {"value": None},
+        {"value": True},
+        {"value": {"v": 1}},
+        {"confidence": "0.9"},
+        {"confidence": True},
+        {"confidence": None},
+    ],
+    ids=json.dumps,
+)
+def test_live_ledger_line_of_the_wrong_json_types_is_a_warning(change):
+    # str() and float() would read the entity "None", the relation "['x']" and the confidence 0.9 or 1.0.
+    line = json.dumps({"passage": 1, "entity": "a", "relation": "r", "value": "v", "confidence": 0.5, **change})
+    live = _live([_FakeResponse(200, line)])
+    assert live.extract_ledger([fact_chunk("c0", "a", "r", "v")]).facts == []
+    assert live.warnings == [f"unparseable ledger line from model: {line[:80]}"]
+
+
+def test_live_ledger_line_value_may_be_a_number_and_confidence_a_whole_number():
+    lines = "\n".join(
+        json.dumps(record)
+        for record in (
+            {"passage": 1, "entity": "a", "relation": "born", "value": 1901, "confidence": 1},
+            {"passage": 1, "entity": "a", "relation": "height", "value": 1.5, "confidence": 0},
+            {"passage": 1, "entity": "a", "relation": "r", "value": "v"},
+        )
+    )
+    live = _live([_FakeResponse(200, lines)])
+    ledger = live.extract_ledger([fact_chunk("c0", "a", "r", "v")])
+    assert [(f.value, f.confidence) for f in ledger.facts] == [("1901", 1.0), ("1.5", 0.0), ("v", 1.0)]
+    assert type(ledger.facts[0].confidence) is float
+    assert live.warnings == []
+

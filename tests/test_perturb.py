@@ -14,6 +14,7 @@ from adagate.perturb import (
     _VARIANT_OPS,
     DISTORTION_WEIGHTS,
     DISTORTIONS,
+    VARIANT_CAP,
     PerturbConfig,
     injected_count,
     inject_noise,
@@ -131,11 +132,12 @@ def test_redundancy_variant_count_and_pool(fixture_examples, fixture_chunks):
 
 
 def test_redundancy_respects_per_gold_cap(fixture_examples, fixture_chunks):
-    config = PerturbConfig(kind="redundancy", rho=0.9, seed=7, variant_cap=4)
+    config = PerturbConfig(kind="redundancy", rho=0.9, seed=7)
     out = inject_redundancy(fixture_examples, fixture_chunks, config)
     variants = [c for c in out if c.provenance == "redundant_variant"]
-    # 2 golds per example, cap 4: at most 8 variants per example.
-    assert len(variants) == 16
+    # rho 0.9 asks for 90 per example; 2 golds per example, VARIANT_CAP 6 each: 12 per example.
+    assert VARIANT_CAP == 6
+    assert len(variants) == 2 * 2 * VARIANT_CAP
 
 
 def test_redundancy_rho_zero_is_identity(fixture_examples, fixture_chunks):
