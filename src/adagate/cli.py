@@ -35,6 +35,8 @@ from .scoring import DEFAULT_WEIGHTS, UtilityWeights
 
 MANIFEST_SCHEMA = "manifest@1"
 MANIFEST_SUFFIX = ".manifest.json"
+# DEFAULT_DIM is a power of two, as the lockstep hashing path needs.
+_DIM_HELP = f"for a new store (default 2**{DEFAULT_DIM.bit_length() - 1})"
 
 
 class UsageError(Exception):
@@ -147,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--chunks", required=True)
     p_index.add_argument("--store", required=True, help="index snapshot file (created if absent)")
     p_index.add_argument("--namespace", required=True)
-    p_index.add_argument("--dim", type=int, default=None, help=f"for a new store (default {DEFAULT_DIM})")
+    p_index.add_argument("--dim", type=int, default=None, help=_DIM_HELP)
     p_index.add_argument("--embedder", choices=("hash", "remote"), default=None, help="for a new store (default hash)")
     p_index.add_argument("--config", default=None, help="JSON file with the remote endpoints")
 
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perturb.add_argument("--seed", type=int, default=0)
     p_perturb.add_argument("--out", required=True, help="output chunk file")
     p_perturb.add_argument("--store", default=None, help="snapshot to upsert into the namespace named by --kind")
-    p_perturb.add_argument("--dim", type=int, default=None, help=f"for a new store (default {DEFAULT_DIM})")
+    p_perturb.add_argument("--dim", type=int, default=None, help=_DIM_HELP)
     p_perturb.add_argument("--config", default=None, help="JSON file with the remote endpoints")
 
     p_run = sub.add_parser("run", help="run a controller over a namespace")

@@ -10,7 +10,10 @@ tests reproduce independently, is:
    surrogate (which ``json.loads`` yields from an escape such as ``\\ud800``)
    takes the three bytes of its code point, as the ``surrogatepass`` error
    handler writes them;
-4. accumulate a count at coordinate ``hash % dim`` (dim defaults to 256);
+4. accumulate a count at coordinate ``hash % dim`` (dim defaults to 2**20:
+   at 256 so many tokens collide that the first 200 questions of a seed-7
+   5,000-chunk world scored accuracy 0.005 against 0.695, and every
+   postings bucket is crowded);
 5. L2-normalize the result. Empty text yields the all-zero vector, and
    cosine against a zero vector is defined as 0.
 
@@ -121,7 +124,7 @@ _GROUP_TEXTS = 256
 _LOCKSTEP_MIN_TOKENS = 32
 
 SNAPSHOT_SCHEMA = "index@2"
-DEFAULT_DIM = 256
+DEFAULT_DIM = 1 << 20
 EMBED_TIMEOUT_S = 30.0
 # Coordinates are stored as uint32, so every coordinate below dim must fit one.
 MAX_DIM = 1 << 32

@@ -21,6 +21,7 @@ warning rather than aborting a run.
 from __future__ import annotations
 
 import json
+import math
 import re
 import string
 from dataclasses import dataclass, field
@@ -316,7 +317,7 @@ class LiveOracle:
     batches. Malformed model output yields an empty result plus an entry in
     ``warnings`` instead of raising. So does a ledger or gap line whose
     entity or relation is not a string, whose value is neither a string nor
-    a number, or whose confidence is not a number (a bool is neither).
+    a number, or whose confidence is not a finite number (a bool is neither).
     """
 
     def __init__(
@@ -355,11 +356,14 @@ class LiveOracle:
             value, confidence = record["value"], record.get("confidence", 1.0)
             if type(value) not in (str, int, float) or type(confidence) not in (int, float):
                 raise ValueError("value must be a string or a number, and confidence a number")
+            # NaN compares false, where min(1.0, nan) would be 1.0.
+            if not -math.inf < confidence < math.inf:
+                raise ValueError("confidence must be finite")
             return Fact(
                 entity=entity,
                 relation=relation,
                 value=str(value),
-                confidence=max(0.0, min(1.0, float(confidence))),
+                confidence=float(max(0.0, min(1.0, confidence))),  # an int may outgrow a float
                 source_chunk=evidence[number - 1].chunk_id,
             )
 

@@ -153,6 +153,22 @@ def test_invalid_value_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "r.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["index", "perturb"])
+def test_a_new_store_without_dim_is_a_2_pow_20_store(tmp_path, command):
+    data = str(builtin_fixture_path())
+    chunks = tmp_path / "chunks.jsonl"
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    argv = {
+        "index": ["index", "--chunks", str(chunks), "--namespace", "clean"],
+        "perturb": ["perturb", "--data", data, "--kind", "noise", "--out", str(tmp_path / "noise.jsonl")],
+    }[command]
+    default, explicit = tmp_path / "default.jsonl", tmp_path / "explicit.jsonl"
+    assert main(argv + ["--store", str(default)]) == 0
+    assert main(argv + ["--store", str(explicit), "--dim", DIM]) == 0
+    assert json.loads(default.read_text(encoding="utf-8").splitlines()[0])["dim"] == 2**20
+    assert default.read_bytes() == explicit.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [

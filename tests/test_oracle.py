@@ -357,6 +357,9 @@ def test_live_oracle_unparseable_gap_line_warns_and_keeps_the_others():
         {"confidence": "0.9"},
         {"confidence": True},
         {"confidence": None},
+        {"confidence": float("nan")},
+        {"confidence": float("inf")},
+        {"confidence": float("-inf")},
     ],
     ids=json.dumps,
 )
@@ -375,11 +378,12 @@ def test_live_ledger_line_value_may_be_a_number_and_confidence_a_whole_number():
             {"passage": 1, "entity": "a", "relation": "born", "value": 1901, "confidence": 1},
             {"passage": 1, "entity": "a", "relation": "height", "value": 1.5, "confidence": 0},
             {"passage": 1, "entity": "a", "relation": "r", "value": "v"},
+            {"passage": 1, "entity": "a", "relation": "big", "value": "v", "confidence": 10**400},
         )
     )
     live = _live([_FakeResponse(200, lines)])
     ledger = live.extract_ledger([fact_chunk("c0", "a", "r", "v")])
-    assert [(f.value, f.confidence) for f in ledger.facts] == [("1901", 1.0), ("1.5", 0.0), ("v", 1.0)]
+    assert [(f.value, f.confidence) for f in ledger.facts] == [("1901", 1.0), ("1.5", 0.0), ("v", 1.0), ("v", 1.0)]
     assert type(ledger.facts[0].confidence) is float
     assert live.warnings == []
 

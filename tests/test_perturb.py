@@ -5,8 +5,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from adagate.corpus import chunk_corpus, chunk_to_record, count_tokens
+from adagate.corpus import PROVENANCE_REDUNDANT, chunk_corpus, chunk_to_record, count_tokens, make_chunk
 from adagate.errors import ValidationError
 from adagate.index import HashingEmbedder, cosine
 from adagate.perturb import (
@@ -14,8 +16,13 @@ from adagate.perturb import (
     _VARIANT_OPS,
     DISTORTION_WEIGHTS,
     DISTORTIONS,
+    SUBSET_RANGE,
     VARIANT_CAP,
+    VARIANT_KINDS,
     PerturbConfig,
+    _Gold,
+    _split_sentences,
+    _synonym,
     injected_count,
     inject_noise,
     inject_redundancy,
@@ -201,9 +208,9 @@ def test_reorder_and_subset_keep_sentence_ends_inside_brackets():
     body = "The town ENT[St. Ives] REL[county] VAL[Cornwall]. It is by the sea. Many visit."
     facts = FACT_PATTERN.findall(body)
     for seed in range(6):
-        reordered = _VARIANT_OPS["reorder"](body, random.Random(seed))
+        reordered = _VARIANT_OPS["reorder"](_Gold(body), random.Random(seed))
         assert FACT_PATTERN.findall(reordered) == facts
-        subset = _VARIANT_OPS["subset"](body, random.Random(seed))
+        subset = _VARIANT_OPS["subset"](_Gold(body), random.Random(seed))
         kept = FACT_PATTERN.findall(subset)
         assert kept in ([], facts)
         assert subset.count("[") == subset.count("]") == 3 * len(kept)  # no fact cut apart
@@ -251,3 +258,89 @@ def test_redundancy_skips_an_example_without_gold_chunks():
     assert partial
     assert not [c for c in partial if c.source_example == bare.id]
     assert _serialize(partial) == _serialize([c for c in full if c.source_example != bare.id])
+
+
+# ---------------------------------------------------------------- reference derivations
+# Each variant derived from its gold's body on its own, one word at a time: the
+# loop that per-gold derivation and the C-level synonym scan must reproduce.
+
+
+def _reference_synonym(body: str) -> str:
+    table = load_synonym_table()
+    out = []
+    for word in body.split():
+        core = word.strip(".,;:!?")
+        replacement = table.get(core.lower())
+        if replacement is not None:
+            prefix_len = word.find(core) if core else 0
+            prefix = word[:prefix_len] if prefix_len > 0 else ""
+            suffix = word[prefix_len + len(core) :] if core else ""
+            out.append(prefix + replacement + suffix)
+        else:
+            out.append(word)
+    return " ".join(out)
+
+
+def _reference_variant(kind: str, body: str, rng: random.Random) -> str:
+    if kind == "synonym":
+        return _reference_synonym(body)
+    sentences = _split_sentences(body)
+    if kind == "reorder":
+        rng.shuffle(sentences)
+        return " ".join(sentences)
+    if len(sentences) <= 1:
+        return body
+    keep = max(1, round(rng.uniform(*SUBSET_RANGE) * len(sentences)))
+    return " ".join(sentences[i] for i in sorted(rng.sample(range(len(sentences)), keep)))
+
+
+def _reference_redundancy(examples, chunks, config):
+    injected = []
+    for example in examples:
+        rng = random.Random(f"{config.seed}:redundancy:{example.id}")
+        own = [c for c in chunks if c.source_example == example.id]
+        golds = [c for c in own if c.title in example.gold_titles]
+        for j in range(min(injected_count(len(own), config.rho), len(golds) * VARIANT_CAP)):
+            gold, g_index = golds[j % len(golds)], j // len(golds)
+            body = _reference_variant(VARIANT_KINDS[g_index % len(VARIANT_KINDS)], gold.body, rng)
+            chunk_id = f"{gold.chunk_id}-r{g_index}"
+            injected.append(make_chunk(chunk_id, gold.title, body, example.id, PROVENANCE_REDUNDANT))
+    return list(chunks) + injected
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])  # at 0.9 the cap binds: 6 variants, 4 sentence splits per gold
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_redundancy_equals_per_variant_derivation(seed, rho):
+    world = generate_world(WorldSpec(n_questions=40, seed=seed))
+    chunks = chunk_corpus(world)
+    config = PerturbConfig(kind="redundancy", rho=rho, seed=seed)
+    out = inject_redundancy(world, chunks, config)
+    assert len(out) - len(chunks) == (10 if rho == 0.5 else 2 * VARIANT_CAP) * len(world)
+    assert out == _reference_redundancy(world, chunks, config)
+
+
+_TABLE_WORDS = sorted(load_synonym_table())
+_CASED_TABLE_WORD = st.sampled_from(_TABLE_WORDS).flatmap(
+    lambda w: st.lists(st.booleans(), min_size=len(w), max_size=len(w)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(w, upper))
+    )
+)
+_EDGE = st.text(".,;:!?\"'()[]-", max_size=3)
+_WORD = st.one_of(
+    st.builds(lambda pre, core, suf: pre + core + suf, _EDGE, _CASED_TABLE_WORD, _EDGE),
+    st.text(".,;:!?", min_size=1, max_size=4),  # punctuation only: the core is empty
+    # Case mappings that reach or miss the ASCII keys: the Kelvin sign lowercases to "k",
+    # "İ" to two code points, and "ſ" is already lowercase.
+    st.sampled_from(["\u212anown", "\u0130s", "\u017fmall", "THE", "Most,", "..a..", "its!?"]),
+    st.text(max_size=8),
+)
+_SPACE = st.sampled_from([" ", "  ", "\t", "\n", " \r\n", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.one_of(st.lists(st.tuples(_SPACE, _WORD)).map(lambda parts: "".join(map("".join, parts))), st.text()))
+@example(body="")
+@example(body="  \t\n ")
+@example(body="The \u212anown town, and its MOST. \u0130s \u017fmall! ... ;;")
+def test_synonym_equals_the_per_word_loop(body):
+    assert _synonym(body) == _reference_synonym(body)
