@@ -36,7 +36,7 @@ from .scoring import DEFAULT_WEIGHTS, UtilityWeights
 MANIFEST_SCHEMA = "manifest@1"
 MANIFEST_SUFFIX = ".manifest.json"
 # DEFAULT_DIM is a power of two, as the lockstep hashing path needs.
-_DIM_HELP = f"for a new store (default 2**{DEFAULT_DIM.bit_length() - 1})"
+_DIM_HELP = f"for a new store (hash default 2**{DEFAULT_DIM.bit_length() - 1}; remote: required)"
 
 
 class UsageError(Exception):
@@ -224,6 +224,8 @@ def _open_store(
     """
     path = Path(store)
     if not path.exists():
+        if embedder_kind == "remote" and dim is None:
+            raise UsageError("a new remote store needs --dim, the size of the embedding service's vectors")
         return VectorIndex(_make_embedder(embedder_kind or "hash", DEFAULT_DIM if dim is None else dim, config))
     stored_dim, stored_kind, records = read_snapshot(path)
     records.close()

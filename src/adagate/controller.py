@@ -14,23 +14,26 @@ retrieval, generation, and accounting pipeline.
 
 A repair run computes each retrieval and each cosine once: fallback
 queries repeat every iteration (the first is the question itself), hits
-come back again and members are re-scored against the same passages. The
-run's memo keeps the hits per query string and every chunk-chunk,
-chunk-question and chunk-gap-query cosine; candidate dedup and the gap
-coverage, redundancy and question relevance terms all read it. It dies
-with the run: the namespace, ``k`` and stored vectors are fixed only within
-a run (an upsert may change them between runs), and concurrent runs share
-nothing.
+come back again and members are re-scored against the same passages.
+Each call makes its own ``functools.cache`` lookups, keyed by name: hits
+by query string, a stored entry by chunk id, a chunk-chunk cosine by the
+sorted id pair (``cosine`` is symmetric bit for bit) and a chunk-query
+cosine by chunk id and query string. Candidate dedup and the gap
+coverage, redundancy and question relevance terms all read them. They die
+with the call: the namespace, ``k`` and stored vectors are fixed only
+within a run (an upsert may change them between runs), and concurrent
+runs share nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import Chunk, Example, count_tokens
-from .index import VectorIndex, cosine
+from .index import Vector, VectorIndex, cosine
 from .oracle import Ledger, OracleBackend, match_slots
 # The benchmark's traced pass wraps score_candidate, effective_capacity,
 # select_evidence and replace_update by looking each name up in this module
@@ -130,67 +133,26 @@ def adaptive_cut(scores: Sequence[float]) -> int:
     return effective_capacity(scores, 0) if scores else 0
 
 
-class _RunMemo:
-    """The retrievals and cosines of one ``run_adagate`` call, each computed once.
-
-    Keyed by name, never by object identity: hits by query string, a
-    chunk-chunk cosine by the two chunk ids in sorted order (``cosine`` is
-    symmetric bit for bit), a chunk-query cosine by chunk id and query string.
-    """
-
-    def __init__(self, index: VectorIndex, namespace: str, k: int):
-        self._index, self._namespace, self._k = index, namespace, k
-        self._hits: dict[str, list[tuple[str, float]]] = {}
-        self._chunk_sims: dict[tuple[str, str], float] = {}
-        self._query_sims: dict[tuple[str, str], float] = {}
-
-    def hits(self, query: str) -> list[tuple[str, float]]:
-        hits = self._hits.get(query)
-        if hits is None:
-            hits = self._hits[query] = self._index.query_top_k(self._namespace, query, self._k)
-        return hits
-
-    def chunk(self, chunk_id: str) -> Chunk:
-        return self._index.get_entry(self._namespace, chunk_id)[0]
-
-    def chunk_sim(self, a: str, b: str) -> float:
-        """Cosine between the stored vectors of chunks ``a`` and ``b``."""
-        key = (a, b) if a < b else (b, a)
-        sim = self._chunk_sims.get(key)
-        if sim is None:
-            get_entry, namespace = self._index.get_entry, self._namespace
-            sim = self._chunk_sims[key] = cosine(get_entry(namespace, a)[1], get_entry(namespace, b)[1])
-        return sim
-
-    def query_sim(self, chunk_id: str, query: str) -> float:
-        """Cosine between chunk ``chunk_id``'s stored vector and the embedded ``query``."""
-        key = (chunk_id, query)
-        sim = self._query_sims.get(key)
-        if sim is None:
-            vec = self._index.embedder.embed_one(query)
-            sim = self._query_sims[key] = cosine(self._index.get_entry(self._namespace, chunk_id)[1], vec)
-        return sim
-
-
 def _assemble_candidates(
     hits: Iterable[tuple[str, float]],
-    memo: _RunMemo,
     evidence: Sequence[Chunk],
+    chunk_sim: Callable[[str, str], float],
+    entry: Callable[[str], tuple[Chunk, Vector]],
 ) -> list[Chunk]:
     """Deduplicate retrieved ``(chunk_id, score)`` hits into a candidate list.
 
     Drops ids already selected or already kept, and suppresses near
-    duplicates: any candidate whose cosine against a selected passage or an
-    earlier-kept candidate reaches ``DEDUP_THRESHOLD``. Hits are processed in the
-    order given (channel, query, then retrieval rank), so the assembly is
-    deterministic.
+    duplicates: any candidate whose cosine (``chunk_sim`` of two chunk ids)
+    against a selected passage or an earlier-kept candidate reaches
+    ``DEDUP_THRESHOLD``. Hits are processed in the order given (channel,
+    query, then retrieval rank), so the assembly is deterministic.
     """
     others = [c.chunk_id for c in evidence]
     kept: list[Chunk] = []
     for chunk_id, _ in hits:
-        if chunk_id in others or any(memo.chunk_sim(chunk_id, other) >= DEDUP_THRESHOLD for other in others):
+        if chunk_id in others or any(chunk_sim(chunk_id, other) >= DEDUP_THRESHOLD for other in others):
             continue
-        kept.append(memo.chunk(chunk_id))
+        kept.append(entry(chunk_id)[0])
         others.append(chunk_id)
     return kept
 
@@ -204,15 +166,33 @@ def run_adagate(
     question = example.question
     trace = ControllerTrace(example_id=example.id, mode=MODE_ADAGATE, namespace=config.namespace)
     warned = len(getattr(oracle, "warnings", []))
-    memo = _RunMemo(index, config.namespace, config.k)
+
+    @cache
+    def hits(query: str) -> list[tuple[str, float]]:
+        return index.query_top_k(config.namespace, query, config.k)
+
+    @cache
+    def entry(chunk_id: str) -> tuple[Chunk, Vector]:
+        return index.get_entry(config.namespace, chunk_id)
+
+    @cache
+    def ordered_chunk_sim(a: str, b: str) -> float:
+        return cosine(entry(a)[1], entry(b)[1])
+
+    def chunk_sim(a: str, b: str) -> float:
+        return ordered_chunk_sim(a, b) if a < b else ordered_chunk_sim(b, a)
+
+    @cache
+    def query_sim(chunk_id: str, query: str) -> float:
+        return cosine(entry(chunk_id)[1], index.embedder.embed_one(query))
 
     def score(chunk: Chunk, evidence: Sequence[Chunk]) -> TermBreakdown:
         chunk_id = chunk.chunk_id
         return score_candidate(
             chunk,
-            memo.query_sim(chunk_id, question),
-            [memo.query_sim(chunk_id, q) for q in gap_queries],
-            [memo.chunk_sim(chunk_id, c.chunk_id) for c in evidence],
+            query_sim(chunk_id, question),
+            [query_sim(chunk_id, q) for q in gap_queries],
+            [chunk_sim(chunk_id, c.chunk_id) for c in evidence],
             ledger,
             config.weights,
             oracle=oracle,
@@ -225,7 +205,9 @@ def run_adagate(
     queries = {CHANNEL_SEED: [question]}
     reason = REASON_MAX_ITERATIONS
     for t in range(config.max_iterations + 1):
-        record = IterationRecord(index=t)
+        # The evidence as found, until the re-selection below overwrites it.
+        record = IterationRecord(index=t, selected_ids=state.chunk_ids, used_tokens=state.used_tokens)
+        trace.iterations.append(record)
         if t:
             ledger = oracle.extract_ledger(state.selected)
             record.ledger_size = len(ledger)
@@ -233,17 +215,14 @@ def run_adagate(
             record.sufficient = verdict.sufficient
             record.gaps = [(g.entity, g.relation) for g in verdict.gaps]
             if verdict.sufficient:
-                record.selected_ids = state.chunk_ids
-                record.used_tokens = state.used_tokens
-                trace.iterations.append(record)
                 reason = REASON_SUFFICIENT
                 break
             gap_queries, fb_queries = oracle.make_queries(question, verdict.gaps)
             queries = {CHANNEL_GAP: gap_queries, CHANNEL_FALLBACK: fb_queries}
 
         record.queries = queries
-        record.hits = {ch: [h for q in qs for h in memo.hits(q)] for ch, qs in queries.items()}
-        candidates = _assemble_candidates(chain.from_iterable(record.hits.values()), memo, state.selected)
+        record.hits = {ch: [h for q in qs for h in hits(q)] for ch, qs in queries.items()}
+        candidates = _assemble_candidates(chain.from_iterable(record.hits.values()), state.selected, chunk_sim, entry)
         scored = [(c, score(c, state.selected)) for c in candidates]
         record.scores = {c.chunk_id: tb for c, tb in sorted(scored, key=lambda pair: pair[0].chunk_id)}
         rescored: list[float] = []
@@ -252,18 +231,15 @@ def run_adagate(
             rescored.append(score(chunk, prior).utility)
             return rescored[-1]
 
-        previous_ids = state.chunk_ids
+        previous_ids = record.selected_ids
         state = replace_update(state, [(c, tb.utility) for c, tb in scored], rescore, buffer=config.buffer)
-        record.k_eff = state.k_eff
-        record.selected_ids = state.chunk_ids
-        record.used_tokens = state.used_tokens
-        trace.iterations.append(record)
+        record.k_eff, record.selected_ids, record.used_tokens = state.k_eff, state.chunk_ids, state.used_tokens
 
         # A repair that changed nothing, with no new candidate outranking the
         # weakest re-scored member, would repeat itself.
         max_new = max((tb.utility for _, tb in scored), default=None)
         no_outrank = max_new is None or (bool(rescored) and max_new < min(rescored))
-        if t and state.chunk_ids == previous_ids and no_outrank:
+        if t and record.selected_ids == previous_ids and no_outrank:
             reason = REASON_NO_USEFUL_REPAIR
             break
 

@@ -94,6 +94,7 @@ from array import array
 from base64 import b64decode, b64encode
 from collections import Counter
 from contextlib import closing
+from functools import cached_property
 from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -330,26 +331,51 @@ class RemoteEmbedder:
             raise TransportError(f"malformed embedding response: {exc}") from exc
         if len(embeddings) != len(texts):
             raise TransportError(f"embedding service returned {len(embeddings)} embeddings for {len(texts)} inputs")
+        for values in embeddings:
+            if type(values) is not list or not all(map(_finite_number, values)):
+                raise TransportError("malformed embedding response: an embedding is not a list of finite numbers")
         return embeddings
+
+
+def _finite_number(value: object) -> bool:
+    """Whether a JSON value is a number (a bool is not) with a finite float value; NaN fails every comparison."""
+    return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+
+
+class _Namespace(dict[str, tuple[Chunk, Vector]]):
+    """A namespace's chunk id -> (chunk, vector) map, never changed once stored."""
+
+    @cached_property
+    def postings(self) -> Postings:
+        vectors = {chunk_id: self[chunk_id][1] for chunk_id in sorted(self)}
+        entries = sum(map(len, vectors.values()))
+        mask = (1 << (entries // 8).bit_length()) - 1  # 4-8 components per bucket
+        buckets: list[list[str]] = [[] for _ in range(mask + 1)]
+        for chunk_id, vec in vectors.items():
+            for coord in vec:
+                bucket = buckets[coord & mask]
+                if not bucket or bucket[-1] is not chunk_id:  # once per bucket
+                    bucket.append(chunk_id)
+        starts = array("I", accumulate(map(len, buckets), initial=0))
+        return tuple(chain.from_iterable(buckets)), starts, vectors
 
 
 class VectorIndex:
     """In-memory vector store with isolated namespaces and exact top-k queries.
 
-    Reads are lock-free; writes take a lock per index and swap in a new map
-    of the namespace, so a read iterates a map that nothing changes. A
-    namespace of hashed vectors is scored over postings built by its first
-    query after a write: buckets of chunk ids, one per masked coordinate,
-    laid end to end, and the chunk vectors in ascending id order. A
+    Reads never lock; writes take a lock per index and swap in a new map of
+    the namespace, so a read iterates a map that nothing changes. A namespace
+    of hashed vectors is scored over the postings of the map the query read,
+    which the map's first query builds and the map owns. ``cached_property``
+    takes no lock from Python 3.12 on, so two threads' first queries of a
+    new map may both build them; the two are equal and one is kept. A
     namespace of remote (dense) vectors is scanned. Both paths return the
     same hits with bit-identical scores.
     """
 
     def __init__(self, embedder: HashingEmbedder | RemoteEmbedder):
         self.embedder = embedder
-        self._spaces: dict[str, dict[str, tuple[Chunk, Vector]]] = {}
-        # Derived from the vectors: built lazily, dropped by every upsert.
-        self._postings: dict[str, Postings] = {}
+        self._spaces: dict[str, _Namespace] = {}
         self._lock = threading.Lock()
 
     def namespaces(self) -> list[str]:
@@ -371,11 +397,10 @@ class VectorIndex:
         vectors = self.embedder.embed([c.text for c in chunks])
         with self._lock:
             # A new map, swapped in whole: a query may be iterating the old one.
-            space = dict(self._spaces.get(namespace, {}))
+            space = _Namespace(self._spaces.get(namespace, {}))
             for chunk, vec in zip(chunks, vectors):
                 space[chunk.chunk_id] = (chunk, vec)
             self._spaces[namespace] = space
-            self._postings.pop(namespace, None)
         return len(chunks)
 
     def query_top_k(self, namespace: str, query_text: str, k: int) -> list[tuple[str, float]]:
@@ -385,51 +410,8 @@ class VectorIndex:
         space = self._space(namespace)
         query = self.embedder.embed_one(query_text)
         if self.embedder.backend == HashingEmbedder.backend:
-            return self._postings_top_k(namespace, query, k)
+            return _postings_top_k(space.postings, query, k)
         return _scan_top_k(space, query, k)
-
-    def _postings_top_k(self, namespace: str, query: Vector, k: int) -> list[tuple[str, float]]:
-        """Term-at-a-time scoring, bit-identical to ``_scan_top_k`` for non-negative vectors.
-
-        Each chunk's products are summed from 0.0 in ascending coordinate
-        order, exactly as ``cosine`` sums the intersection, so the scores
-        are the same floats. A bucket lists every chunk with a coordinate
-        of that bucket; a chunk whose vector lacks the query's coordinate
-        only shares the bucket and adds nothing. Chunks sharing no
-        coordinate with the query score 0.0, below every touched chunk, and
-        fill the remaining places in ascending id order, as the scan's sort
-        puts them: the first untouched ids of the sorted vector map. A query
-        sees the namespace as it was when the postings were built, even
-        while an upsert replaces vectors. They are built from the map
-        current under the lock, never from one the caller read earlier: an
-        upsert in between has already dropped the postings of that map.
-        """
-        built = self._postings.get(namespace)
-        if built is None:
-            with self._lock:
-                built = self._postings.get(namespace)
-                if built is None:
-                    built = self._postings[namespace] = _build_postings(self._spaces[namespace])
-        ids, starts, vectors = built
-        mask = len(starts) - 2  # one start per bucket, then the end
-        acc: dict[str, float] = {}
-        for coord in sorted(query):
-            qv = query[coord]
-            bucket = coord & mask
-            for chunk_id in ids[starts[bucket] : starts[bucket + 1]]:
-                value = vectors[chunk_id].get(coord)
-                if value is not None:  # not just a chunk sharing the bucket
-                    acc[chunk_id] = acc.get(chunk_id, 0.0) + value * qv
-        ranked = [
-            (chunk_id, -neg)
-            for neg, chunk_id in heapq.nsmallest(
-                k, ((-max(-1.0, min(1.0, score)), chunk_id) for chunk_id, score in acc.items())
-            )
-        ]
-        if len(ranked) < k:
-            untouched = (chunk_id for chunk_id in vectors if chunk_id not in acc)  # ascending ids
-            ranked += [(chunk_id, 0.0) for chunk_id in islice(untouched, k - len(ranked))]
-        return ranked
 
     def get_chunk(self, namespace: str, chunk_id: str) -> Chunk:
         return self.get_entry(namespace, chunk_id)[0]
@@ -520,7 +502,7 @@ class VectorIndex:
                         raise ValueError(f"coordinate {max(vec)} is outside dim {dim}")
                 except (KeyError, TypeError, ValueError, ParseError) as exc:
                     raise ParseError(f"snapshot record {i}: {exc}") from exc
-                index._spaces.setdefault(name, {})[chunk.chunk_id] = (chunk, vec)
+                index._spaces.setdefault(name, _Namespace())[chunk.chunk_id] = (chunk, vec)
         if namespace is not None and namespace not in index._spaces:
             listed = ", ".join(sorted(held)) or "no namespaces"
             raise UnknownNamespaceError(f"unknown namespace {namespace!r} (store holds: {listed})")
@@ -577,15 +559,37 @@ def _scan_top_k(space: dict[str, tuple[Chunk, Vector]], query: Vector, k: int) -
     return scored[:k]
 
 
-def _build_postings(space: dict[str, tuple[Chunk, Vector]]) -> Postings:
-    vectors = {chunk_id: space[chunk_id][1] for chunk_id in sorted(space)}
-    entries = sum(map(len, vectors.values()))
-    mask = (1 << (entries // 8).bit_length()) - 1  # 4-8 components per bucket
-    buckets: list[list[str]] = [[] for _ in range(mask + 1)]
-    for chunk_id, vec in vectors.items():
-        for coord in vec:
-            bucket = buckets[coord & mask]
-            if not bucket or bucket[-1] is not chunk_id:  # once per bucket
-                bucket.append(chunk_id)
-    starts = array("I", accumulate(map(len, buckets), initial=0))
-    return tuple(chain.from_iterable(buckets)), starts, vectors
+def _postings_top_k(postings: Postings, query: Vector, k: int) -> list[tuple[str, float]]:
+    """Term-at-a-time scoring, bit-identical to ``_scan_top_k`` for non-negative vectors.
+
+    Each chunk's products are summed from 0.0 in ascending coordinate
+    order, exactly as ``cosine`` sums the intersection, so the scores
+    are the same floats. A bucket lists every chunk with a coordinate
+    of that bucket; a chunk whose vector lacks the query's coordinate
+    only shares the bucket and adds nothing. Chunks sharing no
+    coordinate with the query score 0.0, below every touched chunk, and
+    fill the remaining places in ascending id order, as the scan's sort
+    puts them: the first untouched ids of the sorted vector map. The
+    postings are those of the one map the query read, so it sees that
+    map whole, even while an upsert swaps in another; it takes no lock.
+    """
+    ids, starts, vectors = postings
+    mask = len(starts) - 2  # one start per bucket, then the end
+    acc: dict[str, float] = {}
+    for coord in sorted(query):
+        qv = query[coord]
+        bucket = coord & mask
+        for chunk_id in ids[starts[bucket] : starts[bucket + 1]]:
+            value = vectors[chunk_id].get(coord)
+            if value is not None:  # not just a chunk sharing the bucket
+                acc[chunk_id] = acc.get(chunk_id, 0.0) + value * qv
+    ranked = [
+        (chunk_id, -neg)
+        for neg, chunk_id in heapq.nsmallest(
+            k, ((-max(-1.0, min(1.0, score)), chunk_id) for chunk_id, score in acc.items())
+        )
+    ]
+    if len(ranked) < k:
+        untouched = (chunk_id for chunk_id in vectors if chunk_id not in acc)  # ascending ids
+        ranked += [(chunk_id, 0.0) for chunk_id in islice(untouched, k - len(ranked))]
+    return ranked

@@ -114,6 +114,9 @@ def test_run_rejects_zero_iterations(tmp_path):
         ["index", "--namespace", "clean", "--dim", "4294967297"],  # 2**32 + 1: a coordinate outgrows a uint32
         ["index", "--namespace", "clean", "--embedder", "remote", "--dim", "0",
          "--config", '{"index": {"remote": {"url": "http://embed.invalid"}}}'],
+        # A new remote store has no default dim: the service decides it.
+        ["index", "--namespace", "clean", "--embedder", "remote",
+         "--config", '{"index": {"remote": {"url": "http://embed.invalid"}}}'],
         # Config-file keys that settings which are flags once had: the JSON after --config is written to a file.
         ["run", "--mode", "adaptive_k", "--config", '{"adaptive_k": {"pool": 0}}'],
         ["run", "--config", '{"adaptive_k": {"pool": "many"}}'],
@@ -151,6 +154,7 @@ def test_invalid_value_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert "Traceback" not in err
     assert not requests_sent
     assert not (tmp_path / "r.jsonl").exists()
+    assert not (tmp_path / "store.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", ["index", "perturb"])
@@ -231,6 +235,24 @@ def test_config_file_is_checked_strictly(tmp_path, monkeypatch, capsys, config, 
     assert main(argv + ["--config", str(path)]) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not requests_sent
+    assert not store.exists()
+
+
+def test_a_non_finite_embedding_component_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys):
+    from adagate import index
+
+    def nan_embeddings(session, url, payload, **kwargs):
+        return {"data": [{"embedding": [float("nan"), 1.0, 0.0, 0.0]} for _ in payload["input"]]}
+
+    monkeypatch.setattr(index, "post_json", nan_embeddings)
+    chunks, store, config = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "config.json"
+    assert main(["ingest", "--data", str(builtin_fixture_path()), "--out", str(chunks)]) == 0
+    config.write_text(json.dumps({"index": {"remote": {"url": "http://embed.invalid"}}}), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean"]
+    assert main(argv + ["--embedder", "remote", "--dim", "4", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert not store.exists()
 
 

@@ -23,6 +23,7 @@ from adagate.corpus import count_tokens
 from adagate.evaluate import evidence_prf
 from adagate.index import HashingEmbedder, RemoteEmbedder, VectorIndex
 from adagate.oracle import ABSTAIN, RuleBasedOracle
+from adagate.perturb import KIND_NOISE, KIND_REDUNDANCY, PerturbConfig, inject_noise, inject_redundancy
 
 from helpers import WORLD_DIM, FakeResponse, build_world, densify, fact_chunk
 
@@ -143,6 +144,43 @@ def test_trace_invariants(oracle):
         evidence = [index.get_chunk("clean", cid) for cid in trace.final_chunk_ids]
         expected_tokens = count_tokens(example.question) + sum(c.token_len for c in evidence)
         assert trace.input_tokens == expected_tokens
+
+
+def _three_condition_world(world_seed: int):
+    """A 20-question world's examples and its index of clean, noise and redundancy namespaces."""
+    examples, clean, index = build_world(20, seed=world_seed)
+    index.upsert(KIND_NOISE, inject_noise(examples, clean, PerturbConfig(kind=KIND_NOISE, rho=0.5, seed=3)))
+    redundancy = PerturbConfig(kind=KIND_REDUNDANCY, rho=0.5, seed=3)
+    index.upsert(KIND_REDUNDANCY, inject_redundancy(examples, clean, redundancy))
+    return examples, index
+
+
+# The budget, namespace, determinism and termination invariants hold beyond
+# one world seed. No accuracy is asserted: in the redundancy condition the
+# repair step can evict a found hop, a known defect that would decide it.
+@pytest.mark.parametrize("world_seed", [0, 1, 7, 10, 20240601])
+def test_invariants_hold_across_world_seeds_conditions_and_modes(world_seed):
+    examples, index = _three_condition_world(world_seed)
+    _, rebuilt = _three_condition_world(world_seed)
+    repair_reasons = (REASON_SUFFICIENT, REASON_NO_USEFUL_REPAIR, REASON_MAX_ITERATIONS)
+    budget = 140
+    for namespace in ("clean", KIND_NOISE, KIND_REDUNDANCY):
+        tokens = {c.chunk_id: c.token_len for c in index.chunks(namespace)}
+        for mode in MODES:
+            config = ControllerConfig(mode=mode, max_iterations=3, k=3, budget=budget, namespace=namespace)
+            for example in examples:
+                trace = run_example(example, config, index, RuleBasedOracle())
+                assert set(trace.final_chunk_ids) <= tokens.keys()
+                if mode == "adagate":
+                    assert trace.termination_reason in repair_reasons
+                    assert all(it.used_tokens <= budget for it in trace.iterations)
+                    for ids in [it.selected_ids for it in trace.iterations] + [trace.final_chunk_ids]:
+                        assert sum(tokens[cid] for cid in ids) <= budget
+                else:
+                    assert trace.termination_reason == REASON_NONE
+                # The same run over an index built again from the same seeds.
+                again = run_example(example, config, rebuilt, RuleBasedOracle())
+                assert again.as_dict(full=True) == trace.as_dict(full=True), (namespace, mode, example.id)
 
 
 def test_basic_baseline_passes_exactly_k_docs(oracle):

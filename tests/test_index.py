@@ -412,8 +412,13 @@ def test_remote_embedder_retries_then_surfaces_transport_error():
         ({"data": [{"vector": [1.0, 2.0]}]}, "malformed embedding response"),
         ({"embeddings": []}, "malformed embedding response"),
         ({"data": [{"embedding": [1.0, 2.0]}]}, "returned 1 embeddings for 2 inputs"),
+        *(
+            ({"data": [{"embedding": [component, 1.0]}, {"embedding": [0.5, 0.5]}]}, "not a list of finite numbers")
+            for component in (math.nan, math.inf, -math.inf, None, "0.5", True, [0.5])
+        ),
+        ({"data": [{"embedding": 0.5}, {"embedding": [0.5, 0.5]}]}, "not a list of finite numbers"),
     ],
-    ids=["no-embedding", "no-data", "too-few"],
+    ids=["no-embedding", "no-data", "too-few", "nan", "inf", "-inf", "null", "string", "true", "list", "not-a-list"],
 )
 def test_remote_embedder_rejects_a_malformed_body_without_retrying(body, message):
     session = FakeSession([FakeResponse(200, body), FakeResponse(200, body)])
@@ -613,35 +618,6 @@ def test_dense_queries_racing_upserts_of_new_ids_see_one_consistent_namespace():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert index.size("ns") == 300
-
-
-class _UpsertFirst:
-    """An index lock that lets one upsert in before its first holder takes it."""
-
-    def __init__(self, lock, upsert):
-        self._lock, self._upsert = lock, upsert
-
-    def __enter__(self):
-        upsert, self._upsert = self._upsert, None
-        if upsert is not None:
-            upsert()
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc):
-        return self._lock.__exit__(*exc)
-
-
-def test_postings_are_built_from_the_namespace_current_under_the_lock():
-    # The first query reads the namespace, then an upsert replaces every
-    # vector before the query takes the lock to build its postings.
-    embedder = HashingEmbedder(dim=2**20)
-    index = VectorIndex(embedder)
-    old = [sized_chunk(f"c{i}", 8) for i in range(10)]
-    new = [make_chunk(c.chunk_id, "fresh", f"fresh {c.chunk_id}w5", "ex") for c in old]
-    index.upsert("ns", old)
-    index._lock = _UpsertFirst(index._lock, lambda: index.upsert("ns", new))
-    index.query_top_k("ns", "fresh c3w5", 3)
-    assert index.query_top_k("ns", "fresh c3w5", 3) == brute_force_top_k(embedder, new, "fresh c3w5", 3)
 
 
 # Coordinates up to 2**20 make a set's iteration order differ from ascending
