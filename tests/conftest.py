@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -13,6 +14,9 @@ from adagate.index import HashingEmbedder, VectorIndex
 from adagate.oracle import RuleBasedOracle
 
 from helpers import WORLD_DIM, builtin_fixture_path
+
+# ``--hypothesis-profile=deep``: many more examples for properties that set no count of their own.
+settings.register_profile("deep", max_examples=3000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -71,6 +73,19 @@ def reference_normalize_tokens(text: str) -> list[str]:
         if end > start:
             tokens.append(raw[start:end])
     return tokens
+
+
+def reference_unit_vector(coords: list[int]) -> Vector:
+    """L2-normalized counts of ``coords`` in ascending coordinate order, one comprehension per step."""
+    if not coords:
+        return {}
+    distinct = sorted(set(coords))
+    if len(distinct) == len(coords):
+        return dict.fromkeys(distinct, 1.0 / math.sqrt(len(coords)))
+    counts = Counter(coords)
+    norm = math.sqrt(sum(count * count for count in counts.values()))
+    shared = {count: count / norm for count in set(counts.values())}
+    return {coord: shared[counts[coord]] for coord in distinct}
 
 
 def densify(vector: Vector, dim: int) -> list[float]:

@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 
 from adagate.corpus import make_chunk
 from adagate.errors import DuplicateIdError, ParseError, SchemaError, TransportError, UnknownNamespaceError
-from adagate.index import SNAPSHOT_SCHEMA, HashingEmbedder, RemoteEmbedder, VectorIndex, cosine, normalize_tokens
+from adagate.index import (
+    SNAPSHOT_SCHEMA,
+    HashingEmbedder,
+    RemoteEmbedder,
+    VectorIndex,
+    _unit_vector,
+    cosine,
+    normalize_tokens,
+    token_bytes,
+)
 
 from helpers import (
     FakeResponse,
@@ -25,6 +34,7 @@ from helpers import (
     densify,
     reference_cosine,
     reference_normalize_tokens,
+    reference_unit_vector,
     sized_chunk,
 )
 
@@ -113,6 +123,47 @@ def test_embed_batch_at_the_lane_width_limit_equals_spec(dim):
 @given(st.text(_chars, max_size=80))
 def test_normalize_tokens_equals_character_loop(text):
     assert normalize_tokens(text) == reference_normalize_tokens(text)
+
+
+# All 128 ASCII code points, weighted toward the bytes the ASCII byte path
+# treats specially: whitespace (\x1c-\x1f are whitespace only to ``str``),
+# A-Z, which it folds, edge punctuation, which it strips, and [a-z0-9_].
+_ascii_chars = st.one_of(
+    st.sampled_from([chr(code) for code in range(128)]),
+    st.sampled_from("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "),
+    st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXYZ[]~.,!?-"),
+    st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789_"),
+)
+_LOCKSTEP_BATCH_PAD = " ".join(f"pad{i}" for i in range(32))  # a batch of 32 tokens or more is hashed in lockstep
+
+
+@settings(deadline=None)
+@given(texts=st.lists(st.text(_ascii_chars, max_size=60), min_size=1, max_size=8))
+@example(texts=["Straße", "İx", "a\xa0b", "x\ud800y"])  # not ASCII: the reference path
+def test_byte_path_equals_the_reference_tokens_and_vectors(texts):
+    for text in texts:
+        assert token_bytes(text) == [t.encode("utf-8", "surrogatepass") for t in reference_normalize_tokens(text)]
+    batch = texts + [_LOCKSTEP_BATCH_PAD]
+    expected = [list(reference_vector(text, 2**20).items()) for text in batch]
+    assert [list(vec.items()) for vec in HashingEmbedder(2**20).embed(batch)] == expected
+    single = HashingEmbedder(1000)  # dim 1000 hashes one token at a time
+    assert [list(single.embed_one(text).items()) for text in texts] == [
+        list(reference_vector(text, 1000).items()) for text in texts
+    ]
+
+
+# Coordinates that repeat often, and some anywhere in a uint32.
+_coords = st.lists(st.one_of(st.integers(0, 12), st.integers(0, 2**32 - 1)), max_size=80)
+
+
+@given(_coords)
+@example([])
+@example([7, 3, 7, 7, 3, 9])
+def test_unit_vector_equals_the_comprehension_reference(coords):
+    def bits(vector):
+        return [(coord, value.hex()) for coord, value in vector.items()]
+
+    assert bits(_unit_vector(coords)) == bits(reference_unit_vector(coords))
 
 
 def test_unit_norm_after_embedding():
@@ -395,6 +446,42 @@ def test_remote_embedder_normalizes_and_caches():
     assert embedder.embed_one("hello") == vec
     assert len(session.calls) == 1
     assert session.calls[0]["url"] == "http://svc/v1/embeddings"
+
+
+def _remote_reply(values: list[float], dim: int) -> dict[int, float]:
+    """The vector ``RemoteEmbedder`` stores for one embedding reply of ``values``."""
+    session = FakeSession([FakeResponse(200, {"data": [{"embedding": values}]})])
+    return RemoteEmbedder(url="http://svc", dim=dim, session=session).embed_one("x")
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([1e200, 1e200, 0.0], {0: 0.5**0.5, 1: 0.5**0.5}),  # the sum of squares overflows
+        ([-1e300, 0.0, 3e300], {0: -(0.1**0.5), 2: 3 * 0.1**0.5}),
+        ([10**300, 10**300, 0], {0: 0.5**0.5, 1: 0.5**0.5}),  # JSON integers past the float range when squared
+        ([1e-200, 0.0, 0.0], {0: 1.0}),  # the sum of squares underflows to 0
+        ([1e-170, 1e-170, 0.0], {0: 0.5**0.5, 1: 0.5**0.5}),  # ... or to a subnormal
+        ([0.0, 5e-324, -5e-324], {1: 0.5**0.5, 2: -(0.5**0.5)}),
+        ([0.0, 0.0, 0.0], {}),
+    ],
+)
+def test_remote_embedder_normalizes_a_reply_whose_sum_of_squares_is_not_a_normal_float(values, expected):
+    vector = _remote_reply(values, 3)
+    assert list(vector) == list(expected)
+    assert list(vector.values()) == pytest.approx(list(expected.values()), rel=1e-15)
+
+
+def test_remote_embedder_keeps_the_plain_formula_for_an_ordinary_reply():
+    rng = random.Random(20)
+    for _ in range(300):
+        scale = 10.0 ** rng.randint(-150, 150)
+        values = [rng.choice([0.0, 5e-324, rng.uniform(-1, 1) * scale]) for _ in range(8)] + [scale]
+        square = sum(v * v for v in values)
+        assert 2.2250738585072014e-308 <= square <= 1.7976931348623157e308
+        norm = math.sqrt(square)
+        expected = {i: (v / norm).hex() for i, v in enumerate(values) if v}
+        assert {i: v.hex() for i, v in _remote_reply(values, 9).items()} == expected
 
 
 def test_remote_embedder_retries_then_surfaces_transport_error():
