@@ -71,6 +71,12 @@ no coordinate with a query score 0.0 and fill any places left in ascending
 id order, so the postings keep the chunk ids sorted and a query costs the
 chunks it touches plus at most k of the rest.
 
+A namespace of at most ``_ONE_BUCKET_MAX_CHUNKS`` (32) chunks is one bucket
+of every id, made without the build loop: a query then reads every chunk's
+component at each of its coordinates. The build that is skipped costs about
+as much as ten such queries at any size, and a small namespace is typically
+one question's own pool, written and then queried a few times.
+
 A snapshot (schema ``index@2``) is JSON lines: a header ``{"schema", "dim",
 "embedder"}``, then one record ``{"namespace", "chunk", "vector": {"idx",
 "val"}}`` per chunk, in namespace and then chunk id order. ``idx`` is the
@@ -144,6 +150,25 @@ _ASCII_EDGES = bytes(b for b in range(128) if b not in b"abcdefghijklmnopqrstuvw
 _GROUP_TEXTS = 256
 _LOCKSTEP_MIN_TOKENS = 32
 
+# Namespaces of at most this many chunks are one bucket of every id: no build
+# loop, and a query reads each id's component per query coordinate. Cost per
+# namespace size (a seed-7 world at dim 2**20, k=3, 100 question queries;
+# CPython 3.11 on a shared 2-vCPU Xeon, min of 30 builds and 15 passes):
+#
+#   chunks   build µs   bucketed query µs   one-bucket query µs   break-even queries
+#       10         68                 9.6                  13.2                   18
+#       20        133                 9.9                  20.1                   13
+#       32        184                11.9                  30.1                   10
+#       64        453                13.0                  61.9                    9
+#      256       1747                13.1                 218.6                    8
+#     1000       7895                15.4                 904.3                    9
+#
+# The build pays for itself after about ten queries at every size, so the
+# limit bounds what one query past that loses: 18 µs at 32 chunks (200
+# queries after one write lose about 3.5 ms), but 49 µs at 64 and 0.9 ms at
+# 1,000, where a store that ``run`` loads answers hundreds of queries.
+_ONE_BUCKET_MAX_CHUNKS = 32
+
 SNAPSHOT_SCHEMA = "index@2"
 DEFAULT_DIM = 1 << 20
 EMBED_TIMEOUT_S = 30.0
@@ -163,7 +188,7 @@ Vector = dict[int, float]
 # end, where bucket ``b = coord & mask`` is ``ids[starts[b]:starts[b + 1]]``
 # and holds once each chunk with a coordinate in that bucket, plus the chunk
 # id -> vector map they were built from, in ascending id order, where the
-# components are read.
+# components are read. A small namespace is one bucket (mask 0) of every id.
 Postings = tuple[tuple[str, ...], "array[int]", dict[str, Vector]]
 
 
@@ -393,11 +418,17 @@ def _finite_number(value: object) -> bool:
 
 
 class _Namespace(dict[str, tuple[Chunk, Vector]]):
-    """A namespace's chunk id -> (chunk, vector) map, never changed once stored."""
+    """A namespace's chunk id -> (chunk, vector) map, never changed once stored.
+
+    The map's first query builds its ``postings``: one bucket of every id at
+    most ``_ONE_BUCKET_MAX_CHUNKS`` chunks, else 4-8 components per bucket.
+    """
 
     @cached_property
     def postings(self) -> Postings:
         vectors = {chunk_id: self[chunk_id][1] for chunk_id in sorted(self)}
+        if len(vectors) <= _ONE_BUCKET_MAX_CHUNKS:
+            return tuple(vectors), array("I", (0, len(vectors))), vectors
         entries = sum(map(len, vectors.values()))
         mask = (1 << (entries // 8).bit_length()) - 1  # 4-8 components per bucket
         buckets: list[list[str]] = [[] for _ in range(mask + 1)]
@@ -416,11 +447,11 @@ class VectorIndex:
     Reads never lock; writes take a lock per index and swap in a new map of
     the namespace, so a read iterates a map that nothing changes. A namespace
     of hashed vectors is scored over the postings of the map the query read,
-    which the map's first query builds and the map owns. ``cached_property``
-    takes no lock from Python 3.12 on, so two threads' first queries of a
-    new map may both build them; the two are equal and one is kept. A
-    namespace of remote (dense) vectors is scanned. Both paths return the
-    same hits with bit-identical scores.
+    which the map's first query builds (one bucket for a small map) and the
+    map owns. ``cached_property`` takes no lock from Python 3.12 on, so two
+    threads' first queries of a new map may both build them; the two are
+    equal and one is kept. A namespace of remote (dense) vectors is scanned.
+    Both paths return the same hits with bit-identical scores.
     """
 
     def __init__(self, embedder: HashingEmbedder | RemoteEmbedder):
@@ -622,6 +653,13 @@ def _postings_top_k(postings: Postings, query: Vector, k: int) -> list[tuple[str
     puts them: the first untouched ids of the sorted vector map. The
     postings are those of the one map the query read, so it sees that
     map whole, even while an upsert swaps in another; it takes no lock.
+
+    A namespace of at most ``_ONE_BUCKET_MAX_CHUNKS`` chunks is one bucket
+    (mask 0) that lists every id once: each query coordinate reads every
+    chunk, and ``.get(coord)`` keeps the real matches, so the sums, the
+    order and the scores are the same as over many buckets. Skipping the
+    build is cheaper for a map that answers fewer than about ten queries,
+    as a per-question pool does.
     """
     ids, starts, vectors = postings
     mask = len(starts) - 2  # one start per bucket, then the end

@@ -19,6 +19,7 @@ similarities of the candidate's indexed vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +40,8 @@ class UtilityWeights:
 
     def __post_init__(self) -> None:
         values = (self.lambda1, self.lambda2, self.lambda3, self.lambda4, self.lambda5)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("utility weights must be finite")
         if any(v < 0 for v in values):
             raise ValueError("utility weights must be non-negative")
         if not any(v > 0 for v in values):

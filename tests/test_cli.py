@@ -105,6 +105,9 @@ def test_run_rejects_zero_iterations(tmp_path):
         ["run", "--weights", "1,2,3"],
         ["run", "--weights", "a,b,c,d,e"],
         ["run", "--weights", "0,0,0,0,0"],
+        ["run", "--weights", "nan,0.15,0.15,0.25,0.15"],
+        ["run", "--weights", "inf,0.15,0.15,0.25,0.15"],
+        ["run", "--weights", "0.3,0.15,0.15,0.25,1e309"],  # overflows float() to inf
         ["run", "--jobs", "0"],
         ["run", "--limit", "0"],
         ["ingest", "--limit", "0"],

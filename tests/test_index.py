@@ -8,6 +8,7 @@ import re
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +17,13 @@ from hypothesis import strategies as st
 from adagate.corpus import make_chunk
 from adagate.errors import DuplicateIdError, ParseError, SchemaError, TransportError, UnknownNamespaceError
 from adagate.index import (
+    _ONE_BUCKET_MAX_CHUNKS,
     SNAPSHOT_SCHEMA,
     HashingEmbedder,
     RemoteEmbedder,
     VectorIndex,
+    _Namespace,
+    _postings_top_k,
     _unit_vector,
     cosine,
     normalize_tokens,
@@ -529,6 +533,12 @@ _words = st.lists(st.sampled_from(_VOCAB), max_size=6).map(" ".join)
 _query_words = st.lists(st.sampled_from(_VOCAB + ["unseen", "nowhere"]), max_size=6).map(" ".join)
 
 
+# Each namespace property runs with both postings layouts: at the default
+# limit its namespaces are one bucket, and at limit 0 every one is bucketed.
+_LAYOUTS = pytest.mark.parametrize("one_bucket_max", [_ONE_BUCKET_MAX_CHUNKS, 0], ids=["limit-default", "limit-0"])
+
+
+@_LAYOUTS
 @settings(max_examples=150, deadline=None)
 @given(
     bodies=st.lists(_words, min_size=1, max_size=25),
@@ -539,7 +549,7 @@ _query_words = st.lists(st.sampled_from(_VOCAB + ["unseen", "nowhere"]), max_siz
     replaced=st.integers(min_value=0),
     new_body=_words,
 )
-def test_query_top_k_equals_brute_force_exactly(bodies, order, queries, dim, k, replaced, new_body):
+def test_query_top_k_equals_brute_force_exactly(one_bucket_max, bodies, order, queries, dim, k, replaced, new_body):
     # Insertion order differs from id order, so the zero-score fill must sort.
     ids = [f"c{i:02d}" for i in range(len(bodies))]
     order.shuffle(ids)
@@ -549,14 +559,15 @@ def test_query_top_k_equals_brute_force_exactly(bodies, order, queries, dim, k, 
     index.upsert("ns", chunks)
     # A chunk's own text can sum past 1.0 by rounding, so the clamp matters.
     queries = queries + ["", chunks[0].text]
-    for query in queries:
-        assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
-    # Re-upserting an id with new text must drop the postings built above.
-    j = replaced % len(chunks)
-    chunks[j] = make_chunk(chunks[j].chunk_id, "page", new_body + " fresh words", "ex")
-    index.upsert("ns", [chunks[j]])
-    for query in queries + ["fresh"]:
-        assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
+    with mock.patch("adagate.index._ONE_BUCKET_MAX_CHUNKS", one_bucket_max):
+        for query in queries:
+            assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
+        # Re-upserting an id with new text must drop the postings built above.
+        j = replaced % len(chunks)
+        chunks[j] = make_chunk(chunks[j].chunk_id, "page", new_body + " fresh words", "ex")
+        index.upsert("ns", [chunks[j]])
+        for query in queries + ["fresh"]:
+            assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
 
 
 def test_loaded_snapshot_matches_brute_force_exactly():
@@ -758,6 +769,7 @@ def test_query_touching_one_of_many_chunks_fills_from_the_smallest_untouched_ids
 
 # Tiny namespaces at dim 64: a few buckets hold every chunk, and one chunk
 # often holds several coordinates of one bucket.
+@_LAYOUTS
 @settings(max_examples=150, deadline=None)
 @given(
     bodies=st.lists(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=12).map(" ".join), min_size=2, max_size=30),
@@ -765,15 +777,52 @@ def test_query_touching_one_of_many_chunks_fills_from_the_smallest_untouched_ids
     queries=st.lists(_query_words, min_size=1, max_size=4),
     k=st.sampled_from([1, 3, 30]),
 )
-def test_query_top_k_equals_brute_force_in_small_colliding_namespaces(bodies, order, queries, k):
+def test_query_top_k_equals_brute_force_in_small_colliding_namespaces(one_bucket_max, bodies, order, queries, k):
     ids = [f"c{i:02d}" for i in range(len(bodies))]
     order.shuffle(ids)
     chunks = [make_chunk(cid, "page", body, "ex") for cid, body in zip(ids, bodies)]
     embedder = HashingEmbedder(dim=64)
     index = VectorIndex(embedder)
     index.upsert("ns", chunks)
+    with mock.patch("adagate.index._ONE_BUCKET_MAX_CHUNKS", one_bucket_max):
+        for query in queries + ["", " ".join(_VOCAB), chunks[0].text]:
+            assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
+
+
+# Namespace sizes on both sides of the one-bucket limit. Every chunk holds its
+# own word, so each namespace has more than 8 components and the bucketed
+# build makes several buckets; at dim 64 most buckets hold several coordinates.
+@settings(deadline=None)
+@given(
+    size=st.sampled_from([_ONE_BUCKET_MAX_CHUNKS - 1, _ONE_BUCKET_MAX_CHUNKS, _ONE_BUCKET_MAX_CHUNKS + 1, 3 * _ONE_BUCKET_MAX_CHUNKS]),
+    seed=st.integers(min_value=0),
+    queries=st.lists(_query_words, min_size=1, max_size=4),
+    dim=st.sampled_from([64, 2**20]),
+    k=st.sampled_from([1, 3, 200]),
+)
+def test_one_bucket_and_bucketed_postings_give_the_brute_force_hits(size, seed, queries, dim, k):
+    # Texts from a seeded generator: a draw per word made 3,000 examples take minutes.
+    words = random.Random(seed)
+    ids = [f"c{i:03d}" for i in range(size)]
+    words.shuffle(ids)
+    chunks = [
+        make_chunk(cid, "page", " ".join([f"own{cid}", *words.choices(_VOCAB, k=words.randrange(8))]), "ex")
+        for cid in ids
+    ]
+    embedder = HashingEmbedder(dim=dim)
+    space = _Namespace(zip(ids, zip(chunks, embedder.embed([c.text for c in chunks]))))
+    layouts = {}
+    for name, limit in [("default", _ONE_BUCKET_MAX_CHUNKS), ("one bucket", size), ("bucketed", 0)]:
+        with mock.patch("adagate.index._ONE_BUCKET_MAX_CHUNKS", limit):
+            layouts[name] = _Namespace(space).postings  # a new map builds its own postings
+    assert len(layouts["one bucket"][1]) == 2
+    assert len(layouts["bucketed"][1]) > 2
+    assert (len(layouts["default"][1]) == 2) == (size <= _ONE_BUCKET_MAX_CHUNKS)
     for query in queries + ["", " ".join(_VOCAB), chunks[0].text]:
-        assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
+        vector = embedder.embed_one(query)
+        expected = [(cid, score.hex()) for cid, score in brute_force_top_k(embedder, chunks, query, k)]
+        for postings in layouts.values():
+            assert [(cid, score.hex()) for cid, score in _postings_top_k(postings, vector, k)] == expected
 
 
 def test_postings_of_a_large_namespace_take_under_half_a_coordinate_map():

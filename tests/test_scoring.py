@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -131,6 +133,15 @@ def test_weights_validation():
         UtilityWeights(lambda1=-0.1)
     with pytest.raises(ValueError):
         UtilityWeights(0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_weights_must_be_finite(weight):
+    # NaN passes every sign test and +inf is positive; a manifest would record either as invalid JSON.
+    with pytest.raises(ValueError, match="finite"):
+        UtilityWeights(lambda1=weight)
+    with pytest.raises(ValueError, match="finite"):
+        UtilityWeights(0.3, 0.15, 0.15, 0.25, weight)
 
 
 def test_terms_clamped_to_unit_interval():
