@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -47,7 +48,11 @@ def count_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class Example:
-    """One multi-hop question with its gold supervision and context paragraphs."""
+    """One multi-hop question with its gold supervision and context paragraphs.
+
+    Checked when built: a blank question, no gold titles or a gold title
+    absent from the paragraphs raises ValidationError.
+    """
 
     id: str
     question: str
@@ -55,7 +60,7 @@ class Example:
     gold_titles: frozenset[str]
     paragraphs: tuple[tuple[str, tuple[str, ...]], ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.question.strip():
             raise ValidationError(f"example {self.id!r}: empty question")
         if not self.gold_titles:
@@ -70,20 +75,24 @@ class Example:
 
 @dataclass(frozen=True)
 class Chunk:
-    """One indexed passage: a title heading plus paragraph body."""
+    """One indexed passage: a title heading plus paragraph body.
+
+    ``token_len``, the cost the evidence budget is enforced on, is computed
+    here from ``text``; no caller passes it.
+    """
 
     chunk_id: str
     title: str
     body: str
-    token_len: int
+    # The factory gives the field its declared place in vars(), and so in chunk records.
+    token_len: int = field(init=False, default_factory=int)
     source_example: str
     provenance: str = PROVENANCE_ORIGINAL
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
             raise ValidationError(f"chunk {self.chunk_id!r}: unknown provenance {self.provenance!r}")
-        if self.token_len < 0:
-            raise ValidationError(f"chunk {self.chunk_id!r}: negative token_len")
+        object.__setattr__(self, "token_len", count_tokens(self.text))
 
     @property
     def text(self) -> str:
@@ -91,37 +100,15 @@ class Chunk:
         return f"{self.title}\n{self.body}"
 
 
-def make_chunk(
-    chunk_id: str,
-    title: str,
-    body: str,
-    source_example: str,
-    provenance: str = PROVENANCE_ORIGINAL,
-) -> Chunk:
-    """Build a chunk with ``token_len`` recomputed from its text."""
-    return Chunk(
-        chunk_id=chunk_id,
-        title=title,
-        body=body,
-        token_len=count_tokens(f"{title}\n{body}"),
-        source_example=source_example,
-        provenance=provenance,
-    )
-
-
 def load_examples(path: str | Path, limit: int | None = None) -> list[Example]:
-    """Load examples from a line-delimited HotpotQA-style file, in file order.
+    """Load the first ``limit`` examples (all when None) of a line-delimited
+    HotpotQA-style file, in file order, reading no line past them.
 
     Raises ParseError naming the offending record index for malformed
     records, and ValidationError when a gold title is absent from the
     context paragraphs.
     """
-    examples: list[Example] = []
-    for i, record in json_lines(path, "record"):
-        if limit is not None and len(examples) >= limit:
-            break
-        examples.append(_example_from_record(record, i))
-    return examples
+    return [_example_from_record(record, i) for i, record in islice(json_lines(path, "record"), limit)]
 
 
 def json_lines(path: str | Path, label: str) -> Iterator[tuple[int, dict]]:
@@ -169,9 +156,9 @@ def write_atomic(path: str | Path, parts: Iterable[str]) -> None:
 
 
 def _example_from_record(record: dict, index: int) -> Example:
-    for field in ("_id", "question", "answer", "supporting_facts", "context"):
-        if field not in record:
-            raise ParseError(f"record {index}: missing field {field!r}")
+    for key in ("_id", "question", "answer", "supporting_facts", "context"):
+        if key not in record:
+            raise ParseError(f"record {index}: missing field {key!r}")
     facts = record["supporting_facts"]
     if type(facts) is not list or any(type(fact) is not list for fact in facts):
         # A string fact would unpack character by character: "T0" as the title "T".
@@ -191,18 +178,16 @@ def _example_from_record(record: dict, index: int) -> Example:
     for name, value in texts:
         if type(value) is not str:
             raise ParseError(f"record {index}: {name} must be a string, not {json.dumps(value)}")
-    example = Example(
-        id=record["_id"],
-        question=record["question"],
-        gold_answer=record["answer"],
-        gold_titles=frozenset(gold_titles),
-        paragraphs=tuple((title, tuple(sentences)) for title, sentences in context),
-    )
     try:
-        example.validate()
+        return Example(
+            id=record["_id"],
+            question=record["question"],
+            gold_answer=record["answer"],
+            gold_titles=frozenset(gold_titles),
+            paragraphs=tuple((title, tuple(sentences)) for title, sentences in context),
+        )
     except ValidationError as exc:
         raise ValidationError(f"record {index}: {exc}") from exc
-    return example
 
 
 def chunk_corpus(examples: Iterable[Example]) -> list[Chunk]:
@@ -211,7 +196,7 @@ def chunk_corpus(examples: Iterable[Example]) -> list[Chunk]:
     for example in examples:
         for j, (title, sentences) in enumerate(example.paragraphs):
             chunks.append(
-                make_chunk(
+                Chunk(
                     chunk_id=f"{example.id}-p{j}",
                     title=title,
                     body=" ".join(sentences),
@@ -228,7 +213,8 @@ def chunk_to_record(chunk: Chunk) -> dict:
 def chunk_from_record(record: dict) -> Chunk:
     """The chunk of a chunk-file line or snapshot record: five strings and ``token_len``, else ParseError.
 
-    ``token_len`` must be the integer token count of the text, so a record cannot understate its cost.
+    ``Chunk`` computes its own count; the record's ``token_len`` must be that
+    integer, so a record cannot understate its cost.
     """
     try:
         texts = {name: record[name] for name in ("chunk_id", "title", "body", "source_example", "provenance")}
@@ -238,7 +224,7 @@ def chunk_from_record(record: dict) -> Chunk:
     for name, value in texts.items():
         if type(value) is not str:
             raise ParseError(f"chunk record field {name!r} must be a string, not {json.dumps(value)}")
-    chunk = make_chunk(**texts)
+    chunk = Chunk(**texts)
     if type(token_len) is not int or token_len != chunk.token_len:
         raise ParseError(f"chunk {chunk.chunk_id!r}: token_len {json.dumps(token_len)}, not {chunk.token_len}")
     return chunk

@@ -467,6 +467,8 @@ class VectorIndex:
 
     def upsert(self, namespace: str, chunks: Sequence[Chunk]) -> int:
         """Insert or replace chunks; returns the number processed."""
+        if not chunks:  # makes no namespace, as a snapshot holds none without a chunk
+            return 0
         seen: set[str] = set()
         duplicates: set[str] = set()
         for chunk in chunks:

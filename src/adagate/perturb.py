@@ -41,7 +41,6 @@ from .corpus import (
     PROVENANCE_REDUNDANT,
     Chunk,
     Example,
-    make_chunk,
 )
 from .errors import ValidationError
 
@@ -244,7 +243,7 @@ def _inject(
     for example in examples:
         rng = random.Random(f"{config.seed}:{config.kind}:{example.id}")
         for chunk_id, source, body, provenance in variants(example, positions.get(example.id, []), rng):
-            injected.append(make_chunk(chunk_id, source.title, body, example.id, provenance))
+            injected.append(Chunk(chunk_id, source.title, body, example.id, provenance))
     return list(chunks) + injected
 
 

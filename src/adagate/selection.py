@@ -22,21 +22,20 @@ RescoreFn = Callable[[Chunk, list[Chunk]], float]
 class EvidenceState:
     """Currently selected evidence, its token accounting, and the capacity used.
 
-    ``k_eff`` is the capacity the selection ran with; 0 when the pool was
-    empty and no selection ran.
+    ``used_tokens`` is computed here as the sum of the selected chunks'
+    ``token_len`` and must not exceed ``budget``. ``k_eff`` is the capacity
+    the selection ran with; 0 when the pool was empty and no selection ran.
     """
 
     budget: int
     selected: list[Chunk] = field(default_factory=list)
-    used_tokens: int = 0
+    used_tokens: int = field(init=False)
     k_eff: int = 0
 
     def __post_init__(self) -> None:
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        expected = sum(c.token_len for c in self.selected)
-        if self.used_tokens != expected:
-            raise ValueError(f"used_tokens {self.used_tokens} != sum of chunk lengths {expected}")
+        self.used_tokens = sum(c.token_len for c in self.selected)
         if self.used_tokens > self.budget:
             raise ValueError(f"used_tokens {self.used_tokens} exceeds budget {self.budget}")
 
@@ -89,7 +88,7 @@ def select_evidence(
         if used + chunk.token_len <= budget:
             selected.append(chunk)
             used += chunk.token_len
-    return EvidenceState(selected=selected, budget=budget, used_tokens=used, k_eff=k_eff)
+    return EvidenceState(selected=selected, budget=budget, k_eff=k_eff)
 
 
 def union_pool(

@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from adagate.corpus import Chunk, chunk_corpus, make_chunk
+from adagate.corpus import Chunk, chunk_corpus
 from adagate.index import HashingEmbedder, RemoteEmbedder, Vector, VectorIndex, cosine
 from adagate.synthetic import WorldSpec, generate_world
 
@@ -27,7 +27,7 @@ def sized_chunk(chunk_id: str, token_len: int, source: str = "ex", title: str | 
     needed = token_len - len(title.split())
     assert needed >= 0, "token_len too small for the title"
     body = " ".join(f"{chunk_id}w{i}" for i in range(needed))
-    return make_chunk(chunk_id, title, body, source)
+    return Chunk(chunk_id, title, body, source)
 
 
 def fact_chunk(
@@ -45,7 +45,7 @@ def fact_chunk(
     body = f"the {entity} {relation} {value}. ENT[{entity}] REL[{relation}] VAL[{value}]{mark}."
     if filler:
         body = f"{body} {filler}"
-    return make_chunk(chunk_id, title or f"{entity} page", body, source)
+    return Chunk(chunk_id, title or f"{entity} page", body, source)
 
 
 def build_world(n_questions: int, seed: int = 7, dim: int = WORLD_DIM, **spec_kwargs):

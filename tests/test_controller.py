@@ -87,14 +87,14 @@ def test_sufficient_short_circuit(oracle):
 
 
 def test_unresolvable_gap_hits_iteration_limit_and_abstains(oracle):
-    from adagate.corpus import make_chunk
+    from adagate.corpus import Chunk
 
     examples, chunks, index = build_world(2, seed=44)
     example = examples[0]
     bridge_title = next(t for t in example.gold_titles if t.endswith("record"))
     # A decoy answers the micro-query lexically but lacks the needed fact,
     # so the repair admits it and the gap stays open.
-    decoy = make_chunk(
+    decoy = Chunk(
         "zz-decoy",
         "mid000 dossier",
         "the mid000 archive. ENT[mid000] REL[unrelated_link] VAL[nothing].",

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adagate.corpus import (
+    Chunk,
+    Example,
     chunk_corpus,
     chunk_from_record,
     chunk_to_record,
@@ -15,6 +17,7 @@ from adagate.corpus import (
     write_chunks,
 )
 from adagate.errors import ParseError, ValidationError
+from adagate.perturb import PerturbConfig, inject_noise, inject_redundancy
 
 from helpers import builtin_fixture_path
 
@@ -29,10 +32,15 @@ def test_fixture_loads_two_examples():
         assert example.gold_titles <= titles
 
 
-def test_limit_truncates_in_file_order():
+def test_limit_truncates_in_file_order(tmp_path):
     examples = load_examples(builtin_fixture_path(), limit=1)
     assert len(examples) == 1
     assert examples[0].id == "q000"
+    # No line past the limit is read: a broken second record is never parsed.
+    path = tmp_path / "first-then-broken.jsonl"
+    first = builtin_fixture_path().read_text(encoding="utf-8").splitlines()[0]
+    path.write_text(first + "\n{broken\n", encoding="utf-8")
+    assert load_examples(path, limit=1) == examples
 
 
 def test_missing_answer_field_is_parse_error(tmp_path):
@@ -90,6 +98,16 @@ def test_empty_question_or_gold_titles_is_validation_error(tmp_path, change, mes
     path.write_text(json.dumps({**record, **change}) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=f"^{message}$"):
         load_examples(path)
+
+
+@pytest.mark.parametrize(
+    "question, gold_titles, message",
+    [("  ", {"T"}, "empty question"), ("q", {"T", "Missing"}, "gold titles not found in context: Missing")],
+    ids=["blank-question", "missing-gold-title"],
+)
+def test_an_example_checks_itself_when_built(question, gold_titles, message):
+    with pytest.raises(ValidationError, match=f"^example 'x': {message}$"):
+        Example("x", question, "a", frozenset(gold_titles), (("T", ("s.",)),))
 
 
 def test_sentences_that_are_not_a_list_are_a_parse_error(tmp_path):
@@ -176,6 +194,14 @@ def test_count_tokens_additive_over_space_join(a, b):
 def test_chunk_token_len_recomputable(fixture_chunks):
     for chunk in fixture_chunks:
         assert count_tokens(chunk.text) == chunk.token_len
+    with pytest.raises(TypeError):
+        Chunk("c", "t", "b", "ex", token_len=1)
+
+
+@given(st.text(), st.text())
+def test_a_chunk_counts_its_own_tokens(title, body):
+    chunk = Chunk("c", title, body, "ex")
+    assert chunk.token_len == count_tokens(chunk.text)
 
 
 def test_chunk_text_is_title_heading_plus_body(fixture_chunks):
@@ -183,9 +209,14 @@ def test_chunk_text_is_title_heading_plus_body(fixture_chunks):
     assert chunk.text == f"{chunk.title}\n{chunk.body}"
 
 
-def test_chunk_record_roundtrip(fixture_chunks):
-    for chunk in fixture_chunks[:3]:
-        assert chunk_from_record(chunk_to_record(chunk)) == chunk
+def test_chunk_record_roundtrip(fixture_examples, fixture_chunks):
+    noisy = inject_noise(fixture_examples, fixture_chunks, PerturbConfig(kind="noise", rho=0.5, seed=3))
+    redundant = inject_redundancy(fixture_examples, fixture_chunks, PerturbConfig(kind="redundancy", rho=0.5, seed=3))
+    for chunk in fixture_chunks[:3] + [noisy[-1], redundant[-1]]:
+        record = chunk_to_record(chunk)
+        assert list(record) == ["chunk_id", "title", "body", "token_len", "source_example", "provenance"]
+        assert chunk_from_record(record) == chunk
+    assert {noisy[-1].provenance, redundant[-1].provenance} == {"noise_crossquery", "redundant_variant"}
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adagate.corpus import make_chunk
+from adagate.corpus import Chunk
 from adagate.errors import DuplicateIdError, ParseError, SchemaError, TransportError, UnknownNamespaceError
 from adagate.index import (
     _ONE_BUCKET_MAX_CHUNKS,
@@ -216,12 +216,10 @@ def test_top_k_matches_brute_force_scan():
 
 
 def test_hits_sorted_by_score_then_id():
-    from adagate.corpus import make_chunk
-
     index = VectorIndex(HashingEmbedder(dim=256))
     # Identical text means identical vectors and therefore tied scores.
-    twin_a = make_chunk("b-twin", "same text", "same words", "ex")
-    twin_b = make_chunk("a-twin", "same text", "same words", "ex")
+    twin_a = Chunk("b-twin", "same text", "same words", "ex")
+    twin_b = Chunk("a-twin", "same text", "same words", "ex")
     index.upsert("ns", [twin_a, twin_b])
     hits = index.query_top_k("ns", "same words", 2)
     assert [chunk_id for chunk_id, _ in hits] == ["a-twin", "b-twin"]
@@ -257,11 +255,13 @@ def test_snapshot_roundtrip(tmp_path):
     index = VectorIndex(HashingEmbedder(dim=256))
     chunks = [sized_chunk(f"c{i}", 12) for i in range(6)]
     index.upsert("clean", chunks[:4])
+    # An empty batch makes no namespace: a snapshot holds none without a chunk.
+    assert index.upsert("empty", []) == 0
     index.upsert("noise", chunks[4:])
     path = tmp_path / "store.jsonl"
     index.save(path)
     loaded = VectorIndex.load(path)
-    assert loaded.namespaces() == ["clean", "noise"]
+    assert loaded.namespaces() == index.namespaces() == ["clean", "noise"]
     for query in ("c0w0 c0w1", "title c5"):
         assert loaded.query_top_k("clean", query, 3) == index.query_top_k("clean", query, 3)
     assert loaded.get_chunk("noise", "c5") == chunks[5]
@@ -285,8 +285,8 @@ def _assert_same_entries(loaded: VectorIndex, index: VectorIndex, namespaces: li
 def test_hash_snapshot_round_trip_is_bit_identical(tmp_path, dim):
     index = VectorIndex(HashingEmbedder(dim=dim))
     # Repeated tokens give components other than 1/sqrt(n).
-    index.upsert("clean", [make_chunk("a", "page", "alpha alpha beta gamma gamma gamma", "ex"), sized_chunk("b", 9)])
-    index.upsert("noise", [make_chunk("c", "other", "", "ex")])
+    index.upsert("clean", [Chunk("a", "page", "alpha alpha beta gamma gamma gamma", "ex"), sized_chunk("b", 9)])
+    index.upsert("noise", [Chunk("c", "other", "", "ex")])
     assert len(set(index.get_entry("clean", "a")[1].values())) == 3
     path = tmp_path / "store.jsonl"
     index.save(path)
@@ -297,8 +297,8 @@ def test_hash_snapshot_round_trip_is_bit_identical(tmp_path, dim):
 
 def test_loading_one_namespace_gives_the_entries_of_a_full_load(tmp_path):
     index = VectorIndex(HashingEmbedder(dim=2**20))
-    index.upsert("clean", [make_chunk("a", "page", "alpha alpha beta gamma", "ex"), sized_chunk("b", 9)])
-    index.upsert("noise", [sized_chunk(f"n{i}", 6 + i) for i in range(5)] + [make_chunk("z", "other", "", "ex")])
+    index.upsert("clean", [Chunk("a", "page", "alpha alpha beta gamma", "ex"), sized_chunk("b", 9)])
+    index.upsert("noise", [sized_chunk(f"n{i}", 6 + i) for i in range(5)] + [Chunk("z", "other", "", "ex")])
     index.upsert("redundancy", [sized_chunk("r", 7)])
     path = tmp_path / "store.jsonl"
     index.save(path)
@@ -553,7 +553,7 @@ def test_query_top_k_equals_brute_force_exactly(one_bucket_max, bodies, order, q
     # Insertion order differs from id order, so the zero-score fill must sort.
     ids = [f"c{i:02d}" for i in range(len(bodies))]
     order.shuffle(ids)
-    chunks = [make_chunk(cid, "page", body, "ex") for cid, body in zip(ids, bodies)]
+    chunks = [Chunk(cid, "page", body, "ex") for cid, body in zip(ids, bodies)]
     embedder = HashingEmbedder(dim=dim)
     index = VectorIndex(embedder)
     index.upsert("ns", chunks)
@@ -564,7 +564,7 @@ def test_query_top_k_equals_brute_force_exactly(one_bucket_max, bodies, order, q
             assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
         # Re-upserting an id with new text must drop the postings built above.
         j = replaced % len(chunks)
-        chunks[j] = make_chunk(chunks[j].chunk_id, "page", new_body + " fresh words", "ex")
+        chunks[j] = Chunk(chunks[j].chunk_id, "page", new_body + " fresh words", "ex")
         index.upsert("ns", [chunks[j]])
         for query in queries + ["fresh"]:
             assert index.query_top_k("ns", query, k) == brute_force_top_k(embedder, chunks, query, k)
@@ -601,7 +601,7 @@ class _SignedEmbeddingSession:
 def test_remote_index_keeps_exact_scan_with_negative_components():
     embedder = RemoteEmbedder(url="http://svc", dim=6, session=_SignedEmbeddingSession(6))
     index = VectorIndex(embedder)
-    chunks = [sized_chunk(f"c{i}", 4 + i) for i in range(12)] + [make_chunk("c99", "blank", "blank", "ex")]
+    chunks = [sized_chunk(f"c{i}", 4 + i) for i in range(12)] + [Chunk("c99", "blank", "blank", "ex")]
     index.upsert("ns", chunks)
     for query in ("c0w1", "title c3 c5w2", "something else", ""):
         expected = brute_force_top_k(embedder, chunks, query, len(chunks))
@@ -620,7 +620,7 @@ def test_queries_racing_upserts_see_one_consistent_namespace():
     embedder = HashingEmbedder(dim=2**20)
     index = VectorIndex(embedder)
     old = [sized_chunk(f"c{i}", 12) for i in range(40)]
-    new = [make_chunk(c.chunk_id, "fresh", f"fresh {c.chunk_id}w0 {c.chunk_id}w1", "ex") for c in old]
+    new = [Chunk(c.chunk_id, "fresh", f"fresh {c.chunk_id}w0 {c.chunk_id}w1", "ex") for c in old]
     index.upsert("ns", old)
     queries = [c.text for c in old[:6]] + ["fresh c3w0", "title c5 c7w1", ""]
     allowed = {
@@ -752,7 +752,7 @@ class _CountedId(str):
 
 def test_query_touching_one_of_many_chunks_fills_from_the_smallest_untouched_ids():
     # Inserted in descending id order; only c0001 holds the query's token.
-    chunks = [make_chunk(_CountedId(f"c{i:04d}"), "page", f"c{i:04d}w0 c{i:04d}w1", "ex") for i in range(2_000)]
+    chunks = [Chunk(_CountedId(f"c{i:04d}"), "page", f"c{i:04d}w0 c{i:04d}w1", "ex") for i in range(2_000)]
     chunks.reverse()
     embedder = HashingEmbedder(dim=2**20)
     index = VectorIndex(embedder)
@@ -780,7 +780,7 @@ def test_query_touching_one_of_many_chunks_fills_from_the_smallest_untouched_ids
 def test_query_top_k_equals_brute_force_in_small_colliding_namespaces(one_bucket_max, bodies, order, queries, k):
     ids = [f"c{i:02d}" for i in range(len(bodies))]
     order.shuffle(ids)
-    chunks = [make_chunk(cid, "page", body, "ex") for cid, body in zip(ids, bodies)]
+    chunks = [Chunk(cid, "page", body, "ex") for cid, body in zip(ids, bodies)]
     embedder = HashingEmbedder(dim=64)
     index = VectorIndex(embedder)
     index.upsert("ns", chunks)
@@ -806,7 +806,7 @@ def test_one_bucket_and_bucketed_postings_give_the_brute_force_hits(size, seed, 
     ids = [f"c{i:03d}" for i in range(size)]
     words.shuffle(ids)
     chunks = [
-        make_chunk(cid, "page", " ".join([f"own{cid}", *words.choices(_VOCAB, k=words.randrange(8))]), "ex")
+        Chunk(cid, "page", " ".join([f"own{cid}", *words.choices(_VOCAB, k=words.randrange(8))]), "ex")
         for cid in ids
     ]
     embedder = HashingEmbedder(dim=dim)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adagate.corpus import make_chunk
+from adagate.corpus import Chunk
 from adagate.errors import TransportError
 from adagate.oracle import (
     ABSTAIN,
@@ -36,10 +36,8 @@ def test_extract_single_markup_fact(oracle):
 
 
 def test_extract_low_confidence_marker_scopes_to_sentence(oracle):
-    from adagate.corpus import make_chunk
-
     body = "ENT[a] REL[r] VAL[v] ~. ENT[b] REL[s] VAL[w]."
-    chunk = make_chunk("c0", "t", body, "ex")
+    chunk = Chunk("c0", "t", body, "ex")
     ledger = oracle.extract_ledger([chunk])
     by_entity = {f.entity: f.confidence for f in ledger.facts}
     assert by_entity == {"a": 0.5, "b": 1.0}
@@ -47,10 +45,8 @@ def test_extract_low_confidence_marker_scopes_to_sentence(oracle):
 
 @pytest.mark.parametrize("low", ["", " ~"])
 def test_extract_keeps_facts_with_punctuation_inside_brackets(oracle, low):
-    from adagate.corpus import make_chunk
-
     body = f"ENT[tower] REL[height] VAL[3.5 m]. ENT[St. Ives] REL[is it?] VAL[yes!]{low}. ENT[c] REL[r] VAL[v]."
-    chunk = make_chunk("c0", "t", body, "ex")
+    chunk = Chunk("c0", "t", body, "ex")
     ledger = oracle.extract_ledger([chunk])
     confidence = 0.5 if low else 1.0
     assert {(f.entity, f.relation, f.value, f.confidence) for f in ledger.facts} == {
@@ -209,11 +205,11 @@ def test_novelty_fraction(oracle):
 
 def test_live_novelty_counts_capitalised_tokens_the_ledger_does_not_name():
     live = LiveOracle("http://svc/v1", session=FakeSession([]))
-    chunk = make_chunk("c0", "t", "Paris hosts the Louvre, near Seine.", "ex")
+    chunk = Chunk("c0", "t", "Paris hosts the Louvre, near Seine.", "ex")
     ledger = Ledger([Fact("Louvre museum", "in", "Paris", 1.0, "c9")])
     assert live.novelty(chunk, Ledger()) == 1.0
     assert live.novelty(chunk, ledger) == pytest.approx(1 / 3)  # only "seine" is unseen
-    assert live.novelty(make_chunk("c1", "t", "all lower case, no names", "ex"), ledger) == 0.0
+    assert live.novelty(Chunk("c1", "t", "all lower case, no names", "ex"), ledger) == 0.0
 
 
 class _FakeResponse:

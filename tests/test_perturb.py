@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adagate.corpus import PROVENANCE_REDUNDANT, chunk_corpus, chunk_to_record, count_tokens, make_chunk
+from adagate.corpus import PROVENANCE_REDUNDANT, Chunk, chunk_corpus, chunk_to_record, count_tokens
 from adagate.errors import ValidationError
 from adagate.index import HashingEmbedder, cosine
 from adagate.perturb import (
@@ -304,7 +304,7 @@ def _reference_redundancy(examples, chunks, config):
             gold, g_index = golds[j % len(golds)], j // len(golds)
             body = _reference_variant(VARIANT_KINDS[g_index % len(VARIANT_KINDS)], gold.body, rng)
             chunk_id = f"{gold.chunk_id}-r{g_index}"
-            injected.append(make_chunk(chunk_id, gold.title, body, example.id, PROVENANCE_REDUNDANT))
+            injected.append(Chunk(chunk_id, gold.title, body, example.id, PROVENANCE_REDUNDANT))
     return list(chunks) + injected
 
 

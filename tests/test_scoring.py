@@ -43,9 +43,9 @@ def test_all_terms_zero_gives_zero_utility():
 
 def test_single_term_arithmetic():
     # The candidate text equals the gap query text, so gap coverage is 1.
-    from adagate.corpus import make_chunk
+    from adagate.corpus import Chunk
 
-    candidate = make_chunk("c0", "X", "nationality", "ex")
+    candidate = Chunk("c0", "X", "nationality", "ex")
     gaps = [Gap(entity="X", relation="nationality")]
     breakdown = score(candidate, question="zz unrelated", gaps=gaps)
     assert breakdown.gap_cov == pytest.approx(1.0, abs=1e-9)
@@ -54,7 +54,7 @@ def test_single_term_arithmetic():
 
 
 def test_exact_copy_of_selected_evidence():
-    from adagate.corpus import make_chunk
+    from adagate.corpus import Chunk
 
     question = "about subj subj"
     original = fact_chunk("c0", "subj", "rel", "val", filler="alpha beta gamma")
@@ -63,7 +63,7 @@ def test_exact_copy_of_selected_evidence():
     assert at_selection.red == 0.0
     assert at_selection.nov == 1.0
 
-    copy = make_chunk("c1", original.title, original.body, "ex")
+    copy = Chunk("c1", original.title, original.body, "ex")
     ledger = ORACLE.extract_ledger([original])
     later = score(copy, question=question, ledger=ledger, evidence=[original])
     assert later.red == pytest.approx(1.0, abs=1e-9)

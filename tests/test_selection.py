@@ -258,9 +258,11 @@ def test_replace_update_prefix_rescoring_order():
 
 
 def test_evidence_state_enforces_budget_invariant():
-    with pytest.raises(ValueError):
-        EvidenceState(selected=[sized_chunk("c", 200)], budget=100, used_tokens=200)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds budget"):
+        EvidenceState(selected=[sized_chunk("c", 200)], budget=100)
+    # The count is the chunks' sum, computed by the state: no caller can pass another.
+    assert EvidenceState(selected=[sized_chunk("a", 50), sized_chunk("b", 30)], budget=100).used_tokens == 80
+    with pytest.raises(TypeError):
         EvidenceState(selected=[sized_chunk("c", 50)], budget=100, used_tokens=60)
 
 
