@@ -28,7 +28,7 @@ from .controller import MODES, ControllerConfig, run_example
 from .corpus import chunk_corpus, load_examples, read_chunks, write_atomic, write_chunks, write_json_lines
 from .errors import AdagateError
 from .evaluate import ExampleResult, aggregate, evidence_prf, read_results, render_csv, render_table
-from .index import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder, VectorIndex, read_snapshot
+from .index import DEFAULT_DIM, HashingEmbedder, RemoteEmbedder, VectorIndex
 from .oracle import LiveOracle, RuleBasedOracle
 from .perturb import KIND_NOISE, PerturbConfig, inject_noise, inject_redundancy
 from .scoring import DEFAULT_WEIGHTS, UtilityWeights
@@ -218,22 +218,24 @@ def _open_store(
 ) -> VectorIndex:
     """Load the snapshot at ``store``, or start an empty index from the flags when there is none.
 
-    An existing store decides its dim and embedder; a flag that differs is a
-    usage error. With ``namespace``, only that namespace is loaded, and a
-    store without it is an error; a command that saves the store back loads all of it.
+    An existing store's header decides its dim and embedder, which the config
+    only says how to reach; a flag that differs is a usage error, raised
+    before any record is decoded. With ``namespace``, only that namespace is
+    loaded, and a store without it is an error; a command that saves the
+    store back loads all of it.
     """
-    path = Path(store)
-    if not path.exists():
+    if not Path(store).exists():
         if embedder_kind == "remote" and dim is None:
             raise UsageError("a new remote store needs --dim, the size of the embedding service's vectors")
         return VectorIndex(_make_embedder(embedder_kind or "hash", DEFAULT_DIM if dim is None else dim, config))
-    stored_dim, stored_kind, records = read_snapshot(path)
-    records.close()
-    for flag, given, stored in (("--dim", dim, stored_dim), ("--embedder", embedder_kind, stored_kind)):
-        if given is not None and given != stored:
-            raise UsageError(f"{flag} {given} does not match the {flag[2:]} {stored} of store {store}")
-    embedder = _make_embedder("remote", stored_dim, config) if stored_kind == "remote" else None
-    return VectorIndex.load(path, embedder=embedder, namespace=namespace)
+
+    def embedder_for(stored_kind: str, stored_dim: int):
+        for flag, given, stored in (("--dim", dim, stored_dim), ("--embedder", embedder_kind, stored_kind)):
+            if given is not None and given != stored:
+                raise UsageError(f"{flag} {given} does not match the {flag[2:]} {stored} of store {store}")
+        return _make_embedder(stored_kind, stored_dim, config)
+
+    return VectorIndex.load(store, namespace=namespace, embedder_for=embedder_for)
 
 
 def _cmd_index(args: argparse.Namespace) -> int:

@@ -106,9 +106,17 @@ def load_examples(path: str | Path, limit: int | None = None) -> list[Example]:
 
     Raises ParseError naming the offending record index for malformed
     records, and ValidationError when a gold title is absent from the
-    context paragraphs.
+    context paragraphs or an ``_id`` repeats an earlier record's.
     """
-    return [_example_from_record(record, i) for i, record in islice(json_lines(path, "record"), limit)]
+    examples = []
+    first_index: dict[str, int] = {}
+    for i, record in islice(json_lines(path, "record"), limit):
+        example = _example_from_record(record, i)
+        first = first_index.setdefault(example.id, i)
+        if first != i:
+            raise ValidationError(f"record {i}: _id {example.id!r} repeats record {first}")
+        examples.append(example)
+    return examples
 
 
 def json_lines(path: str | Path, label: str) -> Iterator[tuple[int, dict]]:

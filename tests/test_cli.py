@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import threading
 import warnings
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 from adagate.cli import main
+from adagate.corpus import read_chunks
 from adagate.index import SNAPSHOT_SCHEMA
 
 from helpers import builtin_fixture_path
@@ -278,7 +281,78 @@ def test_perturb_into_a_remote_store_follows_the_store(tmp_path, monkeypatch):
     assert main(perturb + ["--store", str(store), "--config", str(config)]) == 0
     assert json.loads(store.read_text(encoding="utf-8").splitlines()[0])["embedder"] == "remote"
     embedder = index.RemoteEmbedder(url="http://embed.invalid", dim=4, session=object())
-    assert index.VectorIndex.load(store, embedder=embedder).namespaces() == ["clean", "noise"]
+    assert index.VectorIndex.load(store, embedder_for=lambda backend, dim: embedder).namespaces() == ["clean", "noise"]
+
+
+class _EmbeddingsHandler(BaseHTTPRequestHandler):
+    """Answers each POST with ``_fake_embeddings``; the server keeps every (path, inputs) it was sent."""
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.requests.append((self.path, payload["input"]))
+        body = json.dumps(_fake_embeddings(None, self.path, payload)).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):  # no request lines on stderr
+        pass
+
+
+@pytest.fixture
+def embeddings_service(monkeypatch):
+    """An embeddings service on a loopback port, reached without any proxy."""
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(name, "127.0.0.1")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbeddingsHandler)
+    server.requests = []
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def test_run_over_a_remote_store_through_a_loopback_service(tmp_path, embeddings_service):
+    data = str(builtin_fixture_path())
+    chunks, store, config = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl", tmp_path / "config.json"
+    url = f"http://127.0.0.1:{embeddings_service.server_address[1]}/v1"
+    config.write_text(json.dumps({"index": {"remote": {"url": url}}}), encoding="utf-8")
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    build = ["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "4"]
+    assert main(build + ["--embedder", "remote", "--config", str(config)]) == 0
+    chunk_texts = {chunk.text for chunk in read_chunks(chunks)}
+    assert {text for _, inputs in embeddings_service.requests for text in inputs} == chunk_texts
+    embeddings_service.requests.clear()
+    out = tmp_path / "r.jsonl"
+    run = ["run", "--data", data, "--store", str(store), "--embedder", "remote", "--config", str(config)]
+    assert main(run + ["--out", str(out)]) == 0
+    recorded = json.loads(Path(str(out) + ".manifest.json").read_text(encoding="utf-8"))["config"]
+    assert (recorded["store_embedder"], recorded["store_dim"]) == ("remote", 4)
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+    sent = [text for _, inputs in embeddings_service.requests for text in inputs]
+    assert sent and not chunk_texts & set(sent)  # only query strings: the store holds the chunk vectors
+    assert {path for path, _ in embeddings_service.requests} == {"/v1/embeddings"}
+
+
+def test_store_flags_are_checked_before_any_record_is_decoded(tmp_path, capsys):
+    data = str(builtin_fixture_path())
+    chunks, store = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl"
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    index = ["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean"]
+    assert main(index + ["--dim", "256"]) == 0
+    lines = store.read_text(encoding="utf-8").splitlines()
+    store.write_text("\n".join([lines[0], "[1]"] + lines[2:]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(index + ["--dim", "512"]) == 2
+    assert capsys.readouterr().err == f"usage error: --dim 512 does not match the dim 256 of store {store}\n"
+    assert main(index) == 1
+    assert capsys.readouterr().err.startswith("error: snapshot record 1: ")
 
 
 @pytest.mark.parametrize("command", ["ingest", "index", "perturb", "run", "report"])

@@ -341,7 +341,7 @@ def test_remote_run_over_a_loaded_snapshot_sends_only_query_strings(tmp_path, or
 
     session = HashBackedSession(64)
     reader = RemoteEmbedder(url="http://svc", dim=64, session=session)
-    index = VectorIndex.load(tmp_path / "store.jsonl", embedder=reader)
+    index = VectorIndex.load(tmp_path / "store.jsonl", embedder_for=lambda backend, dim: reader)
     for example in examples:
         run_adagate(example, WORLD_CONFIG, index, oracle)
     chunk_texts = {c.text for c in chunks}

@@ -100,6 +100,15 @@ def test_empty_question_or_gold_titles_is_validation_error(tmp_path, change, mes
         load_examples(path)
 
 
+def test_a_repeated_id_is_validation_error_naming_both_records(tmp_path):
+    first, second = builtin_fixture_path().read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "twice.jsonl"
+    path.write_text("\n".join([first, second, first]) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"^record 2: _id 'q000' repeats record 0$"):
+        load_examples(path)
+    assert [example.id for example in load_examples(path, limit=2)] == ["q000", "q001"]
+
+
 @pytest.mark.parametrize(
     "question, gold_titles, message",
     [("  ", {"T"}, "empty question"), ("q", {"T", "Missing"}, "gold titles not found in context: Missing")],

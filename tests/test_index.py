@@ -365,7 +365,7 @@ def test_remote_snapshot_round_trip_is_bit_identical(tmp_path):
     assert any(0 < abs(v) < 2.2250738585072014e-308 for v in vector.values())  # subnormal
     path = tmp_path / "store.jsonl"
     index.save(path)
-    _assert_same_entries(VectorIndex.load(path, embedder=embedder), index)
+    _assert_same_entries(VectorIndex.load(path, embedder_for=lambda backend, dim: embedder), index)
 
 
 def test_snapshot_schema_and_dim_checks(tmp_path):
@@ -382,10 +382,19 @@ def test_snapshot_schema_and_dim_checks(tmp_path):
     index = VectorIndex(HashingEmbedder(dim=64))
     index.upsert("ns", [sized_chunk("c", 8)])
     index.save(path)
-    with pytest.raises(SchemaError):
-        VectorIndex.load(path, embedder=HashingEmbedder(dim=32))
-    with pytest.raises(SchemaError):  # the query path depends on the backend
-        VectorIndex.load(path, embedder=RemoteEmbedder(url="http://svc", dim=64, session=FakeSession([])))
+    asked = []
+
+    def embedder_for(backend, dim):
+        asked.append((backend, dim))
+        return HashingEmbedder(dim=dim)
+
+    assert VectorIndex.load(path, embedder_for=embedder_for).chunks("ns") == index.chunks("ns")
+    assert asked == [("hash", 64)]
+    with pytest.raises(SchemaError, match="^snapshot needs a 'hash' embedder of dim 64, not a 'hash' one of dim 32$"):
+        VectorIndex.load(path, embedder_for=lambda backend, dim: HashingEmbedder(dim=32))
+    remote = RemoteEmbedder(url="http://svc", dim=64, session=FakeSession([]))
+    with pytest.raises(SchemaError, match="not a 'remote' one"):  # the query path depends on the backend
+        VectorIndex.load(path, embedder_for=lambda backend, dim: remote)
 
 
 def test_remote_snapshot_needs_its_embedder(tmp_path):
@@ -393,7 +402,7 @@ def test_remote_snapshot_needs_its_embedder(tmp_path):
     index = VectorIndex(RemoteEmbedder(url="http://svc", dim=6, session=_TinyEmbeddingSession()))
     index.upsert("ns", [sized_chunk("a", 4)])
     index.save(path)
-    with pytest.raises(SchemaError, match="remote embedder; pass the matching embedder explicitly"):
+    with pytest.raises(SchemaError, match="remote embedder; pass embedder_for to build it"):
         VectorIndex.load(path)
 
 
@@ -438,6 +447,12 @@ def test_snapshot_read_errors_keep_their_classes(tmp_path):
     empty = {**record, "vector": {"idx": "", "val": ""}}
     path.write_text("\n".join([header, first, json.dumps(empty)]) + "\n")
     assert VectorIndex.load(path).size("ns") == 2
+    # save never writes a chunk id twice in one namespace, so a snapshot that does is damaged.
+    repeated = {**record, "chunk": {**record["chunk"], "chunk_id": "a"}}
+    path.write_text("\n".join([header, first, json.dumps(repeated)]) + "\n")
+    for only in (None, "ns"):
+        with pytest.raises(ParseError, match="^snapshot record 2: chunk 'a' repeats in namespace 'ns'$"):
+            VectorIndex.load(path, namespace=only)
 
 
 def test_remote_embedder_normalizes_and_caches():
