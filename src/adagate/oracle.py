@@ -6,8 +6,9 @@ synthetic markup convention used by all offline fixtures:
 * Passage sentences may carry facts written ``ENT[entity] REL[relation]
   VAL[value]``. A fact's confidence is 1.0, or 0.5 when the sentence
   containing it carries the low-confidence marker ``~``. Bracketed parts
-  may contain punctuation: only ``.``, ``!`` or ``?`` outside brackets ends
-  a sentence.
+  may contain punctuation: a ``.``, ``!`` or ``?`` outside brackets and
+  followed by whitespace ends a sentence (``split_sentences``). The ledger
+  and novelty read facts through one parse, ``passage_facts``.
 * Questions encode their required fact slots as ``SLOT[entity|relation]``
   tokens, in order. An entity written ``*N`` refers to the resolved value
   of the N-th slot (1-based), which is how bridge hops are expressed.
@@ -39,8 +40,9 @@ ABSTAIN = "I don't know"
 FACT_PATTERN = re.compile(r"ENT\[([^\]]+)\]\s*REL\[([^\]]+)\]\s*VAL\[([^\]]+)\]")
 SLOT_PATTERN = re.compile(r"SLOT\[([^\]|]+)\|([^\]]+)\]")
 LOW_CONFIDENCE_MARK = "~"
-# A sentence end not followed by a closing bracket before any opening one.
-_SENTENCE_SPLIT = re.compile(r"[.!?](?![^\[\]]*\])")
+_SENTENCE_END = re.compile(r"(?<=[.!?])\s+")
+# A sentence end followed by a "]" before any "[" is inside brackets.
+_SENTENCE_END_OUTSIDE_BRACKETS = re.compile(r"(?<=[.!?])\s+(?![^\[\]]*\])")
 _BACKREF = re.compile(r"^\*(\d+)$")
 
 LOW_CONFIDENCE = 0.5
@@ -226,35 +228,49 @@ def match_slots(question: str, ledger: Ledger) -> list[Fact]:
     return [fact for _, _, fact in resolve_slots(question, ledger) if fact is not None]
 
 
+def split_sentences(text: str) -> list[str]:
+    """The non-blank sentences of ``text``.
+
+    A ``.``, ``!`` or ``?`` followed by whitespace ends a sentence unless a
+    "]" follows it before any "[". The bracket lookahead scans to the next
+    bracket at every sentence end, so it runs only up to the last "]"; past
+    it the plain split is exact. The 4,000 gold passages of a seed-7
+    2,000-question synthetic world (facts first, then filler), each split
+    once as ``perturb.inject_redundancy`` splits them, take 105 ms so, 85 ms
+    without the bracket rule and 167 ms with the lookahead over whole
+    passages (best of 5, CPython 3.11, 2 vCPUs).
+    """
+    end = text.rfind("]") + 1
+    *head, last = _SENTENCE_END_OUTSIDE_BRACKETS.split(text[:end])
+    first, *tail = _SENTENCE_END.split(text[end:])  # after a "]": first continues last
+    return [s for s in (*head, last + first, *tail) if s.strip()]
+
+
+def passage_facts(chunk: Chunk) -> list[tuple[str, str, str, float]]:
+    """(entity, relation, value, confidence) of each fact written in ``chunk``, in text order.
+
+    The one parse of the fact markup: the ledger and novelty both read it.
+    Sentence scopes matter only to the low-confidence marker, so a passage
+    without one is read whole.
+    """
+    text = chunk.text
+    facts = []
+    for sentence in split_sentences(text) if LOW_CONFIDENCE_MARK in text else (text,):
+        confidence = LOW_CONFIDENCE if LOW_CONFIDENCE_MARK in sentence else FULL_CONFIDENCE
+        for entity, relation, value in FACT_PATTERN.findall(sentence):
+            facts.append((entity.strip(), relation.strip(), value.strip(), confidence))
+    return facts
+
+
 class RuleBasedOracle:
     """Deterministic oracle over the markup conventions documented above."""
 
     def extract_ledger(self, evidence: Sequence[Chunk]) -> Ledger:
         ledger = Ledger()
         for chunk in evidence:
-            # Sentence scopes matter only to the low-confidence marker.
-            text = chunk.text
-            sentences = _SENTENCE_SPLIT.split(text) if LOW_CONFIDENCE_MARK in text else (text,)
-            for sentence in sentences:
-                low = LOW_CONFIDENCE_MARK in sentence
-                for entity, relation, value in FACT_PATTERN.findall(sentence):
-                    ledger.add(
-                        Fact(
-                            entity=entity.strip(),
-                            relation=relation.strip(),
-                            value=value.strip(),
-                            confidence=LOW_CONFIDENCE if low else FULL_CONFIDENCE,
-                            source_chunk=chunk.chunk_id,
-                        )
-                    )
+            for entity, relation, value, confidence in passage_facts(chunk):
+                ledger.add(Fact(entity, relation, value, confidence, chunk.chunk_id))
         return ledger
-
-    def extract_pairs(self, chunk: Chunk) -> set[tuple[str, str]]:
-        """(entity, relation) pairs extractable from one chunk, lowercased."""
-        return {
-            (entity.strip().lower(), relation.strip().lower())
-            for entity, relation, _ in FACT_PATTERN.findall(chunk.text)
-        }
 
     def assess_sufficiency(self, question: str, ledger: Ledger) -> SufficiencyVerdict:
         resolved = resolve_slots(question, ledger)
@@ -291,7 +307,7 @@ class RuleBasedOracle:
 
     def novelty(self, chunk: Chunk, ledger: Ledger) -> float:
         """Fraction of the chunk's (entity, relation) pairs absent from the ledger."""
-        pairs = self.extract_pairs(chunk)
+        pairs = {(entity.lower(), relation.lower()) for entity, relation, _, _ in passage_facts(chunk)}
         if not pairs:
             return 0.0
         known = ledger.pairs()
@@ -444,7 +460,9 @@ class LiveOracle:
                 handle.write(json.dumps({"request": payload, "response": body}) + "\n")
         try:
             content = body["choices"][0]["message"]["content"]
+            if type(content) is not str:  # null, or a list of content parts
+                raise TypeError(f"content is {type(content).__name__}, not a string")
         except (KeyError, IndexError, TypeError) as exc:
             self.warnings.append(f"malformed completion payload: {exc}")
             return ""
-        return str(content)
+        return content

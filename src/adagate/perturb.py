@@ -12,6 +12,7 @@ deterministic for a given seed.
 
 The injected count per example follows ``round(n_orig * rho / (1 - rho))``,
 so rho is the injected fraction of the final pool (rho=0.5 doubles it).
+Scramble, reorder and subset split sentences by ``oracle.split_sentences``.
 
 A gold passage gets up to ``VARIANT_CAP`` redundancy variants, cycling
 through reorder, synonym and subset. What draws nothing from the RNG is
@@ -29,7 +30,6 @@ import functools
 import json
 import math
 import random
-import re
 from dataclasses import dataclass
 from importlib import resources
 from itertools import compress, count, repeat
@@ -43,14 +43,12 @@ from .corpus import (
     Example,
 )
 from .errors import ValidationError
+from .oracle import split_sentences
 
 KIND_NOISE = "noise"
 KIND_REDUNDANCY = "redundancy"
 
 DISTORTIONS = ("scramble", "misspell", "truncate")
-# Seeded noise namespaces depend on this draw: ``random.choices`` with these
-# weights; ``random.choice`` would consume the stream differently.
-DISTORTION_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
 VARIANT_KINDS = ("reorder", "synonym", "subset")
 
 MISSPELL_WORD_FRACTION = 0.10
@@ -58,9 +56,6 @@ TRUNCATE_RANGE = (0.40, 0.70)
 SUBSET_RANGE = (0.50, 0.80)
 VARIANT_CAP = 6  # redundancy variants per gold passage
 
-_SENTENCE_END = re.compile(r"(?<=[.!?])\s+")
-# The oracle's rule: a sentence end followed by a "]" before any "[" is inside brackets.
-_SENTENCE_END_OUTSIDE_BRACKETS = re.compile(r"(?<=[.!?])\s+(?![^\[\]]*\])")
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 # Stripped from both ends of a word to find the core that the synonym table is keyed by.
 _WORD_PUNCTUATION = ".,;:!?"
@@ -81,31 +76,12 @@ class PerturbConfig:
 
 def injected_count(n_orig: int, rho: float) -> int:
     """Chunks to inject so injected/(original+injected) is approximately rho."""
-    if rho == 0.0:
-        return 0
     return round(n_orig * rho / (1.0 - rho))
-
-
-def _split_sentences(body: str) -> list[str]:
-    """The non-blank sentences of ``body``, ended as the oracle ends them.
-
-    The bracket lookahead scans to the next bracket at every sentence end,
-    so it runs only up to the last "]"; past it the plain split is exact.
-    The 4,000 gold passages of a seed-7 2,000-question synthetic world
-    (facts first, then filler), each split once as ``inject_redundancy``
-    splits them, take 105 ms so, 85 ms without the bracket rule and 167 ms
-    with the lookahead over whole passages (best of 5, CPython 3.11, 2
-    vCPUs).
-    """
-    end = body.rfind("]") + 1
-    *head, last = _SENTENCE_END_OUTSIDE_BRACKETS.split(body[:end])
-    first, *tail = _SENTENCE_END.split(body[end:])  # after a "]": first continues last
-    return [s for s in (*head, last + first, *tail) if s.strip()]
 
 
 def _scramble(body: str, rng: random.Random) -> str:
     sentences = []
-    for sentence in _split_sentences(body):
+    for sentence in split_sentences(body):
         words = sentence.split()
         rng.shuffle(words)
         sentences.append(" ".join(words))
@@ -172,7 +148,7 @@ class _Gold:
 
     @functools.cached_property
     def sentences(self) -> list[str]:
-        return _split_sentences(self.body)
+        return split_sentences(self.body)
 
     @functools.cached_property
     def synonym(self) -> str:
@@ -266,7 +242,7 @@ def inject_noise(
         n_syntax = n_inj - n_inj // 2
         for j in range(n_syntax):
             source = chunks[own_positions[j % len(own_positions)]]
-            op = rng.choices(DISTORTIONS, weights=DISTORTION_WEIGHTS)[0]
+            op = rng.choices(DISTORTIONS)[0]  # not choice, which reads the stream differently
             body = _DISTORT_OPS[op](source.body, rng)
             yield f"{source.chunk_id}-n{j}", source, body, PROVENANCE_NOISE_SYNTAX
         for j in range(n_inj - n_syntax):

@@ -2,8 +2,9 @@
 
 The embedding service and the oracle endpoint are both JSON-over-POST
 services. A request sends a bearer token read from the environment variable
-named ``key_env`` when that variable is set. Connection errors and status
-429/500/502/503 are retried; any other non-200 status fails at once; when
+named ``key_env`` when that variable is set. Connection errors, timeouts and
+status 429/500/502/503 are retried; any other non-200 status, or a request
+that ``requests`` refuses to send (a ``ValueError``), fails at once; when
 every attempt is spent the error names the attempt count and the last
 failure. A 200 response whose body is not JSON fails at once. Failures
 surface as TransportError.
@@ -68,6 +69,8 @@ def post_json(
         try:
             response = session.post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
+            if isinstance(exc, ValueError):  # a malformed URL or header: nothing was sent
+                raise TransportError(f"{service} request is malformed: {exc}") from exc
             last_error = exc
             continue
         if response.status_code in RETRIABLE_STATUS:

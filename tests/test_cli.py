@@ -577,6 +577,8 @@ _NOT_UTF8 = b"\xff\xfe not utf-8 \x80\n"
         ("run-store-record-not-utf8", 1),
         ("config-not-json", 2),
         ("config-not-object", 2),
+        ("ingest-context-holds-a-one-item-list", 1),
+        ("ingest-context-holds-a-number", 1),
     ],
 )
 def test_bad_input_file_is_an_error_not_a_traceback(tmp_path, capsys, case, code):
@@ -586,6 +588,10 @@ def test_bad_input_file_is_an_error_not_a_traceback(tmp_path, capsys, case, code
     if case == "ingest-data-not-utf8":
         bad.write_bytes(_NOT_UTF8)
         argv = ["ingest", "--data", str(bad), "--out", str(tmp_path / "chunks.jsonl")]
+    elif case.startswith("ingest-context-"):
+        item = ["T0"] if case.endswith("list") else 1
+        argv = ["ingest", "--data", str(_fixture_with(tmp_path, lambda record: record.update(context=[item]))),
+                "--out", str(tmp_path / "chunks.jsonl")]
     elif case.startswith("index-"):
         if case == "index-chunks-not-utf8":
             bad.write_bytes(_NOT_UTF8)
@@ -616,6 +622,40 @@ def test_bad_input_file_is_an_error_not_a_traceback(tmp_path, capsys, case, code
     err = capsys.readouterr().err
     assert err.startswith("usage error:" if code == 2 else "error:")
     assert "Traceback" not in err
+    unpacked = {
+        "ingest-context-holds-a-one-item-list": "not enough values to unpack (expected 2, got 1)",
+        "ingest-context-holds-a-number": "cannot unpack non-iterable int object",
+    }
+    if case in unpacked:
+        assert err == f"error: record 0: malformed context or supporting_facts ({unpacked[case]})\n"
+        assert not (tmp_path / "chunks.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["index", "--embedder", "remote", "--dim", "4", "--store", "NEW"], "remote embedder requires index.remote.url"),
+        (["run", "--oracle", "live", "--store", "STORE"], "live oracle requires oracle.url"),
+    ],
+    ids=["index-remote-without-url", "run-live-without-url"],
+)
+def test_a_remote_backend_without_its_url_is_an_error(tmp_path, capsys, argv, message):
+    data = str(builtin_fixture_path())
+    chunks, store, new, out = (tmp_path / name for name in ("chunks.jsonl", "store.jsonl", "new.jsonl", "r.jsonl"))
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", DIM]) == 0
+    config = tmp_path / "config.json"
+    config.write_text("{}", encoding="utf-8")
+    rest = {
+        "index": ["--chunks", str(chunks), "--namespace", "clean"],
+        "run": ["--data", data, "--out", str(out)],
+    }[argv[0]]
+    paths = {"NEW": str(new), "STORE": str(store)}
+    capsys.readouterr()
+    assert main([paths.get(arg, arg) for arg in argv] + rest + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {message} in the config file\n"
+    assert not new.exists()
+    assert not list(tmp_path.glob("r.jsonl*"))
 
 
 def test_run_with_unknown_namespace_fails_before_the_batch(tmp_path, capsys):

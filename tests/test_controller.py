@@ -236,6 +236,13 @@ def test_config_validation():
         ControllerConfig(budget=0)
 
 
+def test_run_baseline_refuses_the_adagate_mode(oracle):
+    examples, _, index = build_world(1)
+    with pytest.raises(ValueError) as exc:
+        run_baseline(examples[0], ControllerConfig(mode="adagate"), index, oracle)
+    assert str(exc.value) == "mode 'adagate' is not a baseline"
+
+
 class LedgerOnlyOracle:
     """A backend with the rules ledger but none of ``RuleBasedOracle``'s other methods."""
 

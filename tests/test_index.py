@@ -202,6 +202,14 @@ def test_query_exact_text_scores_one():
     assert score == pytest.approx(1.0, abs=1e-9)
 
 
+def test_query_of_no_hits_is_refused():
+    index = VectorIndex(HashingEmbedder(dim=512))
+    index.upsert("clean", [sized_chunk("c0", 15)])
+    with pytest.raises(ValueError) as exc:
+        index.query_top_k("clean", "c0w1", 0)
+    assert str(exc.value) == "k must be positive"
+
+
 def test_top_k_matches_brute_force_scan():
     embedder = HashingEmbedder(dim=64)  # small dim provokes collisions on purpose
     index = VectorIndex(embedder)

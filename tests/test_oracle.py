@@ -3,11 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adagate.corpus import Chunk
 from adagate.errors import TransportError
 from adagate.oracle import (
     ABSTAIN,
+    FACT_PATTERN,
     Fact,
     Gap,
     Ledger,
@@ -16,6 +19,7 @@ from adagate.oracle import (
     SufficiencyVerdict,
     fallback_queries,
     parse_slots,
+    split_sentences,
 )
 
 from helpers import FakeResponse, FakeSession, fact_chunk, sized_chunk
@@ -41,6 +45,88 @@ def test_extract_low_confidence_marker_scopes_to_sentence(oracle):
     ledger = oracle.extract_ledger([chunk])
     by_entity = {f.entity: f.confidence for f in ledger.facts}
     assert by_entity == {"a": 0.5, "b": 1.0}
+
+
+def test_a_sentence_end_needs_whitespace_after_it(oracle):
+    # A sentence end needs whitespace after it, so "~." directly followed by "ENT" ends none.
+    chunk = Chunk("c0", "t", "ENT[a] REL[r] VAL[v] ~.ENT[b] REL[s] VAL[w].", "ex")
+    assert {f.entity: f.confidence for f in oracle.extract_ledger([chunk]).facts} == {"a": 0.5, "b": 0.5}
+
+
+def test_a_fact_whose_entity_holds_an_opening_bracket_is_in_the_ledger(oracle):
+    # "a." is followed by "[", not whitespace: no sentence end cuts the fact, so novelty knows it too.
+    chunk = Chunk("c0", "t", "ENT[a.[b] REL[r] VAL[v] ~.", "ex")
+    ledger = oracle.extract_ledger([chunk])
+    assert [(f.entity, f.relation, f.value, f.confidence) for f in ledger.facts] == [("a.[b", "r", "v", 0.5)]
+    assert oracle.novelty(chunk, ledger) == 0.0
+
+
+def _reference_sentences(text: str) -> list[str]:
+    """The non-blank sentences of ``text``, by a scan of the documented rule, one character at a time.
+
+    A ".", "!" or "?" followed by whitespace ends a sentence unless a "]"
+    comes after it before any "["; the whitespace run belongs to neither side.
+    """
+    sentences, start, at = [], 0, 0
+    while at < len(text):
+        if text[at] in ".!?" and text[at + 1 : at + 2].isspace():
+            ahead = at + 1
+            while ahead < len(text) and text[ahead] not in "[]":
+                ahead += 1
+            if text[ahead : ahead + 1] != "]":
+                sentences.append(text[start : at + 1])
+                at += 1
+                while text[at : at + 1].isspace():
+                    at += 1
+                start = at
+                continue
+        at += 1
+    sentences.append(text[start:])
+    return [sentence for sentence in sentences if sentence.strip()]
+
+
+def _reference_ledger(text: str) -> list[tuple[str, str, str, float]]:
+    """(entity, relation, value, confidence) of each distinct fact, first seen first.
+
+    ``~`` lowers the confidence of its own sentence's facts; a passage without one is read whole.
+    """
+    facts: dict[tuple[str, str, str], float] = {}
+    for sentence in _reference_sentences(text) if "~" in text else [text]:
+        confidence = 0.5 if "~" in sentence else 1.0
+        for entity, relation, value in FACT_PATTERN.findall(sentence):
+            facts.setdefault((entity.strip(), relation.strip(), value.strip()), confidence)
+    return [(*fact, confidence) for fact, confidence in facts.items()]
+
+
+_BRACKETED = st.text(alphabet="ab .!?[~", max_size=6)  # "]" would close the part
+_FACT = st.builds(
+    "ENT[{}]{}REL[{}]{}VAL[{}]".format, _BRACKETED, st.sampled_from(["", " "]), _BRACKETED, st.just(" "), _BRACKETED
+)
+_PART = st.one_of(_FACT, st.sampled_from(["the", "town", "3.5", "St.", "~", "[", "]", "a.b"]))
+_SENTENCE = st.builds(
+    lambda parts, low, end: " ".join(parts) + low + end,
+    st.lists(_PART, min_size=1, max_size=3),
+    st.sampled_from(["", " ~", "~"]),
+    st.sampled_from(["", ".", "!", "?", "..."]),
+)
+_JOIN = st.sampled_from(["", " ", "  ", "\n", "\t", "\xa0", "\u2028", "\x1c"])
+
+
+@settings(deadline=None)
+@given(
+    title=st.sampled_from(["t", "St. Ives", "Is it?", "x ~"]),
+    sentences=st.lists(st.tuples(_SENTENCE, _JOIN), max_size=4),
+)
+@example(title="t", sentences=[("ENT[a] REL[r] VAL[v] ~.", ""), ("ENT[b] REL[s] VAL[w].", "")])
+@example(title="t", sentences=[("ENT[a.[b] REL[r] VAL[v] ~.", "")])
+@example(title="t", sentences=[("ENT[a. [b] REL[r] VAL[v] ~.", " ")])
+def test_ledger_and_novelty_read_the_markup_as_the_reference_does(title, sentences):
+    oracle = RuleBasedOracle()
+    chunk = Chunk("c0", title, "".join(sentence + join for sentence, join in sentences), "ex")
+    assert split_sentences(chunk.text) == _reference_sentences(chunk.text)
+    ledger = oracle.extract_ledger([chunk])
+    assert [(f.entity, f.relation, f.value, f.confidence) for f in ledger.facts] == _reference_ledger(chunk.text)
+    assert oracle.novelty(chunk, ledger) == 0.0
 
 
 @pytest.mark.parametrize("low", ["", " ~"])
@@ -285,6 +371,28 @@ def test_live_oracle_retries_then_raises():
         live.generate_answer("q", [])
     assert len(live._session.calls) == 3
     assert str(exc.value) == "oracle endpoint unreachable after 3 attempts: oracle endpoint returned 503"
+
+
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": "Paris"}], 5])
+def test_live_completion_whose_content_is_not_a_string_is_an_empty_reply(content):
+    reply = FakeResponse(200, {"choices": [{"message": {"content": content}}]})
+    live = LiveOracle("http://svc/v1", session=FakeSession([reply, reply]))
+    assert live.generate_answer("q", []) == ABSTAIN
+    assert live.extract_ledger([fact_chunk("c0", "a", "r", "v")]).facts == []
+    kind = type(content).__name__
+    assert live.warnings == [f"malformed completion payload: content is {kind}, not a string"] * 2
+
+
+def test_live_ledger_of_no_evidence_sends_no_request():
+    live = _live([])
+    assert len(live.extract_ledger([])) == 0
+    assert live._session.calls == []
+
+
+def test_live_empty_gap_reply_is_a_sufficient_verdict():
+    live = _live([_FakeResponse(200, "\n  \n")])
+    assert live.assess_sufficiency("q", Ledger()) == SufficiencyVerdict(sufficient=True)
+    assert live.warnings == []
 
 
 def test_live_judge_parses_yes_no():

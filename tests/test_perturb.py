@@ -14,21 +14,19 @@ from adagate.index import HashingEmbedder, cosine
 from adagate.perturb import (
     _DISTORT_OPS,
     _VARIANT_OPS,
-    DISTORTION_WEIGHTS,
     DISTORTIONS,
     SUBSET_RANGE,
     VARIANT_CAP,
     VARIANT_KINDS,
     PerturbConfig,
     _Gold,
-    _split_sentences,
     _synonym,
     injected_count,
     inject_noise,
     inject_redundancy,
     load_synonym_table,
 )
-from adagate.oracle import FACT_PATTERN
+from adagate.oracle import FACT_PATTERN, split_sentences
 from adagate.synthetic import WorldSpec, generate_world
 
 
@@ -124,6 +122,15 @@ def test_perturb_config_validation():
         PerturbConfig(kind="weird", rho=0.5)
     with pytest.raises(ValueError):
         PerturbConfig(kind="noise", rho=1.0)
+
+
+def test_each_injection_refuses_the_other_kind(fixture_examples, fixture_chunks):
+    with pytest.raises(ValueError) as exc:
+        inject_noise(fixture_examples, fixture_chunks, PerturbConfig(kind="redundancy", rho=0.5))
+    assert str(exc.value) == "config.kind must be 'noise'"
+    with pytest.raises(ValueError) as exc:
+        inject_redundancy(fixture_examples, fixture_chunks, PerturbConfig(kind="noise", rho=0.5))
+    assert str(exc.value) == "config.kind must be 'redundancy'"
 
 
 def test_redundancy_variant_count_and_pool(fixture_examples, fixture_chunks):
@@ -239,8 +246,10 @@ def test_noise_crossquery_draws_over_interleaved_chunks():
         n_syntax = n_inj - n_inj // 2
         rng = random.Random(f"{config.seed}:noise:{example.id}")
         for j in range(n_syntax):
-            op = rng.choices(DISTORTIONS, weights=DISTORTION_WEIGHTS)[0]
-            _DISTORT_OPS[op](own[j % len(own)].body, rng)
+            # The weighted draw: the unweighted one in inject_noise must draw the same index.
+            op = rng.choices(DISTORTIONS, weights=(1 / 3, 1 / 3, 1 / 3))[0]
+            source = own[j % len(own)]
+            assert injected[f"{source.chunk_id}-n{j}"].body == _DISTORT_OPS[op](source.body, rng)
         for j in range(n_inj - n_syntax):
             expected = rng.choice(foreign)
             got = injected[f"{example.id}-x{j}"]
@@ -284,7 +293,7 @@ def _reference_synonym(body: str) -> str:
 def _reference_variant(kind: str, body: str, rng: random.Random) -> str:
     if kind == "synonym":
         return _reference_synonym(body)
-    sentences = _split_sentences(body)
+    sentences = split_sentences(body)
     if kind == "reorder":
         rng.shuffle(sentences)
         return " ".join(sentences)

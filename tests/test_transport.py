@@ -25,6 +25,33 @@ def test_non_retriable_status_fails_after_one_request(retry_sleeps):
     assert retry_sleeps == []
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        requests.exceptions.MissingSchema("Invalid URL 'svc/x': No scheme supplied"),
+        requests.exceptions.InvalidSchema("No connection adapters were found for 'ftp://svc/x'"),
+        requests.exceptions.InvalidURL("Invalid URL 'http://': No host supplied"),
+        requests.exceptions.InvalidHeader("Invalid leading whitespace in header value"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_malformed_request_fails_at_once(retry_sleeps, error):
+    session = FakeSession([error, FakeResponse(200, {"ok": True})])
+    with pytest.raises(TransportError) as exc:
+        _post(session)
+    assert str(exc.value) == f"test service request is malformed: {error}"
+    assert exc.value.__cause__ is error
+    assert len(session.calls) == 1
+    assert retry_sleeps == []
+
+
+def test_url_without_a_scheme_is_one_attempt_through_requests(retry_sleeps):
+    with requests.Session() as session, pytest.raises(TransportError) as exc:
+        post_json(session, "api.example.com/v1", {}, key_env="ADAGATE_TEST_KEY", timeout=1.0, service="test service")
+    assert str(exc.value).startswith("test service request is malformed: Invalid URL 'api.example.com/v1'")
+    assert retry_sleeps == []
+
+
 def test_connection_error_is_retried(retry_sleeps):
     session = FakeSession([requests.ConnectionError("reset"), FakeResponse(200, {"ok": True})])
     assert _post(session) == {"ok": True}
