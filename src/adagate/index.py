@@ -50,9 +50,10 @@ Vectors are stored sparsely as coordinate -> value maps over the fixed
 dimension, which keeps very large dims cheap. Hash collisions are
 acceptable; determinism is the requirement. A remote HTTP backend
 implementing the common embeddings wire format can be substituted via
-configuration; no test requires it. A chunk's vector is computed once (by
-``embed``, which caches nothing) or read from the snapshot, and only the
-index holds it (``get_entry``). ``embed_one`` caches query vectors by text.
+configuration; tests run it against a loopback service. A chunk's vector is
+computed once (by ``embed``, which caches nothing) or read from the
+snapshot, and only the index holds it (``get_entry``). ``embed_one`` caches
+query vectors by text.
 
 Retrieval is exact either way. Hashed vectors are sparse and non-negative,
 so their namespaces are scored term-at-a-time over postings; see Zobel &

@@ -6,9 +6,9 @@ synthetic markup convention used by all offline fixtures:
 * Passage sentences may carry facts written ``ENT[entity] REL[relation]
   VAL[value]``. A fact's confidence is 1.0, or 0.5 when the sentence
   containing it carries the low-confidence marker ``~``. Bracketed parts
-  may contain punctuation: a ``.``, ``!`` or ``?`` outside brackets and
-  followed by whitespace ends a sentence (``split_sentences``). The ledger
-  and novelty read facts through one parse, ``passage_facts``.
+  may contain punctuation: a ``.``, ``!`` or ``?`` followed by whitespace
+  ends a sentence unless it is inside a fact (``split_sentences``). The
+  ledger and novelty read facts through one parse, ``passage_facts``.
 * Questions encode their required fact slots as ``SLOT[entity|relation]``
   tokens, in order. An entity written ``*N`` refers to the resolved value
   of the N-th slot (1-based), which is how bridge hops are expressed.
@@ -40,9 +40,8 @@ ABSTAIN = "I don't know"
 FACT_PATTERN = re.compile(r"ENT\[([^\]]+)\]\s*REL\[([^\]]+)\]\s*VAL\[([^\]]+)\]")
 SLOT_PATTERN = re.compile(r"SLOT\[([^\]|]+)\|([^\]]+)\]")
 LOW_CONFIDENCE_MARK = "~"
-_SENTENCE_END = re.compile(r"(?<=[.!?])\s+")
-# A sentence end followed by a "]" before any "[" is inside brackets.
-_SENTENCE_END_OUTSIDE_BRACKETS = re.compile(r"(?<=[.!?])\s+(?![^\[\]]*\])")
+# A whole fact or a sentence end; a fact is matched whole, so no sentence ends inside one.
+_FACT_OR_SENTENCE_END = re.compile(FACT_PATTERN.pattern + r"|[.!?]\s+")
 _BACKREF = re.compile(r"^\*(\d+)$")
 
 LOW_CONFIDENCE = 0.5
@@ -229,21 +228,17 @@ def match_slots(question: str, ledger: Ledger) -> list[Fact]:
 
 
 def split_sentences(text: str) -> list[str]:
-    """The non-blank sentences of ``text``.
+    """The non-blank sentences of ``text``; every fact lies inside one of them.
 
-    A ``.``, ``!`` or ``?`` followed by whitespace ends a sentence unless a
-    "]" follows it before any "[". The bracket lookahead scans to the next
-    bracket at every sentence end, so it runs only up to the last "]"; past
-    it the plain split is exact. The 4,000 gold passages of a seed-7
-    2,000-question synthetic world (facts first, then filler), each split
-    once as ``perturb.inject_redundancy`` splits them, take 105 ms so, 85 ms
-    without the bracket rule and 167 ms with the lookahead over whole
-    passages (best of 5, CPython 3.11, 2 vCPUs).
+    A ``.``, ``!`` or ``?`` followed by whitespace ends a sentence unless it
+    is inside a fact; the whitespace belongs to neither sentence.
     """
-    end = text.rfind("]") + 1
-    *head, last = _SENTENCE_END_OUTSIDE_BRACKETS.split(text[:end])
-    first, *tail = _SENTENCE_END.split(text[end:])  # after a "]": first continues last
-    return [s for s in (*head, last + first, *tail) if s.strip()]
+    sentences, start = [], 0
+    for match in _FACT_OR_SENTENCE_END.finditer(text):
+        if match[1] is None:  # a sentence end, not a fact
+            sentences.append(text[start : match.start() + 1])
+            start = match.end()
+    return [sentence for sentence in (*sentences, text[start:]) if sentence.strip()]
 
 
 def passage_facts(chunk: Chunk) -> list[tuple[str, str, str, float]]:

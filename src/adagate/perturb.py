@@ -12,7 +12,8 @@ deterministic for a given seed.
 
 The injected count per example follows ``round(n_orig * rho / (1 - rho))``,
 so rho is the injected fraction of the final pool (rho=0.5 doubles it).
-Scramble, reorder and subset split sentences by ``oracle.split_sentences``.
+Scramble, reorder and subset split sentences by ``oracle.split_sentences``:
+a sentence end inside a fact ends no sentence, so no fact is cut apart.
 
 A gold passage gets up to ``VARIANT_CAP`` redundancy variants, cycling
 through reorder, synonym and subset. What draws nothing from the RNG is

@@ -10,7 +10,9 @@ hop is in the ledger. Distractor paragraphs are filler with no extractable
 facts; they come first in every context so that tie-broken retrieval
 fills with inert passages. Every paragraph is padded to an exact token
 length, keeping budget arithmetic in experiments predictable. The seed
-offsets the filler vocabulary, so different seeds produce disjoint worlds.
+changes only the filler words, numbered from ``seed * 1_000_003``; questions
+and facts are the same at every seed, and a 2,000-question world (1.1
+million filler words) shares filler sentences with the next seed's.
 
 Facts and question slots use the markup conventions of the rule-based
 oracle (``ENT[..] REL[..] VAL[..]`` and ``SLOT[entity|relation]`` with

@@ -64,22 +64,19 @@ def test_a_fact_whose_entity_holds_an_opening_bracket_is_in_the_ledger(oracle):
 def _reference_sentences(text: str) -> list[str]:
     """The non-blank sentences of ``text``, by a scan of the documented rule, one character at a time.
 
-    A ".", "!" or "?" followed by whitespace ends a sentence unless a "]"
-    comes after it before any "["; the whitespace run belongs to neither side.
+    A ".", "!" or "?" followed by whitespace ends a sentence unless it is
+    inside a ``FACT_PATTERN`` match; the whitespace run belongs to neither side.
     """
+    inside_a_fact = {at for match in FACT_PATTERN.finditer(text) for at in range(*match.span())}
     sentences, start, at = [], 0, 0
     while at < len(text):
-        if text[at] in ".!?" and text[at + 1 : at + 2].isspace():
-            ahead = at + 1
-            while ahead < len(text) and text[ahead] not in "[]":
-                ahead += 1
-            if text[ahead : ahead + 1] != "]":
-                sentences.append(text[start : at + 1])
+        if text[at] in ".!?" and text[at + 1 : at + 2].isspace() and at not in inside_a_fact:
+            sentences.append(text[start : at + 1])
+            at += 1
+            while text[at : at + 1].isspace():
                 at += 1
-                while text[at : at + 1].isspace():
-                    at += 1
-                start = at
-                continue
+            start = at
+            continue
         at += 1
     sentences.append(text[start:])
     return [sentence for sentence in sentences if sentence.strip()]
@@ -88,10 +85,10 @@ def _reference_sentences(text: str) -> list[str]:
 def _reference_ledger(text: str) -> list[tuple[str, str, str, float]]:
     """(entity, relation, value, confidence) of each distinct fact, first seen first.
 
-    ``~`` lowers the confidence of its own sentence's facts; a passage without one is read whole.
+    ``~`` lowers the confidence of its own sentence's facts.
     """
     facts: dict[tuple[str, str, str], float] = {}
-    for sentence in _reference_sentences(text) if "~" in text else [text]:
+    for sentence in _reference_sentences(text):
         confidence = 0.5 if "~" in sentence else 1.0
         for entity, relation, value in FACT_PATTERN.findall(sentence):
             facts.setdefault((entity.strip(), relation.strip(), value.strip()), confidence)
@@ -127,6 +124,39 @@ def test_ledger_and_novelty_read_the_markup_as_the_reference_does(title, sentenc
     ledger = oracle.extract_ledger([chunk])
     assert [(f.entity, f.relation, f.value, f.confidence) for f in ledger.facts] == _reference_ledger(chunk.text)
     assert oracle.novelty(chunk, ledger) == 0.0
+
+
+@settings(deadline=None)
+@given(sentences=st.lists(st.tuples(_SENTENCE, _JOIN), max_size=4))
+@example(sentences=[("ENT[?]REL[?] VAL[? []", "")])
+def test_every_fact_lies_inside_one_sentence(sentences):
+    text = "".join(sentence + join for sentence, join in sentences)
+    spans, at = [], 0
+    for sentence in split_sentences(text):
+        at = text.index(sentence, at)
+        spans.append((at, at + len(sentence)))
+        at += len(sentence)
+    for match in FACT_PATTERN.finditer(text):
+        assert any(start <= match.start() and match.end() <= end for start, end in spans)
+    per_sentence = [fact for start, end in spans for fact in FACT_PATTERN.findall(text[start:end])]
+    assert per_sentence == FACT_PATTERN.findall(text)
+
+
+@pytest.mark.parametrize(
+    ("body", "facts"),
+    [
+        ("ENT[a. [b] REL[r] VAL[v].", [("a. [b", 1.0)]),
+        ("ENT[a. [b] REL[r] VAL[v]. ENT[c] REL[s] VAL[w] ~.", [("a. [b", 1.0), ("c", 0.5)]),
+        ("ENT[a. [b] REL[r] VAL[v] ~.", [("a. [b", 0.5)]),
+    ],
+)
+def test_a_low_confidence_marker_never_drops_a_fact_holding_a_sentence_end(oracle, body, facts):
+    ledger = oracle.extract_ledger([Chunk("c0", "t", body, "ex")])
+    assert [(f.entity, f.confidence) for f in ledger.facts] == facts
+
+
+def test_a_sentence_end_inside_brackets_that_are_not_a_fact_ends_the_sentence():
+    assert split_sentences("see [note. here] now.") == ["see [note.", "here] now."]
 
 
 @pytest.mark.parametrize("low", ["", " ~"])

@@ -210,17 +210,26 @@ def test_subset_variant_keeps_sentence_subset(fixture_examples, fixture_chunks):
         assert sentences(variant.body) <= sentences(source.body)
 
 
-def test_reorder_and_subset_keep_sentence_ends_inside_brackets():
-    # Only ".", "!" or "?" outside brackets ends a sentence, as for the oracle.
-    body = "The town ENT[St. Ives] REL[county] VAL[Cornwall]. It is by the sea. Many visit."
+@pytest.mark.parametrize(
+    "body",
+    [
+        "The town ENT[St. Ives] REL[county] VAL[Cornwall]. It is by the sea. Many visit.",
+        # "? [" inside a fact: a sentence end there would let a reorder glue the cut "ENT[" to the next fact.
+        "ENT[is it? [old] REL[asked] VAL[yes. no]. The town ENT[St. Ives] REL[county] VAL[Cornwall]. "
+        "It is by the sea. ENT[c] REL[r] VAL[v]! Many visit.",
+    ],
+)
+def test_reorder_and_subset_variants_hold_only_the_gold_facts(body):
+    # A sentence end inside a fact ends no sentence, as for the oracle, so every fact moves whole.
     facts = FACT_PATTERN.findall(body)
-    for seed in range(6):
+    for seed in range(10):
         reordered = _VARIANT_OPS["reorder"](_Gold(body), random.Random(seed))
-        assert FACT_PATTERN.findall(reordered) == facts
         subset = _VARIANT_OPS["subset"](_Gold(body), random.Random(seed))
-        kept = FACT_PATTERN.findall(subset)
-        assert kept in ([], facts)
-        assert subset.count("[") == subset.count("]") == 3 * len(kept)  # no fact cut apart
+        for variant in (reordered, subset):
+            found = FACT_PATTERN.findall(variant)
+            assert set(found) <= set(facts)
+            assert variant.count("ENT[") == variant.count("VAL[") == len(found)  # no fact cut apart
+        assert sorted(FACT_PATTERN.findall(reordered)) == sorted(facts)
 
 
 def test_gold_titles_of_examples_never_touched(fixture_examples, fixture_chunks):
