@@ -35,7 +35,6 @@ from .scoring import DEFAULT_WEIGHTS, UtilityWeights
 
 MANIFEST_SCHEMA = "manifest@1"
 MANIFEST_SUFFIX = ".manifest.json"
-# DEFAULT_DIM is a power of two, as the lockstep hashing path needs.
 _DIM_HELP = f"for a new store (hash default 2**{DEFAULT_DIM.bit_length() - 1}; remote: required)"
 
 

@@ -6,14 +6,15 @@ tests reproduce independently, is:
 1. lowercase the text and split on whitespace;
 2. strip leading and trailing characters outside ``[a-z0-9_]`` from each
    token, dropping tokens that become empty;
-3. hash each token with FNV-1a 64-bit over its UTF-8 bytes, where a lone
-   surrogate (which ``json.loads`` yields from an escape such as ``\\ud800``)
-   takes the three bytes of its code point, as the ``surrogatepass`` error
-   handler writes them;
-4. accumulate a count at coordinate ``hash % dim`` (dim defaults to 2**20:
-   at 256 so many tokens collide that the first 200 questions of a seed-7
-   5,000-chunk world scored accuracy 0.005 against 0.695, and every
-   postings bucket is crowded);
+3. hash each token with CRC-32 (``zlib.crc32``) over its UTF-8 bytes, where
+   a lone surrogate (which ``json.loads`` yields from an escape such as
+   ``\\ud800``) takes the three bytes of its code point, as the
+   ``surrogatepass`` error handler writes them;
+4. mix the hash by multiply-shift, ``mixed = hash * 0x9E3779B1 mod 2**32``,
+   and accumulate a count at coordinate ``mixed * dim >> 32`` (dim defaults
+   to 2**20: at 256 so many tokens collide that the first 200 questions of
+   a seed-7 5,000-chunk world scored accuracy 0.005 against 0.97, and
+   every postings bucket is crowded);
 5. L2-normalize the result. Empty text yields the all-zero vector, and
    cosine against a zero vector is defined as 0.
 
@@ -28,23 +29,21 @@ other text takes ``normalize_tokens`` and a UTF-8 encode. Every synthetic
 passage is ASCII; how many passages of a real corpus are, and so what the
 byte path saves there, is not measured, as no HotpotQA data ships here.
 
-``fnv1a64`` is that hash, one token at a time, and the reference.
-``HashingEmbedder`` gives exactly the same coordinates in lockstep when dim
-is a power of two no larger than 2**23: then only the low log2(dim) bits of
-the state decide ``hash % dim``, and the state times the prime fits a
-4-byte lane. The tokens of up to 256 distinct texts are grouped by byte
-length, and each group is hashed as one Python big int of 4-byte lanes:
-each byte position costs a few C-level big-int operations over the whole
-group (xor the column of bytes, multiply by the prime, mask every lane)
-instead of one interpreted step per byte per token. Every other input is
-hashed one token at a time: other dims, and calls with fewer than 32
-tokens, where the setup costs more than the steps save. On a 5,000-chunk
-synthetic world (300k tokens, CPython 3.11 on a shared 2-vCPU Xeon, median
-CPU time of 9 runs interleaved with the ``normalize_tokens`` tokenizer)
-embedding took 0.23 s at dim 2**20 against 0.52 s one token at a time at
-dim 2**24, and 0.30 s and 0.60 s with ``normalize_tokens``. Of the 0.23 s,
-tokenizing took 0.04 s (0.08 s with ``normalize_tokens``), hashing 0.08 s
-and the unit vectors 0.07 s.
+Step 4 is multiply-shift (Dietzfelbinger, Hagerup, Katajainen & Penttonen,
+J. Algorithms 1997): at a power-of-two dim the coordinate is exactly the top
+log2(dim) bits of the 32-bit product, and at any other dim the same formula
+is Lemire's multiply-and-shift reduction. It is the kind of near-universal
+family that the analysis of feature hashing assumes (Weinberger et al., ICML
+2009), so tokens collide by chance and not in families: the previous
+coordinate, the low bits of FNV-1a, put 76 of the 2,500 fact tokens of a
+500-question synthetic world (entities, relations and values) on another
+one's coordinate at dim 2**20, where uniform hashing expects 6; this one
+puts none there. Each token costs one C call and three integer operations,
+so every text takes the same path, one text at a time: batching no longer
+pays. Embedding the 5,000 chunks of a seed-7 world (CPython 3.11 on a shared
+2-vCPU Xeon, median CPU time of 7 runs, two sessions) took 172-179 ms one
+text at a time, 192-193 ms with every text's tokens hashed in one pass, and
+185-213 ms under the previous hash's big-int lockstep kernel.
 
 Vectors are stored sparsely as coordinate -> value maps over the fixed
 dimension, which keeps very large dims cheap. Hash collisions are
@@ -79,10 +78,11 @@ as much as ten such queries at any size, and a small namespace is typically
 one question's own pool, written and then queried a few times.
 
 A snapshot (schema ``index@2``) is JSON lines: a header ``{"schema", "dim",
-"embedder"}``, then one record ``{"namespace", "chunk", "vector": {"idx",
-"val"}}`` per chunk, in namespace and then chunk id order. ``idx`` is the
-base64 of the vector's coordinates, ascending, as little-endian uint32, and
-``val`` the base64 of its components in the same order as little-endian
+"embedder"}``, which for a hash store also names the coordinate function
+(``"hash": "crc32-ms"``), then one record ``{"namespace", "chunk", "vector":
+{"idx", "val"}}`` per chunk, in namespace and then chunk id order. ``idx``
+is the base64 of the vector's coordinates, ascending, as little-endian
+uint32, and ``val`` the base64 of its components in the same order as little-endian
 IEEE-754 float64, whatever the host's byte order. A uint32 holds every
 coordinate only while dim is at most 2**32, so the embedder and the
 snapshot reader refuse a larger dim. The vectors are packed because
@@ -108,7 +108,6 @@ import heapq
 import json
 import math
 import re
-import struct
 import sys
 import threading
 from array import array
@@ -120,6 +119,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from zlib import crc32
 
 from .corpus import Chunk, chunk_from_record, chunk_to_record, json_lines, write_json_lines
 from .errors import (
@@ -134,9 +134,12 @@ from .transport import post_json
 if TYPE_CHECKING:
     import requests
 
-FNV64_OFFSET = 0xCBF29CE484222325
-FNV64_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+# Multiply-shift's odd multiplier (Knuth's 2654435761, the prime nearest 2**32
+# over the golden ratio) and the coordinate function's name in a hash store's
+# header.
+_MULTIPLIER = 0x9E3779B1
+_MASK32 = (1 << 32) - 1
+HASH_FUNCTION = "crc32-ms"
 
 # A maximal run of non-whitespace, trimmed to its first and last [a-z0-9_].
 _TOKEN = re.compile(r"[a-z0-9_](?:\S*[a-z0-9_])?")
@@ -145,11 +148,6 @@ _TOKEN = re.compile(r"[a-z0-9_](?:\S*[a-z0-9_])?")
 # strip every ASCII byte outside [a-z0-9_] from both ends of each run.
 _ASCII_FOLD = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ\x1c\x1d\x1e\x1f", b"abcdefghijklmnopqrstuvwxyz    ")
 _ASCII_EDGES = bytes(b for b in range(128) if b not in b"abcdefghijklmnopqrstuvwxyz0123456789_")
-
-# Lockstep hashing: texts per pass (bounds the big ints) and the fewest
-# tokens worth a pass.
-_GROUP_TEXTS = 256
-_LOCKSTEP_MIN_TOKENS = 32
 
 # Namespaces of at most this many chunks are one bucket of every id: no build
 # loop, and a query reads each id's component per query coordinate. Cost per
@@ -191,15 +189,6 @@ Vector = dict[int, float]
 # id -> vector map they were built from, in ascending id order, where the
 # components are read. A small namespace is one bucket (mask 0) of every id.
 Postings = tuple[tuple[str, ...], "array[int]", dict[str, Vector]]
-
-
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash."""
-    h = FNV64_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * FNV64_PRIME) & _MASK64
-    return h
 
 
 def normalize_tokens(text: str) -> list[str]:
@@ -249,79 +238,41 @@ class HashingEmbedder:
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = _checked_dim(dim)
         self._cache: dict[str, Vector] = {}
-        # FNV-1a is exact modulo 2**bits for any bits <= 64, so a power-of-two
-        # dim needs only its own bits of the state, and they are the coordinate.
-        # Up to 2**23 those bits times the masked prime fit a 4-byte lane, no carry.
-        self._lockstep_fits = dim & (dim - 1) == 0 and dim <= 1 << 23
-        self._prime = FNV64_PRIME & (dim - 1)
 
     def embed_one(self, text: str) -> Vector:
         vector = self._cache.get(text)
         if vector is None:
-            vector = self._cache[text] = _unit_vector(self._coordinates(token_bytes(text)))
+            vector = self._cache[text] = self._vector(text)
         return vector
 
     def embed(self, texts: Sequence[str]) -> list[Vector]:
-        vectors: dict[str, Vector] = {}
-        distinct = list(dict.fromkeys(texts))
-        for start in range(0, len(distinct), _GROUP_TEXTS):
-            group = distinct[start : start + _GROUP_TEXTS]
-            tokens = list(map(token_bytes, group))
-            coords = iter(self._coordinates(list(chain.from_iterable(tokens))))
-            for text, text_tokens in zip(group, tokens):
-                vectors[text] = _unit_vector(list(islice(coords, len(text_tokens))))
-        return [vectors[text] for text in texts]
+        vectors = {text: self._vector(text) for text in dict.fromkeys(texts)}
+        return list(map(vectors.__getitem__, texts))
 
-    def _coordinates(self, data: list[bytes]) -> list[int]:
-        """``fnv1a64(token) % dim`` for every token, in order."""
-        if len(data) < _LOCKSTEP_MIN_TOKENS or not self._lockstep_fits:
-            return [fnv1a64(token) % self.dim for token in data]
-        return self._lockstep(data)
-
-    def _lockstep(self, data: list[bytes]) -> list[int]:
-        """The coordinates of ``data``, hashing the tokens of each byte length at once.
-
-        The ``n`` tokens of one length are the 4-byte lanes of the big int
-        ``h``. Step ``j`` xors byte ``j`` of every token into its lane,
-        multiplies all lanes by the prime and masks each back to the
-        coordinate bits.
-        """
-        mask = self.dim - 1
-        lengths = list(map(len, data))
-        groups: dict[int, list[bytes]] = {}
-        for token, length in zip(data, lengths):
-            groups.setdefault(length, []).append(token)
-        states = {}
-        for length, tokens in groups.items():
-            n = len(tokens)
-            rows = b"".join(tokens)
-            lanes = int.from_bytes(mask.to_bytes(4, "little") * n, "little")
-            h = int.from_bytes((FNV64_OFFSET & mask).to_bytes(4, "little") * n, "little")
-            column = bytearray(4 * n)
-            for j in range(length):
-                column[::4] = rows[j::length]
-                h = ((h ^ int.from_bytes(column, "little")) * self._prime) & lanes
-            # Explicit byte order and standard size: the same lanes on any host.
-            states[length] = iter(struct.unpack(f"<{n}I", h.to_bytes(4 * n, "little")))
-        # A group keeps its tokens in order, so each token takes the next state of its length.
-        return list(map(next, map(states.__getitem__, lengths)))
+    def _vector(self, text: str) -> Vector:
+        """The unit vector of ``text``: each token at ``(crc32 * multiplier mod 2**32) * dim >> 32``."""
+        dim = self.dim
+        return _unit_vector([((crc32(token) * _MULTIPLIER) & _MASK32) * dim >> 32 for token in token_bytes(text)])
 
 
 def _unit_vector(coords: list[int]) -> Vector:
     """L2-normalized counts of ``coords``, in ascending coordinate order."""
     if not coords:
         return {}
-    distinct = sorted(set(coords))
-    if len(distinct) == len(coords):
-        return dict.fromkeys(distinct, 1.0 / math.sqrt(len(coords)))
-    counts = Counter(coords)
-    values = list(map(counts.__getitem__, distinct))
+    coords = sorted(coords)
+    # Most texts have distinct coordinates, each 1/sqrt(n); a repeat makes the
+    # map shorter than the list.
+    vector = dict.fromkeys(coords, 1.0 / math.sqrt(len(coords)))
+    if len(vector) == len(coords):
+        return vector
+    counts = Counter(coords)  # in ascending coordinate order, as coords is sorted
+    values = list(counts.values())
     # The counts are ints, so the sum of squares is exact in any order.
     norm = math.sqrt(sum(map(mul, values, values)))
     # One float object per distinct count: most coordinates count 1, and a
     # large index holds millions of components.
     shared = {count: count / norm for count in set(values)}
-    return dict(zip(distinct, map(shared.__getitem__, values)))
+    return dict(zip(counts, map(shared.__getitem__, values)))
 
 
 class RemoteEmbedder:
@@ -514,6 +465,8 @@ class VectorIndex:
     def save(self, path: str | Path) -> None:
         """Write a line-delimited snapshot: header, then (namespace, chunk, vector)."""
         header = {"schema": SNAPSHOT_SCHEMA, "dim": self.embedder.dim, "embedder": self.embedder.backend}
+        if self.embedder.backend == HashingEmbedder.backend:
+            header["hash"] = HASH_FUNCTION
         write_json_lines(path, chain([header], self._snapshot_records()))
 
     def _snapshot_records(self) -> Iterator[dict]:
@@ -541,7 +494,9 @@ class VectorIndex:
         ``embedder_for(backend, dim)`` builds the embedder from the checked header
         before any record is decoded (by default a HashingEmbedder; a remote
         store is refused). One of another backend or dim is a SchemaError, as
-        the query path is chosen by backend and relies on its vectors. Every
+        the query path is chosen by backend and relies on its vectors, and so
+        is a hash store whose header does not name ``HASH_FUNCTION`` as its
+        ``hash``: no store written under the previous hash, FNV-1a, does. Every
         record must be a JSON object with a string namespace, but only the
         records loaded are decoded and checked; a chunk id that repeats in a
         namespace is a ParseError. A ``namespace`` no record carries raises
@@ -562,6 +517,11 @@ class VectorIndex:
             backend = header.get("embedder")
             if backend not in (HashingEmbedder.backend, RemoteEmbedder.backend):
                 raise SchemaError(f"snapshot embedder must be 'hash' or 'remote', not {backend!r}")
+            if backend == HashingEmbedder.backend and header.get("hash") != HASH_FUNCTION:
+                raise SchemaError(
+                    f"snapshot {path} has hash {header.get('hash')!r}, not {HASH_FUNCTION!r}; "
+                    "rebuild the store with `adagate index`"
+                )
             if embedder_for is not None:
                 embedder = embedder_for(backend, dim)
             elif backend == HashingEmbedder.backend:

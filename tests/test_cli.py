@@ -546,6 +546,20 @@ def test_a_store_of_the_previous_schema_is_an_error_that_says_to_rebuild_it(tmp_
     assert not (tmp_path / "r.jsonl").exists()
 
 
+def test_a_hash_store_that_names_no_coordinate_function_is_an_error_that_says_to_rebuild_it(tmp_path, capsys):
+    # Stores written before the header named the hash put tokens at other coordinates.
+    store = tmp_path / "store.jsonl"
+    header = {"schema": SNAPSHOT_SCHEMA, "dim": 256, "embedder": "hash"}
+    store.write_text(json.dumps(header) + "\n", encoding="utf-8")
+    argv = ["run", "--data", str(builtin_fixture_path()), "--store", str(store), "--out", str(tmp_path / "r.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "has hash None, not 'crc32-ms'" in err and "adagate index" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_live_oracle_and_remote_embedder_defaults_come_from_their_classes():
     from adagate.cli import _make_embedder, _make_oracle
     from adagate.index import RemoteEmbedder

@@ -366,7 +366,8 @@ def test_trace_as_dict_is_asdict_with_iterations_last_and_copies_no_leaf(oracle,
     from adagate.synthetic import WorldSpec, generate_world
 
     examples = generate_world(WorldSpec(n_questions=60, seed=7))
-    chunks = inject_redundancy(examples, chunk_corpus(examples), PerturbConfig(kind=KIND_REDUNDANCY, rho=0.5, seed=3))
+    # Perturb seed 1: one adagate question ends with no useful repair (none does at seed 3).
+    chunks = inject_redundancy(examples, chunk_corpus(examples), PerturbConfig(kind=KIND_REDUNDANCY, rho=0.5, seed=1))
     index = VectorIndex(HashingEmbedder(dim=256))
     index.upsert("redundancy", chunks)
     traces = []

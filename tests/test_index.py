@@ -7,6 +7,8 @@ import random
 import re
 import struct
 import tempfile
+import zlib
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -43,6 +45,12 @@ from helpers import (
 )
 
 
+def reference_coordinate(token: str, dim: int) -> int:
+    # CRC-32 of the UTF-8 bytes, times the odd multiplier modulo 2**32, scaled to dim.
+    mixed = zlib.crc32(token.encode("utf-8", "surrogatepass")) * 0x9E3779B1 % 2**32
+    return mixed * dim // 2**32
+
+
 def reference_vector(text: str, dim: int) -> dict[int, float]:
     # Independent re-implementation of the documented hash spec. Counts are
     # small integers, so the norm is exact in any summation order.
@@ -51,11 +59,8 @@ def reference_vector(text: str, dim: int) -> dict[int, float]:
         token = re.sub(r"^[^a-z0-9_]+|[^a-z0-9_]+$", "", raw)
         if not token:
             continue
-        h = 0xCBF29CE484222325
-        for byte in token.encode("utf-8", "surrogatepass"):
-            h ^= byte
-            h = (h * 0x100000001B3) % (1 << 64)
-        counts[h % dim] = counts.get(h % dim, 0.0) + 1.0
+        coord = reference_coordinate(token, dim)
+        counts[coord] = counts.get(coord, 0.0) + 1.0
     norm = math.sqrt(sum(v * v for v in counts.values()))
     return {coord: counts[coord] / norm for coord in sorted(counts)}
 
@@ -81,6 +86,69 @@ def test_embedder_matches_documented_hash_spec():
     assert list(embedder.embed_one(text).items()) == list(reference_vector(text, 256).items())
 
 
+@pytest.mark.parametrize(
+    ("token", "dim", "coord"),
+    [("subj000", 2**20, 480055), ("then", 2**20, 566373), ("mid022", 2**20, 984536), ("mid022", 1000, 938)],
+)
+def test_coordinates_are_the_same_on_every_host(token, dim, coord):
+    # Literals, so a platform or Python version that hashed differently fails here.
+    assert reference_coordinate(token, dim) == coord
+    assert list(HashingEmbedder(dim).embed_one(token)) == [coord]
+
+
+def _colliding(tokens: set[str], dim: int) -> int:
+    """How many of ``tokens`` share their coordinate with another token."""
+    counts = Counter(coord for vector in HashingEmbedder(dim).embed(sorted(tokens)) for coord in vector)
+    return sum(n for n in counts.values() if n > 1)
+
+
+def _uniform_colliding_mean_and_sd(n: int, dim: int) -> tuple[float, float]:
+    """Mean and standard deviation of ``_colliding`` for n tokens hashed uniformly at random.
+
+    A token is alone with probability (1 - 1/dim)**(n - 1); two given tokens
+    are both alone with probability (1 - 1/dim) * (1 - 2/dim)**(n - 2).
+    """
+    alone = n * (1 - 1 / dim) ** (n - 1)
+    pairs_alone = n * (n - 1) * (1 - 1 / dim) * (1 - 2 / dim) ** (n - 2)
+    return n - alone, math.sqrt(alone + pairs_alone - alone * alone)
+
+
+def _fact_tokens(n_questions: int) -> set[str]:
+    """The entity, relation and value tokens of every fact in an n-question world."""
+    return {
+        token
+        for i in range(n_questions)
+        for token in (f"subj{i:03d}", f"mid{i:03d}", f"obj{i:03d}", f"rel{i:03d}a", f"rel{i:03d}b")
+    }
+
+
+def test_fact_token_names_follow_the_generator():
+    from adagate.oracle import FACT_PATTERN
+    from adagate.synthetic import WorldSpec, generate_world
+
+    facts = {
+        part
+        for example in generate_world(WorldSpec(n_questions=500, seed=7))
+        for _, sentences in example.paragraphs
+        for sentence in sentences
+        for fact in FACT_PATTERN.findall(sentence)
+        for part in fact
+    }
+    assert facts == _fact_tokens(500)
+
+
+@pytest.mark.parametrize("n_questions", [500, 7405])
+def test_fact_tokens_collide_no_more_than_uniform_hashing_allows(n_questions):
+    # The generator's names are sequential (subj000, mid022, rel072b), which
+    # the low bits of FNV-1a sent into families: 76 and 2,342 colliding tokens.
+    # By Cantelli's inequality, uniform hashing exceeds its mean by 6 standard
+    # deviations with probability at most 1/37: 26.6 of 2,500 tokens at 500
+    # questions (mean 6.0), and 1,579.4 of 37,025 at 7,405 (mean 1,284.5).
+    tokens = _fact_tokens(n_questions)
+    mean, sd = _uniform_colliding_mean_and_sd(len(tokens), 2**20)
+    assert _colliding(tokens, 2**20) <= mean + 6 * sd
+
+
 # Unicode whitespace that str.split() and the regex \s both split on, edge
 # characters that lowercase or encode oddly (lone surrogates among them), and
 # plain token characters.
@@ -91,7 +159,7 @@ _texts = st.one_of(
     st.text(st.sampled_from(" .,!?-()'\u3000"), max_size=8),  # empty or punctuation only
     st.text(st.sampled_from("ab_é"), min_size=130, max_size=300),  # one token, often past 255 bytes
 )
-# A 256-text pass and the 32-token cut-off are crossed by the filler texts.
+# Many texts in one call, some of them repeated.
 _filler = st.integers(min_value=0, max_value=300)
 _DIMS = [1, 7, 64, 256, 1000, 2**20, 2**23, 2**24]
 
@@ -108,20 +176,8 @@ def test_embed_batch_equals_spec_exactly(texts, filler, repeat, dim):
         batch.insert(len(batch) // 2, batch[0])
     expected = [list(reference_vector(text, dim).items()) for text in batch]
     assert [list(vec.items()) for vec in HashingEmbedder(dim).embed(batch)] == expected
-    # One text at a time takes the scalar path below 32 tokens.
     single = HashingEmbedder(dim)
     assert [list(single.embed_one(text).items()) for text in batch[:4]] == expected[:4]
-
-
-@pytest.mark.parametrize("dim", [2**23, 2**24])
-def test_embed_batch_at_the_lane_width_limit_equals_spec(dim):
-    # Varied tokens reach states whose product with the prime needs all 32
-    # bits of a lane; a lane too narrow for its dim carries into the next.
-    rng = random.Random(dim)
-    words = ["".join(rng.choices("abcdefghij_0123", k=rng.randint(1, 9))) for _ in range(320)]
-    texts = [" ".join(words[i : i + 40]) for i in range(0, len(words), 40)]
-    expected = [list(reference_vector(text, dim).items()) for text in texts]
-    assert [list(vec.items()) for vec in HashingEmbedder(dim).embed(texts)] == expected
 
 
 @given(st.text(_chars, max_size=80))
@@ -138,7 +194,6 @@ _ascii_chars = st.one_of(
     st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXYZ[]~.,!?-"),
     st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789_"),
 )
-_LOCKSTEP_BATCH_PAD = " ".join(f"pad{i}" for i in range(32))  # a batch of 32 tokens or more is hashed in lockstep
 
 
 @settings(deadline=None)
@@ -147,10 +202,9 @@ _LOCKSTEP_BATCH_PAD = " ".join(f"pad{i}" for i in range(32))  # a batch of 32 to
 def test_byte_path_equals_the_reference_tokens_and_vectors(texts):
     for text in texts:
         assert token_bytes(text) == [t.encode("utf-8", "surrogatepass") for t in reference_normalize_tokens(text)]
-    batch = texts + [_LOCKSTEP_BATCH_PAD]
-    expected = [list(reference_vector(text, 2**20).items()) for text in batch]
-    assert [list(vec.items()) for vec in HashingEmbedder(2**20).embed(batch)] == expected
-    single = HashingEmbedder(1000)  # dim 1000 hashes one token at a time
+    expected = [list(reference_vector(text, 2**20).items()) for text in texts]
+    assert [list(vec.items()) for vec in HashingEmbedder(2**20).embed(texts)] == expected
+    single = HashingEmbedder(1000)  # a dim that is not a power of two
     assert [list(single.embed_one(text).items()) for text in texts] == [
         list(reference_vector(text, 1000).items()) for text in texts
     ]
@@ -383,6 +437,9 @@ def test_snapshot_schema_and_dim_checks(tmp_path):
         ({"schema": "index@1", "dim": 64}, "'index@1'.*rebuild the store with `adagate index`"),  # number lists
         ({"schema": SNAPSHOT_SCHEMA, "dim": 2**32 + 1}, "dim must be"),  # a coordinate outgrows a uint32
         ({"schema": SNAPSHOT_SCHEMA, "dim": 4, "embedder": "memory"}, "embedder must be 'hash' or 'remote'"),
+        # A hash store must name its coordinate function; those before crc32-ms named none.
+        ({"schema": SNAPSHOT_SCHEMA, "dim": 64}, "hash None, not 'crc32-ms'; rebuild the store with `adagate index`"),
+        ({"schema": SNAPSHOT_SCHEMA, "dim": 64, "hash": "fnv1a64"}, "has hash 'fnv1a64', not 'crc32-ms'"),
     ]:
         path.write_text(json.dumps({"embedder": "hash", **header}) + "\n")
         with pytest.raises(SchemaError, match=message):

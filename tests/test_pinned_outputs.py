@@ -1,13 +1,14 @@
 """Offline outputs pinned byte for byte.
 
 One CLI sweep over a 60-question seed-7 world at dim 256 with a rho-0.5
-redundancy namespace: every mode at ``--L 3 --trace full``, then ``report``.
+redundancy namespace (perturb seed 1): every mode at ``--L 3 --trace full``, then ``report``.
 A rho-0.5 noise chunk file of the same world is pinned too, and so is the
 snapshot that ``index`` and the redundancy ``perturb`` leave, which holds
 the packed little-endian vectors. The sha256 of each results file, of the
 report CSV, of the noise file and of the store must not change; a refactor
 that alters any selection, score, trace field, record layout or snapshot
-byte shows up here. The world reaches all three adagate termination reasons.
+byte shows up here. The world reaches all three adagate termination reasons
+(one question ends with ``no_useful_repair``; at perturb seed 3 none does).
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from adagate.controller import MODES
 from adagate.synthetic import WorldSpec, generate_world, write_examples
 
 EXPECTED_SHA256 = {
-    "adagate": "d28117ac68588b471fc2be506c0215bec40a348784774fa60c94f43cc00e7fb0",
-    "basic": "c2c78ab0d535628264743df79956587edfe7aca8b87cfc5658bda2e3a0a70ca6",
-    "adaptive_k": "9efe4e1007022506a1f53b7cb15326a5e82b9a7ca080cf42f68aa4a345eca137",
-    "seal_style": "06e918fd09e99f0b96d66545e48e7da93ecbe5b4f36797c1b1ff02b4c7144a08",
-    "report.csv": "2fa4bf75367121a6458798c2cecb8c47d7468e2d02e5a7e87708523cd948eb7d",
+    "adagate": "738fe4d7c62965efed1773e7005a0c29bed23a588fb828fd9a767c88e2f1afa0",
+    "basic": "5eb36556fab01a8f08323393d5e62f5d2c7660324b67370a1077df970ebaf828",
+    "adaptive_k": "0c966f9e71a19bdda353916109edfdc9700ed3f4bdbc61c185b8f963800fd903",
+    "seal_style": "f7e5bec7d1ce99682d45bcdf46324855c3e89c8a361e9c9d8d81cba41e926e65",
+    "report.csv": "c9063990576df1cc6916c833db1a6a13090a73d7a2be0264efcdb96067498fc3",
     "perturb-noise": "35d3f30f04c98ab2d6bb23a5be4bf2b809d9fd22d9a5659f25a09351727cf7cc",
-    "store": "572ae0ad21c399992823bf17a7e6eb644e2aa9a619be2622c94b2179d9de8c88",
+    "store": "e2970ae446665194069fd22a0c570887929e54f2b15a44a085dd648452aa8e1d",
 }
 
 
@@ -41,7 +42,7 @@ def test_offline_sweep_outputs_are_pinned(tmp_path, capsys):
     store = tmp_path / "store.jsonl"
     assert main(["ingest", "--data", str(data), "--out", str(chunks)]) == 0
     assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", "256"]) == 0
-    perturb = ["perturb", "--data", str(data), "--kind", "redundancy", "--rho", "0.5", "--seed", "3"]
+    perturb = ["perturb", "--data", str(data), "--kind", "redundancy", "--rho", "0.5", "--seed", "1"]
     assert main(perturb + ["--out", str(tmp_path / "red.jsonl"), "--store", str(store), "--dim", "256"]) == 0
     digests = {"store": _sha256(store)}
 
