@@ -5,7 +5,8 @@ upsert chunks into a namespace of an on-disk snapshot), ``perturb`` (build a
 noise or redundancy namespace), ``run`` (execute a controller over a
 namespace and write per-example results), and ``report`` (aggregate results
 into a table/CSV). Offline mode (`--oracle rules --embedder hash`) touches
-no network and is fully deterministic given ``--seed``.
+no network and is deterministic: the one random choice, ``perturb``'s, is
+fixed by its ``--seed``.
 
 Every ``run`` writes a manifest next to the results file; ``report``
 refuses non-empty results lacking one unless ``--force``. Credentials are
@@ -121,12 +122,11 @@ def _sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path: str, config_snapshot: dict, seed: int, corpus_hash: str, namespace: str) -> None:
+def _write_manifest(out_path: str, config_snapshot: dict, corpus_hash: str, namespace: str) -> None:
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "tool_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "seed": seed,
         "corpus_sha256": corpus_hash,
         "namespace": namespace,
         "config": config_snapshot,
@@ -165,9 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a controller over a namespace")
     p_run.add_argument("--data", required=True, help="examples file with questions and golds")
     p_run.add_argument("--store", required=True, help="index snapshot")
-    p_run.add_argument("--namespace", default="clean")
-    p_run.add_argument("--mode", choices=MODES, default="adagate")
     defaults = ControllerConfig  # a dataclass keeps each field's default as a class attribute
+    p_run.add_argument("--namespace", default=defaults.namespace)
+    p_run.add_argument("--mode", choices=MODES, default=defaults.mode)
     p_run.add_argument("--L", dest="max_iterations", type=int, default=defaults.max_iterations, help="repair iterations")
     p_run.add_argument("--k", type=int, default=defaults.k, help="retrieval depth per query")
     p_run.add_argument(
@@ -177,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--weights", default=None, help="five comma-separated lambda values")
     p_run.add_argument("--oracle", choices=("rules", "live"), default="rules")
     p_run.add_argument("--embedder", choices=("hash", "remote"), default=None, help="must match the store's")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
         "--jobs",
         type=int,
@@ -326,11 +325,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     snapshot = {
         key: value
         for key, value in vars(args).items()
-        if key not in ("command", "func") and value is not None
+        if key != "command" and value is not None
     }
     snapshot.update(vars(controller_config), weights=list(astuple(controller_config.weights)))
     snapshot.update(store_dim=index.embedder.dim, store_embedder=index.embedder.backend)
-    _write_manifest(args.out, snapshot, args.seed, _sha256_file(args.data), args.namespace)
+    _write_manifest(args.out, snapshot, _sha256_file(args.data), args.namespace)
 
     failures = sum(1 for r in records if "error" in r)
     print(f"wrote {len(records)} records -> {args.out} ({failures} failed)")

@@ -5,12 +5,17 @@ drop (smallest index on ties, preferring compact contexts) plus a small
 buffer, clamped to the pool size. Selection then admits candidates in
 utility order, skipping any whose length would break the token budget and
 continuing down the list, so the budget holds after every operation.
+
+A pool holds each chunk id once: ``select_evidence`` and ``EvidenceState``
+refuse a repeat. A re-selection's pool is the re-scored members followed by
+new candidates that share no id with them, which the controller's
+``_assemble_candidates`` guarantees by dropping every selected id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import Chunk
 
@@ -35,6 +40,7 @@ class EvidenceState:
     def __post_init__(self) -> None:
         if self.budget <= 0:
             raise ValueError("budget must be positive")
+        _refuse_repeats(self.selected)
         self.used_tokens = sum(c.token_len for c in self.selected)
         if self.used_tokens > self.budget:
             raise ValueError(f"used_tokens {self.used_tokens} exceeds budget {self.budget}")
@@ -42,6 +48,14 @@ class EvidenceState:
     @property
     def chunk_ids(self) -> list[str]:
         return [c.chunk_id for c in self.selected]
+
+
+def _refuse_repeats(chunks: Iterable[Chunk]) -> None:
+    seen: set[str] = set()
+    for chunk in chunks:
+        if chunk.chunk_id in seen:
+            raise ValueError(f"chunk {chunk.chunk_id!r} appears twice")
+        seen.add(chunk.chunk_id)
 
 
 def effective_capacity(sorted_utilities: Sequence[float], buffer: int) -> int:
@@ -77,10 +91,12 @@ def select_evidence(
 
     Candidates are ordered by utility descending with chunk id as the tie
     break; each is admitted unless it would exceed the remaining budget,
-    in which case it is skipped and the scan continues.
+    in which case it is skipped and the scan continues. A chunk id that
+    appears twice in ``scored`` is a ``ValueError``.
     """
     if k_eff < 1:
         raise ValueError("k_eff must be positive")
+    _refuse_repeats(chunk for chunk, _ in scored)
     ranked = sorted(scored, key=lambda pair: (-pair[1], pair[0].chunk_id))[:k_eff]
     selected: list[Chunk] = []
     used = 0
@@ -89,22 +105,6 @@ def select_evidence(
             selected.append(chunk)
             used += chunk.token_len
     return EvidenceState(selected=selected, budget=budget, k_eff=k_eff)
-
-
-def union_pool(
-    rescored_current: Sequence[ScoredChunk],
-    new_candidates: Sequence[ScoredChunk],
-) -> list[ScoredChunk]:
-    """Merge pools, deduplicating by chunk id and keeping the higher utility.
-
-    The result is in first-seen id order; ``select_evidence`` ranks it.
-    """
-    best: dict[str, ScoredChunk] = {}
-    for chunk, utility in list(rescored_current) + list(new_candidates):
-        existing = best.get(chunk.chunk_id)
-        if existing is None or utility > existing[1]:
-            best[chunk.chunk_id] = (chunk, utility)
-    return list(best.values())
 
 
 def replace_update(
@@ -117,19 +117,18 @@ def replace_update(
     """Re-select evidence from re-scored current members plus new candidates.
 
     Current members are re-scored in their selected order; ``rescore``
-    receives each chunk together with the members ranked before it, so the
-    redundancy penalty looks at the already-kept prefix rather than the
-    member itself. Retained evidence must re-earn its place: capacity is
-    recomputed over the merged pool and selection runs from scratch under
-    the same budget. The returned state carries that capacity as ``k_eff``
-    (0 for an empty pool). Over empty evidence this is the first selection.
+    receives each chunk together with its own list of the members ranked
+    before it, so the redundancy penalty looks at the already-kept prefix
+    rather than the member itself. The pool is the members followed by
+    ``new_candidates``, which share no id with them (``_assemble_candidates``
+    guarantees it; a repeat is a ``ValueError``). Retained evidence must
+    re-earn its place: capacity is recomputed over the pool and selection
+    runs from scratch under the same budget. The returned state carries that
+    capacity as ``k_eff`` (0 for an empty pool). Over empty evidence this is
+    the first selection.
     """
-    rescored: list[ScoredChunk] = []
-    prior: list[Chunk] = []
-    for chunk in current.selected:
-        rescored.append((chunk, rescore(chunk, prior)))
-        prior.append(chunk)
-    pool = union_pool(rescored, new_candidates)
+    members = current.selected
+    pool = [(chunk, rescore(chunk, members[:i])) for i, chunk in enumerate(members)] + list(new_candidates)
     if not pool:
         return EvidenceState(budget=current.budget)
     k_eff = effective_capacity(sorted((u for _, u in pool), reverse=True), buffer)

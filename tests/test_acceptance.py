@@ -201,7 +201,7 @@ def test_criterion_6_redundancy_robustness():
 
 
 def test_criterion_7_offline_determinism(tmp_path):
-    with _timed(20.0, "criterion 7: two seeded offline runs are byte-identical"):
+    with _timed(20.0, "criterion 7: two offline runs are byte-identical"):
         data = str(builtin_fixture_path())
         outputs = []
         for name in ("first", "second"):
@@ -218,7 +218,7 @@ def test_criterion_7_offline_determinism(tmp_path):
             assert main(
                 ["run", "--data", data, "--store", str(store), "--namespace", "clean",
                  "--mode", "adagate", "--L", "3", "--budget", "140",
-                 "--oracle", "rules", "--embedder", "hash", "--seed", "7",
+                 "--oracle", "rules", "--embedder", "hash",
                  "--trace", "full", "--out", str(out)]
             ) == 0
             outputs.append(out.read_bytes())

@@ -36,7 +36,6 @@ def _pipeline(tmp_path: Path, budget: str = "140") -> Path:
                 "--budget", budget,
                 "--oracle", "rules",
                 "--embedder", "hash",
-                "--seed", "0",
                 "--out", str(out),
             ]
         )
@@ -64,7 +63,7 @@ def test_run_writes_manifest_with_corpus_hash(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     assert manifest["schema"] == "manifest@1"
     assert manifest["namespace"] == "clean"
-    assert manifest["seed"] == 0
+    assert "seed" not in manifest and "seed" not in manifest["config"]
     assert len(manifest["corpus_sha256"]) == 64
     assert manifest["config"]["mode"] == "adagate"
 
@@ -375,6 +374,18 @@ def test_the_readme_config_example_is_a_valid_config(tmp_path):
 def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["run", "--no-such-flag"]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_run_takes_no_seed(tmp_path, capsys):
+    # Nothing in a run is random; only perturb takes a seed.
+    data = str(builtin_fixture_path())
+    chunks, store = tmp_path / "chunks.jsonl", tmp_path / "store.jsonl"
+    assert main(["ingest", "--data", data, "--out", str(chunks)]) == 0
+    assert main(["index", "--chunks", str(chunks), "--store", str(store), "--namespace", "clean", "--dim", DIM]) == 0
+    out = tmp_path / "r.jsonl"
+    assert main(["run", "--data", data, "--store", str(store), "--seed", "0", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_empty_results_header_only(tmp_path, capsys):

@@ -12,7 +12,6 @@ from adagate.selection import (
     effective_capacity,
     replace_update,
     select_evidence,
-    union_pool,
 )
 
 from helpers import sized_chunk
@@ -206,13 +205,75 @@ def test_replace_update_swaps_in_better_candidate():
     assert updated.used_tokens <= 800
 
 
-def test_replace_update_deduplicates_by_id_keeping_higher_utility():
+def test_replace_update_refuses_a_candidate_that_repeats_a_member():
     shared = sized_chunk("dup", 100)
     current = select_evidence([(shared, 0.5)], k_eff=1, budget=1000)
-    pool = union_pool([(shared, 0.3)], [(shared, 0.7), (sized_chunk("other", 100), 0.4)])
-    assert [(c.chunk_id, u) for c, u in pool] == [("dup", 0.7), ("other", 0.4)]
-    updated = replace_update(current, [(shared, 0.7)], _constant_rescore({"dup": 0.3}), buffer=1)
-    assert updated.chunk_ids.count("dup") == 1
+    new = [(shared, 0.7), (sized_chunk("other", 100), 0.4)]
+    with pytest.raises(ValueError, match="'dup' appears twice"):
+        replace_update(current, new, _constant_rescore({"dup": 0.3}), buffer=1)
+
+
+def test_select_evidence_refuses_a_repeated_chunk():
+    a, b = sized_chunk("a", 50), sized_chunk("b", 50)
+    with pytest.raises(ValueError, match="'a' appears twice"):
+        select_evidence([(a, 0.5), (a, 0.4), (b, 0.3)], 3, 500)
+    # A repeat ranked beyond k_eff is refused too: the pool as a whole holds each id once.
+    with pytest.raises(ValueError, match="'b' appears twice"):
+        select_evidence([(a, 0.5), (b, 0.4), (b, 0.3)], 1, 500)
+
+
+def test_evidence_state_refuses_a_repeated_chunk():
+    a = sized_chunk("a", 50)
+    with pytest.raises(ValueError, match="'a' appears twice"):
+        EvidenceState(selected=[a, sized_chunk("b", 10), a], budget=500)
+
+
+def _union_pool_update(current, new_candidates, rescore, buffer):
+    """The re-selection as it was with a merged pool: each id once, at its higher utility, in first-seen order."""
+    rescored = [(chunk, rescore(chunk, current.selected[:i])) for i, chunk in enumerate(current.selected)]
+    best = {}
+    for chunk, utility in rescored + list(new_candidates):
+        if chunk.chunk_id not in best or utility > best[chunk.chunk_id][1]:
+            best[chunk.chunk_id] = (chunk, utility)
+    pool = list(best.values())
+    if not pool:
+        return EvidenceState(budget=current.budget)
+    k_eff = effective_capacity(sorted((u for _, u in pool), reverse=True), buffer)
+    return select_evidence(pool, k_eff, current.budget)
+
+
+_UTILITY = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-2, 2))
+
+
+@st.composite
+def _disjoint_pools(draw):
+    ids = draw(st.lists(st.text("abc", min_size=1, max_size=3), unique=True, max_size=10))
+    split = draw(st.integers(0, len(ids)))
+    members = [sized_chunk(i, draw(st.integers(2, 100))) for i in ids[:split]]
+    candidates = [(sized_chunk(i, draw(st.integers(2, 100))), draw(_UTILITY)) for i in ids[split:]]
+    values = {c.chunk_id: draw(_UTILITY) for c in members}
+    budget = sum(c.token_len for c in members) + draw(st.integers(1, 200))
+    return EvidenceState(budget=budget, selected=members), candidates, values
+
+
+@given(_disjoint_pools(), st.integers(0, 3))
+def test_replace_update_over_disjoint_pools_equals_the_merged_pool_path(pools, buffer):
+    current, candidates, values = pools
+    calls = {}
+
+    def rescore_into(log):
+        def rescore(chunk, prior):
+            log.append((chunk.chunk_id, prior))  # keeps the list it was given
+            return values[chunk.chunk_id]
+
+        return rescore
+
+    updated = replace_update(current, candidates, rescore_into(calls.setdefault("new", [])), buffer=buffer)
+    expected = _union_pool_update(current, candidates, rescore_into(calls.setdefault("old", [])), buffer)
+    assert updated == expected  # the selection in order, its token count and k_eff
+    assert [(cid, [c.chunk_id for c in prior]) for cid, prior in calls["new"]] == [
+        (cid, [c.chunk_id for c in prior]) for cid, prior in calls["old"]
+    ]
 
 
 def test_replace_update_over_empty_evidence_is_the_first_selection():
@@ -244,17 +305,19 @@ def test_replace_update_budget_holds():
 
 
 def test_replace_update_prefix_rescoring_order():
-    # The rescore callable must see only members ranked before the chunk.
-    seen: list[tuple[str, tuple[str, ...]]] = []
+    # The rescore callable must see only members ranked before the chunk, in a list of
+    # its own: a callback that keeps the lists it receives still holds each prefix.
+    kept = []
 
     def rescore(chunk, prior):
-        seen.append((chunk.chunk_id, tuple(c.chunk_id for c in prior)))
+        kept.append((chunk.chunk_id, prior))
         return 0.5
 
-    chunks = [(sized_chunk("a", 10), 0.9), (sized_chunk("b", 10), 0.8)]
-    state = select_evidence(chunks, k_eff=2, budget=100)
+    chunks = [(sized_chunk(name, 10), 0.9 - 0.1 * i) for i, name in enumerate("abc")]
+    state = select_evidence(chunks, k_eff=3, budget=100)
     replace_update(state, [], rescore, buffer=2)
-    assert seen == [("a", ()), ("b", ("a",))]
+    assert [(cid, [c.chunk_id for c in prior]) for cid, prior in kept] == [("a", []), ("b", ["a"]), ("c", ["a", "b"])]
+    assert state.chunk_ids == ["a", "b", "c"]
 
 
 def test_evidence_state_enforces_budget_invariant():
