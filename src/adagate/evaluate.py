@@ -128,7 +128,7 @@ def read_results(paths: Sequence[str | Path]) -> list[ExampleResult]:
     results: list[ExampleResult] = []
     for path in paths:
         for i, record in json_lines(path, f"{path}: record"):
-            if record.get("error"):
+            if "error" in record:
                 continue
             schema = record.get("schema")
             if schema != RESULT_SCHEMA:

@@ -38,12 +38,13 @@ family that the analysis of feature hashing assumes (Weinberger et al., ICML
 coordinate, the low bits of FNV-1a, put 76 of the 2,500 fact tokens of a
 500-question synthetic world (entities, relations and values) on another
 one's coordinate at dim 2**20, where uniform hashing expects 6; this one
-puts none there. Each token costs one C call and three integer operations,
-so every text takes the same path, one text at a time: batching no longer
-pays. Embedding the 5,000 chunks of a seed-7 world (CPython 3.11 on a shared
-2-vCPU Xeon, median CPU time of 7 runs, two sessions) took 172-179 ms one
-text at a time, 192-193 ms with every text's tokens hashed in one pass, and
-185-213 ms under the previous hash's big-int lockstep kernel.
+puts none there. Each token costs one C call; the rest is SIMD within a
+register (SWAR; Fisher & Dietz, LCPC 1998): a text's hashes are the 64-bit
+lanes of one int, multiplied, masked, scaled and shifted once for the text.
+Embedding the 5,000 chunks of a seed-7 world (CPython 3.11 on a busy shared
+2-vCPU Xeon, median CPU time of 7 runs, four rounds) took 270-295 ms this
+way, 316-330 ms at three integer operations a token, and 298-303 ms with one
+int for a whole ``embed`` call, so each text is still embedded on its own.
 
 Vectors are stored sparsely as coordinate -> value maps over the fixed
 dimension, which keeps very large dims cheap. Hash collisions are
@@ -115,8 +116,8 @@ from base64 import b64decode, b64encode
 from collections import Counter
 from contextlib import closing
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
-from operator import mul
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import eq, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from zlib import crc32
@@ -138,8 +139,10 @@ if TYPE_CHECKING:
 # over the golden ratio) and the coordinate function's name in a hash store's
 # header.
 _MULTIPLIER = 0x9E3779B1
-_MASK32 = (1 << 32) - 1
 HASH_FUNCTION = "crc32-ms"
+# A text's hashes are the 64-bit lanes of one int, in the host's byte order
+# both ways; this is one lane of the mask that keeps each lane's low 32 bits.
+_LANE_LOW32 = ((1 << 32) - 1).to_bytes(8, sys.byteorder)
 
 # A maximal run of non-whitespace, trimmed to its first and last [a-z0-9_].
 _TOKEN = re.compile(r"[a-z0-9_](?:\S*[a-z0-9_])?")
@@ -175,10 +178,11 @@ EMBED_TIMEOUT_S = 30.0
 MAX_DIM = 1 << 32
 
 # Snapshot vector arrays: little-endian uint32 coordinates and IEEE-754
-# float64 components, whatever the host's own order and C type widths.
-_COORDS, _VALUES = "I", "d"
-if array(_COORDS).itemsize != 4 or array(_VALUES).itemsize != 8:
-    raise ImportError("snapshot vectors need a 4-byte 'I' and an 8-byte 'd' array typecode")
+# float64 components, whatever the host's own order and C type widths; and
+# the embedder's uint64 hash lanes.
+_COORDS, _VALUES, _LANES = "I", "d", "Q"
+if array(_COORDS).itemsize != 4 or array(_VALUES).itemsize != 8 or array(_LANES).itemsize != 8:
+    raise ImportError("vectors need a 4-byte 'I', an 8-byte 'd' and an 8-byte 'Q' array typecode")
 _SWAP = sys.byteorder != "little"
 
 # Sparse unit vector: coordinate -> component, zero coordinates omitted.
@@ -251,28 +255,39 @@ class HashingEmbedder:
 
     def _vector(self, text: str) -> Vector:
         """The unit vector of ``text``: each token at ``(crc32 * multiplier mod 2**32) * dim >> 32``."""
-        dim = self.dim
-        return _unit_vector([((crc32(token) * _MULTIPLIER) & _MASK32) * dim >> 32 for token in token_bytes(text)])
+        return _unit_vector(_coordinates(array(_LANES, map(crc32, token_bytes(text))), self.dim))
 
 
-def _unit_vector(coords: list[int]) -> Vector:
-    """L2-normalized counts of ``coords``, in ascending coordinate order."""
+def _coordinates(hashes: array[int], dim: int) -> array[int]:
+    """``hash * multiplier mod 2**32 * dim >> 32`` per uint32 hash, in 64-bit lanes that no product overflows."""
+    low32 = int.from_bytes(_LANE_LOW32 * len(hashes), sys.byteorder)
+    mixed = int.from_bytes(hashes, sys.byteorder) * _MULTIPLIER & low32
+    coords = (mixed * dim >> 32) & low32
+    return array(_LANES, coords.to_bytes(8 * len(hashes), sys.byteorder))
+
+
+def _unit_vector(coords: Sequence[int]) -> Vector:
+    """L2-normalized counts of ``coords``, in ascending coordinate order.
+
+    Most texts have distinct coordinates, each 1/sqrt(n). Otherwise only the
+    extra copies (coordinates equal to the one before) are counted, the squared
+    norm is the exact int ``distinct - repeated + sum((1 + extra)**2)``, and
+    every coordinate takes ``1/norm``, one shared float, before each repeated
+    one takes ``(1 + extra)/norm``: the floats and key order of a full count.
+    """
     if not coords:
         return {}
     coords = sorted(coords)
-    # Most texts have distinct coordinates, each 1/sqrt(n); a repeat makes the
-    # map shorter than the list.
     vector = dict.fromkeys(coords, 1.0 / math.sqrt(len(coords)))
     if len(vector) == len(coords):
         return vector
-    counts = Counter(coords)  # in ascending coordinate order, as coords is sorted
-    values = list(counts.values())
-    # The counts are ints, so the sum of squares is exact in any order.
-    norm = math.sqrt(sum(map(mul, values, values)))
-    # One float object per distinct count: most coordinates count 1, and a
-    # large index holds millions of components.
-    shared = {count: count / norm for count in set(values)}
-    return dict(zip(counts, map(shared.__getitem__, values)))
+    rest = coords[1:]
+    extra = Counter(compress(rest, map(eq, coords, rest)))
+    counts = [1 + copies for copies in extra.values()]
+    norm = math.sqrt(len(vector) - len(counts) + sum(map(mul, counts, counts)))
+    vector = dict.fromkeys(vector, 1 / norm)
+    vector.update(zip(extra, [count / norm for count in counts]))
+    return vector
 
 
 class RemoteEmbedder:

@@ -163,10 +163,12 @@ def test_read_results_roundtrip(tmp_path):
     assert aggregate(loaded)[0].n == 2
 
 
-def test_read_results_skips_error_records(tmp_path):
+# ``run`` and the benchmark count a record as failed by its "error" key, whatever the message.
+@pytest.mark.parametrize("message", ["boom", ""])
+def test_read_results_skips_error_records(tmp_path, message):
     path = tmp_path / "r.jsonl"
     path.write_text(
-        json.dumps(result().to_record()) + "\n" + json.dumps({"example_id": "x", "error": "boom"}) + "\n",
+        json.dumps(result().to_record()) + "\n" + json.dumps({"example_id": "x", "error": message}) + "\n",
         encoding="utf-8",
     )
     assert len(read_results([path])) == 1

@@ -8,6 +8,7 @@ import re
 import struct
 import tempfile
 import zlib
+from array import array
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ from adagate.index import (
     HashingEmbedder,
     RemoteEmbedder,
     VectorIndex,
+    _coordinates,
     _Namespace,
     _postings_top_k,
     _unit_vector,
@@ -45,10 +47,14 @@ from helpers import (
 )
 
 
+def reference_hash_coordinate(h: int, dim: int) -> int:
+    # A uint32 hash times the odd multiplier modulo 2**32, scaled to dim.
+    return h * 0x9E3779B1 % 2**32 * dim // 2**32
+
+
 def reference_coordinate(token: str, dim: int) -> int:
-    # CRC-32 of the UTF-8 bytes, times the odd multiplier modulo 2**32, scaled to dim.
-    mixed = zlib.crc32(token.encode("utf-8", "surrogatepass")) * 0x9E3779B1 % 2**32
-    return mixed * dim // 2**32
+    # CRC-32 of the UTF-8 bytes, then the multiply-shift above.
+    return reference_hash_coordinate(zlib.crc32(token.encode("utf-8", "surrogatepass")), dim)
 
 
 def reference_vector(text: str, dim: int) -> dict[int, float]:
@@ -94,6 +100,19 @@ def test_coordinates_are_the_same_on_every_host(token, dim, coord):
     # Literals, so a platform or Python version that hashed differently fails here.
     assert reference_coordinate(token, dim) == coord
     assert list(HashingEmbedder(dim).embed_one(token)) == [coord]
+
+
+# Every hash lies in 0..2**32-1, and dim up to 2**32: the edges of a 64-bit lane.
+_hashes = st.lists(st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1)))
+
+
+@given(hashes=_hashes, dim=st.sampled_from([1, 7, 1000, 2**20, 2**32 - 1, 2**32]))
+@example(hashes=[], dim=2**32)
+@example(hashes=[2**32 - 1, 0] * 3000, dim=2**32)
+@example(hashes=[2**32 - 1] * 5, dim=2**32 - 1)
+def test_coordinates_of_raw_hashes_are_multiply_shift(hashes, dim):
+    expected = [reference_hash_coordinate(h, dim) for h in hashes]
+    assert list(_coordinates(array("Q", hashes), dim)) == expected
 
 
 def _colliding(tokens: set[str], dim: int) -> int:
@@ -161,15 +180,16 @@ _texts = st.one_of(
 )
 # Many texts in one call, some of them repeated.
 _filler = st.integers(min_value=0, max_value=300)
-_DIMS = [1, 7, 64, 256, 1000, 2**20, 2**23, 2**24]
+_DIMS = [1, 7, 64, 256, 1000, 2**20, 2**23, 2**24, 2**32]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(deadline=None)
 @given(texts=st.lists(_texts, max_size=20), filler=_filler, repeat=st.booleans(), dim=st.sampled_from(_DIMS))
 @example(texts=["a" * 300 + " b\xa0c", "é" * 130, "", "..."], filler=40, repeat=True, dim=2**20)
 @example(texts=["The Quick, brown fox!"], filler=260, repeat=True, dim=1000)
 @example(texts=["x " * 31, "y " * 32], filler=0, repeat=False, dim=2**24)
 @example(texts=["x\ud800y " * 40, "\udfff"], filler=0, repeat=False, dim=2**20)  # lone surrogates
+@example(texts=[" ".join(f"w{i % 1500}" for i in range(6000))], filler=0, repeat=False, dim=2**32)  # 6,000 tokens
 def test_embed_batch_equals_spec_exactly(texts, filler, repeat, dim):
     batch = texts + [f"f{i} x{i % 7}y" for i in range(filler)]
     if repeat and batch:
@@ -210,8 +230,14 @@ def test_byte_path_equals_the_reference_tokens_and_vectors(texts):
     ]
 
 
-# Coordinates that repeat often, and some anywhere in a uint32.
-_coords = st.lists(st.one_of(st.integers(0, 12), st.integers(0, 2**32 - 1)), max_size=80)
+# Coordinates that repeat often, and some anywhere in a uint32; or up to 400
+# draws from a few coordinates, so that counts grow large.
+_coords = st.one_of(
+    st.lists(st.one_of(st.integers(0, 12), st.integers(0, 2**32 - 1)), max_size=80),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4).flatmap(
+        lambda few: st.lists(st.sampled_from(few), max_size=400)
+    ),
+)
 
 
 @given(_coords)
