@@ -7,10 +7,10 @@ current members plus the candidates under the token budget
 empty ledger, no gaps, and the raw question as its only query. Each repair
 iteration after it first extracts the ledger and assesses sufficiency, then
 queries with gap micro-queries plus question-anchored fallback queries. The
-loop stops when the verdict is sufficient, when a repair changes nothing and
-no new candidate outranks the weakest re-scored member, or after the
-configured number of repair iterations. All baselines share the same
-retrieval, generation, and accounting pipeline.
+loop stops when the verdict is sufficient, when a repair iteration returns
+the chunk ids it started from (the next one would repeat it exactly), or
+after the configured number of repair iterations. All baselines share the
+same retrieval, generation, and accounting pipeline.
 
 A repair run computes each retrieval and each cosine once: fallback
 queries repeat every iteration (the first is the question itself), hits
@@ -225,21 +225,14 @@ def run_adagate(
         candidates = _assemble_candidates(chain.from_iterable(record.hits.values()), state.selected, chunk_sim, entry)
         scored = [(c, score(c, state.selected)) for c in candidates]
         record.scores = {c.chunk_id: tb for c, tb in sorted(scored, key=lambda pair: pair[0].chunk_id)}
-        rescored: list[float] = []
-
-        def rescore(chunk: Chunk, prior: list[Chunk]) -> float:
-            rescored.append(score(chunk, prior).utility)
-            return rescored[-1]
-
         previous_ids = record.selected_ids
-        state = replace_update(state, [(c, tb.utility) for c, tb in scored], rescore, buffer=config.buffer)
+        new = [(c, tb.utility) for c, tb in scored]
+        state = replace_update(state, new, lambda chunk, prior: score(chunk, prior).utility, buffer=config.buffer)
         record.k_eff, record.selected_ids, record.used_tokens = state.k_eff, state.chunk_ids, state.used_tokens
 
-        # A repair that changed nothing, with no new candidate outranking the
-        # weakest re-scored member, would repeat itself.
-        max_new = max((tb.utility for _, tb in scored), default=None)
-        no_outrank = max_new is None or (bool(rescored) and max_new < min(rescored))
-        if t and record.selected_ids == previous_ids and no_outrank:
+        # The next iteration's inputs all derive from the selection: after a repair
+        # that left it unchanged they would be the same, and so would its result.
+        if t and record.selected_ids == previous_ids:
             reason = REASON_NO_USEFUL_REPAIR
             break
 

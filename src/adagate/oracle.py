@@ -298,7 +298,7 @@ class RuleBasedOracle:
             return False
         if norm_pred == _normalize_answer(ABSTAIN):
             return False
-        return norm_gold in norm_pred or norm_pred in norm_gold
+        return f" {norm_gold} " in f" {norm_pred} " or f" {norm_pred} " in f" {norm_gold} "
 
     def novelty(self, chunk: Chunk, ledger: Ledger) -> float:
         """Fraction of the chunk's (entity, relation) pairs absent from the ledger."""

@@ -62,7 +62,7 @@ def effective_capacity(sorted_utilities: Sequence[float], buffer: int) -> int:
     """Capacity from a non-increasing utility list: largest-drop index + buffer.
 
     Ties go to the smallest index. A single candidate has no drops and
-    yields capacity 1. The result is clamped to [1, len(list)].
+    yields capacity 1. The result lies in [1, len(list)].
     """
     if buffer < 0:
         raise ValueError("buffer must be non-negative")
@@ -79,7 +79,7 @@ def effective_capacity(sorted_utilities: Sequence[float], buffer: int) -> int:
         if best_drop is None or drop > best_drop:
             best_drop = drop
             i_star = i + 1
-    return min(max(i_star + buffer, 1), m)
+    return min(i_star + buffer, m)
 
 
 def select_evidence(

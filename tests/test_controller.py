@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from adagate import controller
 from adagate.controller import (
     MODES,
     REASON_MAX_ITERATIONS,
@@ -19,13 +23,14 @@ from adagate.controller import (
     run_baseline,
     run_example,
 )
-from adagate.corpus import count_tokens
+from adagate.corpus import Example, count_tokens
 from adagate.evaluate import evidence_prf
 from adagate.index import HashingEmbedder, RemoteEmbedder, VectorIndex
 from adagate.oracle import ABSTAIN, RuleBasedOracle
 from adagate.perturb import KIND_NOISE, KIND_REDUNDANCY, PerturbConfig, inject_noise, inject_redundancy
+from adagate.scoring import TermBreakdown
 
-from helpers import WORLD_DIM, FakeResponse, build_world, densify, fact_chunk
+from helpers import WORLD_DIM, FakeResponse, build_world, densify, fact_chunk, sized_chunk
 
 WORLD_CONFIG = ControllerConfig(
     mode="adagate", max_iterations=1, k=3, budget=140, buffer=2, namespace="clean"
@@ -121,6 +126,24 @@ def test_no_useful_repair_when_nothing_new_retrievable(oracle):
     assert len(trace.iterations) == 2  # stopped on the first repair pass
 
 
+def test_an_unchanged_repair_stops_even_when_a_new_candidate_outranks_a_member(oracle, monkeypatch):
+    # The 80-token candidate outranks the 40-token member but fits in B=110
+    # beside neither member, so every repair re-selects the same two passages.
+    utilities = {"a": 0.9, "b": 0.5, "c": 0.6}
+    chunks = [sized_chunk("a", 60), sized_chunk("b", 40), sized_chunk("c", 80)]
+    monkeypatch.setattr(
+        controller, "score_candidate", lambda chunk, *_, **__: TermBreakdown(0, 0, 0, 0, 0, utilities[chunk.chunk_id])
+    )
+    index = VectorIndex(HashingEmbedder(dim=WORLD_DIM))
+    index.upsert("clean", chunks)
+    example = Example("q", "about alpha SLOT[alpha|born] alpha", "x", frozenset({"title a"}), (("title a", ()),))
+    config = dataclasses.replace(WORLD_CONFIG, max_iterations=3, budget=110)
+    trace = run_adagate(example, config, index, oracle)
+    assert trace.iterations[1].scores["c"].utility > utilities["b"]
+    assert [it.selected_ids for it in trace.iterations] == [["a", "b"], ["a", "b"]]
+    assert trace.termination_reason == REASON_NO_USEFUL_REPAIR
+
+
 def test_traces_are_reproducible_bit_for_bit(oracle):
     examples, chunks, index = build_world(2, seed=66)
     config = dataclasses.replace(WORLD_CONFIG, max_iterations=3)
@@ -155,6 +178,12 @@ def _three_condition_world(world_seed: int):
     return examples, index
 
 
+def _unchanged_repairs(trace, limit: int) -> list[int]:
+    """Indices below ``limit`` of the repair iterations that re-selected the ids they started from."""
+    ids = [it.selected_ids for it in trace.iterations]
+    return [t for t in range(1, limit) if ids[t] == ids[t - 1]]
+
+
 # The budget, namespace, determinism and termination invariants hold beyond
 # one world seed. No accuracy is asserted: in the redundancy condition the
 # repair step can evict a found hop, a known defect that would decide it.
@@ -174,6 +203,9 @@ def test_invariants_hold_across_world_seeds_conditions_and_modes(world_seed):
                 if mode == "adagate":
                     assert trace.termination_reason in repair_reasons
                     assert all(it.used_tokens <= budget for it in trace.iterations)
+                    assert not _unchanged_repairs(trace, limit=len(trace.iterations) - 1), example.id
+                    if trace.termination_reason == REASON_MAX_ITERATIONS:
+                        assert not _unchanged_repairs(trace, limit=len(trace.iterations)), example.id
                     for ids in [it.selected_ids for it in trace.iterations] + [trace.final_chunk_ids]:
                         assert sum(tokens[cid] for cid in ids) <= budget
                 else:
@@ -181,6 +213,47 @@ def test_invariants_hold_across_world_seeds_conditions_and_modes(world_seed):
                 # The same run over an index built again from the same seeds.
                 again = run_example(example, config, rebuilt, RuleBasedOracle())
                 assert again.as_dict(full=True) == trace.as_dict(full=True), (namespace, mode, example.id)
+
+
+def _resized(chunk, length: int):
+    """``chunk`` of ``length`` tokens: its filler words replaced by as many words unique to its id as it takes.
+
+    A world's passage holds at most 17 tokens that are not filler.
+    """
+    words = [w for w in chunk.body.split() if not re.fullmatch(r"w\d+\.?", w)]
+    padding = [f"{chunk.chunk_id}x{i}" for i in range(length - count_tokens(chunk.title) - len(words))]
+    return dataclasses.replace(chunk, body=" ".join(words + padding))
+
+
+@st.composite
+def _drawn_length_worlds(draw):
+    """A two-question clean or redundancy world whose passages have drawn lengths of 30 to 120 tokens."""
+    examples, chunks, _ = build_world(2, seed=draw(st.integers(0, 99)))
+    if draw(st.booleans()):
+        redundancy = PerturbConfig(kind=KIND_REDUNDANCY, rho=0.5, seed=draw(st.integers(0, 9)))
+        chunks = inject_redundancy(examples, chunks, redundancy)
+    lengths = draw(st.lists(st.integers(30, 120), min_size=len(chunks), max_size=len(chunks)))
+    index = VectorIndex(HashingEmbedder(dim=WORLD_DIM))
+    index.upsert("clean", [_resized(c, n) for c, n in zip(chunks, lengths)])
+    return examples, index
+
+
+# Where a passage may not fit beside the members it would outrank, a repair can
+# re-select what it started from; the loop stops there, since running on
+# would repeat that iteration. So a longer limit changes no run that stopped
+# before its own, and extends any other without changing its iterations.
+@given(_drawn_length_worlds(), st.integers(60, 300), st.integers(1, 3))
+def test_a_repair_stops_at_its_fixed_point_in_drawn_length_worlds(world, budget, limit):
+    examples, index = world
+    config = ControllerConfig(max_iterations=limit, k=3, budget=budget)
+    for example in examples:
+        short = run_adagate(example, config, index, RuleBasedOracle())
+        long = run_adagate(example, dataclasses.replace(config, max_iterations=limit + 2), index, RuleBasedOracle())
+        for trace in short, long:
+            assert not _unchanged_repairs(trace, limit=len(trace.iterations) - 1)
+        assert long.iterations[: len(short.iterations)] == short.iterations
+        if short.termination_reason != REASON_MAX_ITERATIONS:  # the same evidence, answer and all
+            assert long.as_dict(full=True) == short.as_dict(full=True)
 
 
 def test_basic_baseline_passes_exactly_k_docs(oracle):

@@ -292,6 +292,13 @@ def test_judge_containment_and_abstain(oracle):
     assert oracle.judge_answer("q", "exact", "exact") is True
     assert oracle.judge_answer("q", "Yes, both American.", "yes both american") is True
     assert oracle.judge_answer("q", "something", "") is False
+    # Containment is of whole tokens: a longer word or number holding the other is no match.
+    assert oracle.judge_answer("q", "Paris", "the city of Paris") is True
+    assert oracle.judge_answer("q", "Paris", "Paris, France") is True
+    assert oracle.judge_answer("q", "obj100", "obj10") is False
+    assert oracle.judge_answer("q", "obj10", "obj100") is False
+    assert oracle.judge_answer("q", "Paris", "Parisian") is False
+    assert oracle.judge_answer("q", "1990", "19901") is False
 
 
 def test_sufficient_verdict_cannot_carry_gaps():
