@@ -12,22 +12,27 @@ the chunk ids it started from (the next one would repeat it exactly), or
 after the configured number of repair iterations. All baselines share the
 same retrieval, generation, and accounting pipeline.
 
-A repair run computes each retrieval and each cosine once: fallback
-queries repeat every iteration (the first is the question itself), hits
-come back again and members are re-scored against the same passages.
-Each call makes its own ``functools.cache`` lookups, keyed by name: hits
-by query string, a stored entry by chunk id, a chunk-chunk cosine by the
-sorted id pair (``cosine`` is symmetric bit for bit) and a chunk-query
-cosine by chunk id and query string. Candidate dedup and the gap
-coverage, redundancy and question relevance terms all read them. They die
-with the call: the namespace, ``k`` and stored vectors are fixed only
-within a run (an upsert may change them between runs), and concurrent
-runs share nothing.
+A repair run computes each retrieval, each cosine and each repair step
+once: fallback queries repeat every iteration (the first is the question
+itself), hits come back again, members are re-scored against the same
+passages, and a selection can cycle (A, then B, then A again). Each call
+makes its own ``functools.cache`` lookups, keyed by name: hits by query
+string, a stored entry by chunk id, a chunk-chunk cosine by the sorted id
+pair (``cosine`` is symmetric bit for bit) and a chunk-query cosine by
+chunk id and query string. Candidate dedup and the gap coverage,
+redundancy and question relevance terms all read them. A repair step
+(t >= 1) is keyed by the ordered chunk ids it starts from, which are all
+it reads; one that starts where an earlier one did takes that step's
+record, renumbered, and its evidence, with no oracle call, retrieval or
+scoring. The replayed step was insufficient and changed the selection,
+so the run goes on to the same end. All of these die with the call: the
+namespace, ``k`` and stored vectors are fixed only within a run (an
+upsert may change them between runs), and concurrent runs share nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Sequence
@@ -204,7 +209,15 @@ def run_adagate(
     gap_queries: list[str] = []
     queries = {CHANNEL_SEED: [question]}
     reason = REASON_MAX_ITERATIONS
+    repaired: dict[tuple[str, ...], tuple[IterationRecord, EvidenceState]] = {}
     for t in range(config.max_iterations + 1):
+        # A repair step reads only the selection it starts from: one that starts
+        # where an earlier repair step did would repeat it, so it replays it.
+        key = tuple(state.chunk_ids)
+        if key in repaired:
+            record, state = repaired[key]
+            trace.iterations.append(replace(record, index=t))
+            continue
         # The evidence as found, until the re-selection below overwrites it.
         record = IterationRecord(index=t, selected_ids=state.chunk_ids, used_tokens=state.used_tokens)
         trace.iterations.append(record)
@@ -235,6 +248,8 @@ def run_adagate(
         if t and record.selected_ids == previous_ids:
             reason = REASON_NO_USEFUL_REPAIR
             break
+        if t:
+            repaired[key] = record, state
 
     trace.termination_reason = reason
     trace.final_answer = oracle.generate_answer(question, state.selected)

@@ -226,10 +226,10 @@ def _resized(chunk, length: int):
 
 
 @st.composite
-def _drawn_length_worlds(draw):
+def _drawn_length_worlds(draw, redundant=st.booleans()):
     """A two-question clean or redundancy world whose passages have drawn lengths of 30 to 120 tokens."""
     examples, chunks, _ = build_world(2, seed=draw(st.integers(0, 99)))
-    if draw(st.booleans()):
+    if draw(redundant):
         redundancy = PerturbConfig(kind=KIND_REDUNDANCY, rho=0.5, seed=draw(st.integers(0, 9)))
         chunks = inject_redundancy(examples, chunks, redundancy)
     lengths = draw(st.lists(st.integers(30, 120), min_size=len(chunks), max_size=len(chunks)))
@@ -254,6 +254,28 @@ def test_a_repair_stops_at_its_fixed_point_in_drawn_length_worlds(world, budget,
         assert long.iterations[: len(short.iterations)] == short.iterations
         if short.termination_reason != REASON_MAX_ITERATIONS:  # the same evidence, answer and all
             assert long.as_dict(full=True) == short.as_dict(full=True)
+
+
+# A replayed repair step must be the one that started from the same selection:
+# each record's ledger and verdict are those of the evidence the record before
+# it left, however deep the run and wherever its selection cycles.
+@given(_drawn_length_worlds(redundant=st.just(True)), st.integers(60, 300), st.integers(1, 8))
+def test_every_repair_step_reads_the_evidence_before_it_in_deep_runs(world, budget, limit):
+    examples, index = world
+    rules = RuleBasedOracle()
+    config = ControllerConfig(max_iterations=limit, k=3, budget=budget)
+    for example in examples:
+        short = run_adagate(example, config, index, RuleBasedOracle())
+        long = run_adagate(example, dataclasses.replace(config, max_iterations=limit + 2), index, RuleBasedOracle())
+        for trace in short, long:
+            assert [it.index for it in trace.iterations] == list(range(len(trace.iterations)))
+            for before, record in zip(trace.iterations, trace.iterations[1:]):
+                ledger = rules.extract_ledger([index.get_chunk("clean", cid) for cid in before.selected_ids])
+                verdict = rules.assess_sufficiency(example.question, ledger)
+                expected = (len(ledger), verdict.sufficient, [(g.entity, g.relation) for g in verdict.gaps])
+                assert (record.ledger_size, record.sufficient, record.gaps) == expected
+            assert trace.final_chunk_ids == trace.iterations[-1].selected_ids
+        assert long.iterations[: len(short.iterations)] == short.iterations
 
 
 def test_basic_baseline_passes_exactly_k_docs(oracle):
@@ -505,6 +527,29 @@ def test_a_run_queries_each_distinct_query_string_once(oracle):
     assert repeated > 0  # the trace repeats queries that the index answered once
 
 
+def test_a_run_repairs_each_distinct_selection_once():
+    examples, _, index, config = _redundancy_run_setup(30)
+    config = dataclasses.replace(config, max_iterations=6)
+    cycled = 0
+    for example in examples:
+        counting = CountingOracle()
+        trace = run_adagate(example, config, index, counting)
+        records = trace.iterations
+        starts = [tuple(it.selected_ids) for it in records[:-1]]  # repair step t starts from starts[t - 1]
+        assert counting.calls["extract_ledger"] == counting.calls["assess_sufficiency"] == len(set(starts)), example.id
+        again = next((t for t in range(2, len(records)) if starts[t - 1] in starts[: t - 1]), None)
+        if again is None:
+            continue
+        cycled += 1
+        first = starts.index(starts[again - 1]) + 1  # the repair step that started there before
+        period = again - first
+        assert len(records) == config.max_iterations + 1, example.id
+        assert trace.termination_reason == REASON_MAX_ITERATIONS
+        for t in range(first, len(records) - period):
+            assert dataclasses.replace(records[t + period], index=t) == records[t], (example.id, t)
+    assert cycled > 0
+
+
 def test_a_run_computes_no_cosine_pair_twice(oracle, monkeypatch):
     from adagate import controller, index as index_module, scoring
 
@@ -539,3 +584,15 @@ def test_the_run_memo_does_not_outlive_a_run(oracle):
     second = run_adagate(example, config, index, oracle)
     assert calls and index.queries == calls + calls
     assert second.as_dict(full=True) == first.as_dict(full=True)
+
+    # Replacing a passage that the first repair step brought in changes what that
+    # step gives from the same start: a run after the upsert repairs afresh.
+    _, _, rebuilt, _ = _redundancy_run_setup(5)
+    brought = next(c for c in first.iterations[1].selected_ids if c not in first.iterations[0].selected_ids)
+    for each in index, rebuilt:
+        each.upsert("redundancy", [sized_chunk(brought, 20)])
+    counting = CountingOracle()
+    third = run_adagate(example, config, index, counting)
+    assert third.iterations[0] == first.iterations[0] and third.iterations[1] != first.iterations[1]
+    assert counting.calls["extract_ledger"] == len({tuple(it.selected_ids) for it in third.iterations[:-1]})
+    assert third.as_dict(full=True) == run_adagate(example, config, rebuilt, oracle).as_dict(full=True)

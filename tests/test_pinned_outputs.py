@@ -2,6 +2,10 @@
 
 One CLI sweep over a 60-question seed-7 world at dim 256 with a rho-0.5
 redundancy namespace (perturb seed 1): every mode at ``--L 3 --trace full``, then ``report``.
+``adagate`` runs again at ``--L 6``, where 43 of the 60 runs revisit a
+selection and 119 repair steps are replays of earlier ones; its digest was
+taken before repair steps were replayed, so a replay that differs from the
+step it copies shows up here.
 A rho-0.5 noise chunk file of the same world is pinned too, and so is the
 snapshot that ``index`` and the redundancy ``perturb`` leave, which holds
 the packed little-endian vectors. The sha256 of each results file, of the
@@ -28,6 +32,7 @@ EXPECTED_SHA256 = {
     "report.csv": "c9063990576df1cc6916c833db1a6a13090a73d7a2be0264efcdb96067498fc3",
     "perturb-noise": "35d3f30f04c98ab2d6bb23a5be4bf2b809d9fd22d9a5659f25a09351727cf7cc",
     "store": "e2970ae446665194069fd22a0c570887929e54f2b15a44a085dd648452aa8e1d",
+    "adagate-L6": "7db20c870faa22643daa3f12eabbbae02eef9f8c0766dd8d95d91378916e234e",
 }
 
 
@@ -47,10 +52,11 @@ def test_offline_sweep_outputs_are_pinned(tmp_path, capsys):
     digests = {"store": _sha256(store)}
 
     outs = []
+    run = ["run", "--data", str(data), "--store", str(store), "--namespace", "redundancy"]
+    run += ["--k", "3", "--budget", "140", "--trace", "full"]
     for mode in MODES:
         out = tmp_path / f"{mode}.jsonl"
-        run = ["run", "--data", str(data), "--store", str(store), "--namespace", "redundancy", "--mode", mode]
-        assert main(run + ["--L", "3", "--k", "3", "--budget", "140", "--trace", "full", "--out", str(out)]) == 0
+        assert main(run + ["--mode", mode, "--L", "3", "--out", str(out)]) == 0
         digests[mode] = _sha256(out)
         outs.append(str(out))
     csv_path = tmp_path / "report.csv"
@@ -59,6 +65,9 @@ def test_offline_sweep_outputs_are_pinned(tmp_path, capsys):
     noise = tmp_path / "noise.jsonl"
     assert main(["perturb", "--data", str(data), "--kind", "noise", "--rho", "0.5", "--seed", "3", "--out", str(noise)]) == 0
     digests["perturb-noise"] = _sha256(noise)
+    deep = tmp_path / "adagate-L6.jsonl"
+    assert main(run + ["--mode", "adagate", "--L", "6", "--out", str(deep)]) == 0
+    digests["adagate-L6"] = _sha256(deep)
     capsys.readouterr()
 
     records = [json.loads(line) for line in (tmp_path / "adagate.jsonl").read_text().splitlines()]
