@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from .corpus import Chunk, Example, count_tokens
 from .index import Vector, VectorIndex, cosine
-from .oracle import Ledger, OracleBackend, match_slots
+from .oracle import Ledger, OracleBackend, resolve_slots
 # The benchmark's traced pass wraps score_candidate, effective_capacity,
 # select_evidence and replace_update by looking each name up in this module
 # (vars(controller)[name]), so all four stay bound here: select_evidence too,
@@ -302,7 +302,7 @@ def _seal_select(question: str, retrieved: Sequence[Chunk], ledger: Ledger) -> l
     if not retrieved:
         return []
     candidates = sorted(
-        match_slots(question, ledger) or ledger.facts,
+        [f for *_, f in resolve_slots(question, ledger) if f] or ledger.facts,
         key=lambda f: (-f.confidence, f.entity, f.relation, f.value, f.source_chunk),
     )
     if not candidates:

@@ -93,7 +93,9 @@ printing and parsing float text was most of a snapshot's cost: on the
 from 146 ms to 41 ms and the file from 3.54 MB to 2.45 MB against the
 number lists of ``index@1``, which is no longer read. Decoding is C-level
 work (base64, ``array``, ``dict(zip(...))``) and gives back bit-identical
-vectors with their keys in the same order.
+vectors with their keys in the same order. So are the component checks, a
+``sum`` and, in a hash store, a ``min``: 0.9 and 2.3 ms of that store's
+36 ms load (median of 50 on the same kind of host).
 
 ``load`` can be given one namespace, as ``run`` does: every line is still
 parsed as JSON and read as far as its namespace, but only that namespace's
@@ -514,8 +516,9 @@ class VectorIndex:
         ``hash``: no store written under the previous hash, FNV-1a, does. Every
         record must be a JSON object with a string namespace, but only the
         records loaded are decoded and checked; a chunk id that repeats in a
-        namespace is a ParseError. A ``namespace`` no record carries raises
-        UnknownNamespaceError listing those held.
+        namespace, a component that is not finite, or a negative one in a hash
+        store (its components are counts over a norm) is a ParseError. A
+        ``namespace`` no record carries raises UnknownNamespaceError listing those held.
         """
         with closing(json_lines(path, "snapshot record")) as records:
             _, header = next(records, (0, None))
@@ -568,6 +571,11 @@ class VectorIndex:
                         raise ValueError("a coordinate repeats")
                     if vec and max(vec) >= dim:
                         raise ValueError(f"coordinate {max(vec)} is outside dim {dim}")
+                    # A finite sum is the fast path; finite components may still overflow it.
+                    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                        raise ValueError("a component is not finite")
+                    if backend == HashingEmbedder.backend and min(values, default=0.0) < 0.0:
+                        raise ValueError("a component of a hash vector is negative")
                     space = index._spaces.setdefault(name, _Namespace())
                     if chunk.chunk_id in space:
                         raise ValueError(f"chunk {chunk.chunk_id!r} repeats in namespace {name!r}")

@@ -10,8 +10,14 @@ synthetic markup convention used by all offline fixtures:
   ends a sentence unless it is inside a fact (``split_sentences``). The
   ledger and novelty read facts through one parse, ``passage_facts``.
 * Questions encode their required fact slots as ``SLOT[entity|relation]``
-  tokens, in order. An entity written ``*N`` refers to the resolved value
-  of the N-th slot (1-based), which is how bridge hops are expressed.
+  tokens, in order, read by one function, ``resolve_slots``. An entity
+  written ``*N`` is the value of the N-th slot's fact (1-based), which is
+  how bridge hops are expressed. A fact fills a slot when its entity and
+  relation match ignoring case; the best has the highest confidence, then
+  the smallest value, then the smallest source chunk, and a full tie keeps
+  ledger order. A ``*N`` that names slot 0, itself, a later slot or an
+  unresolved slot resolves to nothing and raises no gap of its own: the
+  gap of the slot it names covers the hop.
 
 The live backend talks to any chat-completion HTTP endpoint with fixed
 prompts (below) at temperature 0. Transport failures are retried and then
@@ -107,16 +113,6 @@ class Ledger:
     def pairs(self) -> set[tuple[str, str]]:
         return {(f.entity.lower(), f.relation.lower()) for f in self.facts}
 
-    def matching(self, entity: str, relation: str) -> list[Fact]:
-        """Facts for (entity, relation), best first (confidence, then value, source)."""
-        hits = [
-            f
-            for f in self.facts
-            if f.entity.lower() == entity.lower() and f.relation.lower() == relation.lower()
-        ]
-        hits.sort(key=lambda f: (-f.confidence, f.value, f.source_chunk))
-        return hits
-
     def low_confidence(self, threshold: float) -> list[Fact]:
         return [f for f in self.facts if f.confidence < threshold]
 
@@ -140,18 +136,6 @@ class SufficiencyVerdict:
             raise ValueError("a sufficient verdict cannot carry gaps")
 
 
-@dataclass(frozen=True)
-class Slot:
-    """One required fact slot parsed from a question."""
-
-    entity_ref: str
-    relation: str
-
-    def backref(self) -> int | None:
-        match = _BACKREF.match(self.entity_ref)
-        return int(match.group(1)) if match else None
-
-
 class OracleBackend(Protocol):
     def extract_ledger(self, evidence: Sequence[Chunk]) -> Ledger: ...
     def assess_sufficiency(self, question: str, ledger: Ledger) -> SufficiencyVerdict: ...
@@ -165,10 +149,6 @@ def _normalize_answer(text: str) -> str:
     lowered = text.lower()
     cleaned = "".join(" " if ch in string.punctuation else ch for ch in lowered)
     return " ".join(cleaned.split())
-
-
-def parse_slots(question: str) -> list[Slot]:
-    return [Slot(entity_ref=e.strip(), relation=r.strip()) for e, r in SLOT_PATTERN.findall(question)]
 
 
 def question_keywords(question: str) -> list[str]:
@@ -195,36 +175,29 @@ def fallback_queries(question: str) -> list[str]:
     return queries
 
 
-def resolve_slots(question: str, ledger: Ledger) -> list[tuple[Slot, str | None, Fact | None]]:
-    """Resolve slots in order to (slot, entity or None, best matching fact or None).
+def resolve_slots(question: str, ledger: Ledger) -> list[tuple[str | None, str, Fact | None]]:
+    """(entity, relation, best fact or None) of each ``SLOT[...]`` of ``question``, in order.
 
-    A backreferenced entity is None while its prerequisite slot is
-    unresolved; such slots produce no gap of their own because the
-    prerequisite's gap already covers the hop.
+    The rule is the module docstring's; an entity that resolves to nothing is None.
     """
-    resolved: list[tuple[Slot, str | None, Fact | None]] = []
-    values: list[str | None] = []
-    for slot in parse_slots(question):
-        ref = slot.backref()
-        if ref is not None:
-            entity = values[ref - 1] if 1 <= ref <= len(values) else None
-        else:
-            entity = slot.entity_ref
+    resolved: list[tuple[str | None, str, Fact | None]] = []
+    for entity, relation in SLOT_PATTERN.findall(question):
+        entity, relation = entity.strip(), relation.strip()
+        ref = _BACKREF.match(entity)
+        if ref:
+            n = int(ref[1])
+            hop = resolved[n - 1][2] if 1 <= n <= len(resolved) else None
+            entity = hop.value if hop else None
         fact = None
         if entity is not None:
-            facts = ledger.matching(entity, slot.relation)
-            fact = facts[0] if facts else None
-        resolved.append((slot, entity, fact))
-        values.append(fact.value if fact else None)
+            matches = (
+                f
+                for f in ledger.facts
+                if f.entity.lower() == entity.lower() and f.relation.lower() == relation.lower()
+            )
+            fact = min(matches, key=lambda f: (-f.confidence, f.value, f.source_chunk), default=None)
+        resolved.append((entity, relation, fact))
     return resolved
-
-
-def match_slots(question: str, ledger: Ledger) -> list[Fact]:
-    """Best ledger fact per resolvable question slot, in slot order.
-
-    Empty for a question without ``SLOT[...]`` markup.
-    """
-    return [fact for _, _, fact in resolve_slots(question, ledger) if fact is not None]
 
 
 def split_sentences(text: str) -> list[str]:
@@ -272,8 +245,8 @@ class RuleBasedOracle:
         if resolved and all(fact is not None for _, _, fact in resolved):
             return SufficiencyVerdict(sufficient=True)
         gaps = tuple(
-            Gap(entity=entity, relation=slot.relation)
-            for slot, entity, fact in resolved
+            Gap(entity=entity, relation=relation)
+            for entity, relation, fact in resolved
             if fact is None and entity is not None
         )
         return SufficiencyVerdict(sufficient=False, gaps=gaps)

@@ -1,16 +1,19 @@
-"""Shared builders for test fixtures, HTTP doubles, and the reference retrieval scan."""
+"""Shared builders for test fixtures, HTTP doubles, and the references for retrieval and slot resolution."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
 from adagate.corpus import Chunk, chunk_corpus
 from adagate.index import HashingEmbedder, RemoteEmbedder, Vector, VectorIndex, cosine
+from adagate.oracle import SLOT_PATTERN, Fact, Ledger
 from adagate.synthetic import WorldSpec, generate_world
 
 WORLD_DIM = 2**20
@@ -116,6 +119,71 @@ def brute_force_top_k(
     scored = [(c.chunk_id, cosine(embedder.embed_one(c.text), query)) for c in chunks]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One required fact slot parsed from a question."""
+
+    entity_ref: str
+    relation: str
+
+    def backref(self) -> int | None:
+        match = re.match(r"^\*(\d+)$", self.entity_ref)
+        return int(match.group(1)) if match else None
+
+
+def parse_slots(question: str) -> list[Slot]:
+    return [Slot(entity_ref=e.strip(), relation=r.strip()) for e, r in SLOT_PATTERN.findall(question)]
+
+
+def ledger_matching(ledger: Ledger, entity: str, relation: str) -> list[Fact]:
+    """Facts for (entity, relation), best first (confidence, then value, source)."""
+    hits = [
+        f
+        for f in ledger.facts
+        if f.entity.lower() == entity.lower() and f.relation.lower() == relation.lower()
+    ]
+    hits.sort(key=lambda f: (-f.confidence, f.value, f.source_chunk))
+    return hits
+
+
+def reference_resolve_slots(question: str, ledger: Ledger) -> list[tuple[Slot, str | None, Fact | None]]:
+    """Slot resolution through parsed slots and fully sorted matches: ``oracle.resolve_slots`` by definition."""
+    resolved: list[tuple[Slot, str | None, Fact | None]] = []
+    values: list[str | None] = []
+    for slot in parse_slots(question):
+        ref = slot.backref()
+        if ref is not None:
+            entity = values[ref - 1] if 1 <= ref <= len(values) else None
+        else:
+            entity = slot.entity_ref
+        fact = None
+        if entity is not None:
+            facts = ledger_matching(ledger, entity, slot.relation)
+            fact = facts[0] if facts else None
+        resolved.append((slot, entity, fact))
+        values.append(fact.value if fact else None)
+    return resolved
+
+
+def reference_match_slots(question: str, ledger: Ledger) -> list[Fact]:
+    """Best ledger fact per resolvable question slot, in slot order."""
+    return [fact for _, _, fact in reference_resolve_slots(question, ledger) if fact is not None]
+
+
+def reference_seal_select(question: str, retrieved: list[Chunk], ledger: Ledger) -> list[Chunk]:
+    """``controller._seal_select`` over ``reference_match_slots``."""
+    if not retrieved:
+        return []
+    candidates = sorted(
+        reference_match_slots(question, ledger) or ledger.facts,
+        key=lambda f: (-f.confidence, f.entity, f.relation, f.value, f.source_chunk),
+    )
+    if not candidates:
+        return [retrieved[0]]
+    best = candidates[0]
+    return [c for c in retrieved if c.chunk_id == best.source_chunk]
 
 
 class FakeResponse:

@@ -546,6 +546,53 @@ def test_snapshot_read_errors_keep_their_classes(tmp_path):
             VectorIndex.load(path, namespace=only)
 
 
+def _with_components(line: str, change) -> str:
+    """A snapshot record line whose float64 components are ``change(components)``."""
+    record = json.loads(line)
+    raw = base64.b64decode(record["vector"]["val"])
+    values = change(list(struct.unpack(f"<{len(raw) // 8}d", raw)))
+    record["vector"]["val"] = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
+    return json.dumps(record)
+
+
+# A NaN would score 1.0 against every query sharing its coordinate (min(1.0, nan) is 1.0), and a
+# negated hash vector would rank above untouched chunks on the postings path but last on a scan.
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda values: [math.nan, *values[1:]], "a component is not finite"),
+        (lambda values: [*values[:-1], -math.inf], "a component is not finite"),
+        (lambda values: [-v for v in values], "a component of a hash vector is negative"),
+    ],
+    ids=["nan", "infinity", "negated"],
+)
+def test_a_hash_component_no_vector_can_hold_is_a_parse_error(tmp_path, change, message):
+    path = tmp_path / "store.jsonl"
+    index = VectorIndex(HashingEmbedder(dim=2**20))
+    index.upsert("ns", [sized_chunk(chunk_id, 6) for chunk_id in "abc"])
+    index.save(path)
+    header, first, second, third = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, _with_components(second, change), third]) + "\n")
+    for only in (None, "ns"):
+        with pytest.raises(ParseError, match=f"^snapshot record 2: {message}$"):
+            VectorIndex.load(path, namespace=only)
+
+
+def test_a_remote_store_keeps_finite_components_whatever_their_sum_but_no_nan(tmp_path):
+    path = tmp_path / "store.jsonl"
+    embedder = RemoteEmbedder(url="http://svc", dim=6, session=_TinyEmbeddingSession())
+    index = VectorIndex(embedder)
+    index.upsert("ns", [sized_chunk("a", 4)])
+    index.save(path)
+    header, record = path.read_text().splitlines()
+    path.write_text(header + "\n" + _with_components(record, lambda values: [1.5e308] * len(values)) + "\n")
+    loaded = VectorIndex.load(path, embedder_for=lambda backend, dim: embedder)
+    assert list(loaded.get_entry("ns", "a")[1].values()) == [1.5e308] * 5
+    path.write_text(header + "\n" + _with_components(record, lambda values: [*values[:-1], math.nan]) + "\n")
+    with pytest.raises(ParseError, match="^snapshot record 1: a component is not finite$"):
+        VectorIndex.load(path, embedder_for=lambda backend, dim: embedder)
+
+
 def test_remote_embedder_normalizes_and_caches():
     session = FakeSession(
         [FakeResponse(200, {"data": [{"embedding": [3.0, 4.0, 0.0]}]})]

@@ -18,11 +18,18 @@ from adagate.oracle import (
     RuleBasedOracle,
     SufficiencyVerdict,
     fallback_queries,
-    parse_slots,
+    resolve_slots,
     split_sentences,
 )
 
-from helpers import FakeResponse, FakeSession, fact_chunk, sized_chunk
+from helpers import (
+    FakeResponse,
+    FakeSession,
+    fact_chunk,
+    reference_resolve_slots,
+    reference_seal_select,
+    sized_chunk,
+)
 
 
 def test_extract_empty_evidence(oracle):
@@ -226,8 +233,68 @@ def test_gaps_never_satisfiable_by_ledger(oracle):
     question = "q SLOT[a|r1] SLOT[b|r2] SLOT[*1|r3]"
     ledger = oracle.extract_ledger([fact_chunk("c0", "a", "r1", "v1")])
     verdict = oracle.assess_sufficiency(question, ledger)
+    assert [(g.entity, g.relation) for g in verdict.gaps] == [("b", "r2"), ("v1", "r3")]
     for gap in verdict.gaps:
-        assert not ledger.matching(gap.entity, gap.relation)
+        assert resolve_slots(f"q SLOT[{gap.entity}|{gap.relation}]", ledger) == [(gap.entity, gap.relation, None)]
+
+
+def test_resolve_slots_strips_slots_and_follows_back_references():
+    question = "q SLOT[ Scott Derrickson |nationality ] SLOT[*3|born] SLOT[*1|born] SLOT[*0|born] SLOT[*4|born]"
+    nationality = Fact("scott derrickson", "Nationality", "American", 1.0, "c0")  # differs from the slot in case only
+    born = Fact("American", "born", "1966", 1.0, "c1")
+    assert resolve_slots(question, Ledger([nationality, born])) == [
+        ("Scott Derrickson", "nationality", nationality),
+        (None, "born", None),  # *3 names a slot not yet read
+        ("American", "born", born),
+        (None, "born", None),  # *0 names no slot
+        (None, "born", None),  # slot 4 is read, but resolved to nothing
+    ]
+    # Slots that resolve to nothing raise no gap of their own.
+    verdict = RuleBasedOracle().assess_sufficiency(question, Ledger([born]))
+    assert [(g.entity, g.relation) for g in verdict.gaps] == [("Scott Derrickson", "nationality")]
+
+
+def test_resolve_slots_prefers_confidence_then_value_then_source():
+    ledger = Ledger()
+    ledger.add(Fact("e", "r", "v2", 0.5, "c1"))
+    ledger.add(Fact("e", "r", "v1", 1.0, "c2"))
+    ledger.add(Fact("e", "r", "v0", 1.0, "c4"))
+    ledger.add(Fact("e", "r", "v0", 1.0, "c3"))
+    ledger.add(Fact("E", "R", "v0", 1.0, "c3"))  # a full tie: ledger order keeps the first
+    [(entity, relation, best)] = resolve_slots("q SLOT[E|R]", ledger)
+    assert (entity, relation) == ("E", "R")
+    assert best is ledger.facts[3]
+
+
+def _cased(names: list[str]):
+    return st.builds(lambda name, upper: name.upper() if upper else name, st.sampled_from(names), st.booleans())
+
+
+_NAMES, _RELATIONS = ["x", "y", "z"], ["r", "s"]  # a value may name the next hop's entity
+_PAD = st.sampled_from(["", " ", "  "])
+_SLOT_ENTITY = st.one_of(_cased(_NAMES), st.builds("*{}".format, st.integers(0, 5)))
+_SLOT = st.builds("SLOT[{}{}{}|{}{}{}]".format, _PAD, _SLOT_ENTITY, _PAD, _PAD, _cased(_RELATIONS), _PAD)
+_LEDGER_FACT = st.builds(
+    Fact, _cased(_NAMES), _cased(_RELATIONS), _cased(_NAMES), st.sampled_from([0.5, 1.0]), st.sampled_from(["c0", "c1"])
+)
+
+
+@settings(deadline=None)
+@given(slots=st.lists(_SLOT, max_size=4), facts=st.lists(_LEDGER_FACT, max_size=8))
+@example(slots=["SLOT[x|r]", "SLOT[*1|s]"], facts=[Fact("X", "r", "y", 1.0, "c1"), Fact("x", "R", "y", 1.0, "c1")])
+@example(slots=["SLOT[ *2 |r]", "SLOT[x|r]", "SLOT[*0|r]"], facts=[Fact("x", "r", "x", 0.5, "c0")])
+@example(slots=["SLOT[x|r]"], facts=[Fact("x", "r", "y", 0.5, "c1"), Fact("x", "r", "y", 0.5, "c0")])
+def test_resolve_slots_equals_the_parsed_and_sorted_reference(slots, facts):
+    from adagate.controller import _seal_select
+
+    question = "which " + " then ".join(slots)
+    ledger = Ledger()
+    for fact in facts:
+        ledger.add(fact)
+    reference = reference_resolve_slots(question, ledger)
+    assert resolve_slots(question, ledger) == [(entity, slot.relation, fact) for slot, entity, fact in reference]
+    retrieved = [sized_chunk(chunk_id, 4) for chunk_id in ("c2", "c1", "c0")]  # c2 sources no fact
+    assert _seal_select(question, retrieved, ledger) == reference_seal_select(question, retrieved, ledger)
 
 
 def _query_oracles():
@@ -304,16 +371,6 @@ def test_judge_containment_and_abstain(oracle):
 def test_sufficient_verdict_cannot_carry_gaps():
     with pytest.raises(ValueError):
         SufficiencyVerdict(sufficient=True, gaps=(Gap(entity="x", relation="r"),))
-
-
-def test_parse_slots():
-    slots = parse_slots("q SLOT[Scott Derrickson|nationality] SLOT[*1|born]")
-    assert [(s.entity_ref, s.relation) for s in slots] == [
-        ("Scott Derrickson", "nationality"),
-        ("*1", "born"),
-    ]
-    assert slots[0].backref() is None
-    assert slots[1].backref() == 1
 
 
 def test_novelty_fraction(oracle):
@@ -435,15 +492,6 @@ def test_live_empty_gap_reply_is_a_sufficient_verdict():
 def test_live_judge_parses_yes_no():
     assert _live([_FakeResponse(200, "Yes.")]).judge_answer("q", "g", "p") is True
     assert _live([_FakeResponse(200, "no")]).judge_answer("q", "g", "p") is False
-
-
-def test_ledger_matching_prefers_confidence_then_deterministic(oracle):
-    ledger = Ledger()
-    ledger.add(Fact("e", "r", "v2", 0.5, "c1"))
-    ledger.add(Fact("e", "r", "v1", 1.0, "c2"))
-    ledger.add(Fact("e", "r", "v0", 1.0, "c3"))
-    best = ledger.matching("E", "R")
-    assert (best[0].value, best[0].confidence) == ("v0", 1.0)
 
 
 def test_trace_carries_only_its_own_runs_warnings(fixture_examples, fixture_index):
