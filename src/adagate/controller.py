@@ -16,24 +16,26 @@ A repair run computes each retrieval, each cosine and each repair step
 once: fallback queries repeat every iteration (the first is the question
 itself), hits come back again, members are re-scored against the same
 passages, and a selection can cycle (A, then B, then A again). Each call
-makes its own ``functools.cache`` lookups, keyed by name: hits by query
+keeps its own memos, plain dicts read with a get-or-compute: hits by query
 string, a stored entry by chunk id, a chunk-chunk cosine by the sorted id
 pair (``cosine`` is symmetric bit for bit) and a chunk-query cosine by
-chunk id and query string. Candidate dedup and the gap coverage,
-redundancy and question relevance terms all read them. A repair step
-(t >= 1) is keyed by the ordered chunk ids it starts from, which are all
-it reads; one that starts where an earlier one did takes that step's
-record, renumbered, and its evidence, with no oracle call, retrieval or
-scoring. The replayed step was insufficient and changed the selection,
-so the run goes on to the same end. All of these die with the call: the
-namespace, ``k`` and stored vectors are fixed only within a run (an
-upsert may change them between runs), and concurrent runs share nothing.
+chunk id and query string. (A ``functools.cache`` wrapper took about 2 µs
+to build, four per run, and a ``dict`` subclass with ``__missing__`` costs
+more than the get, since most lookups within a run are misses.) Candidate
+dedup and the gap coverage, redundancy and question relevance terms all
+read them. A repair step (t >= 1) is keyed by the ordered chunk ids it
+starts from, which are all it reads; one that starts where an earlier one
+did takes that step's record, renumbered, and its evidence, with no
+oracle call, retrieval or scoring. The replayed step was insufficient and
+changed the selection, so the run goes on to the same end. All of these
+die with the call: the namespace, ``k`` and stored vectors are fixed only
+within a run (an upsert may change them between runs), and concurrent
+runs share nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -172,24 +174,37 @@ def run_adagate(
     trace = ControllerTrace(example_id=example.id, mode=MODE_ADAGATE, namespace=config.namespace)
     warned = len(getattr(oracle, "warnings", []))
 
-    @cache
+    # The run's memos, keyed as the module docstring says; each dies with the run.
+    hit_memo: dict[str, list[tuple[str, float]]] = {}
+    entry_memo: dict[str, tuple[Chunk, Vector]] = {}
+    chunk_sim_memo: dict[tuple[str, str], float] = {}
+    query_sim_memo: dict[tuple[str, str], float] = {}
+
     def hits(query: str) -> list[tuple[str, float]]:
-        return index.query_top_k(config.namespace, query, config.k)
+        found = hit_memo.get(query)
+        if found is None:
+            found = hit_memo[query] = index.query_top_k(config.namespace, query, config.k)
+        return found
 
-    @cache
     def entry(chunk_id: str) -> tuple[Chunk, Vector]:
-        return index.get_entry(config.namespace, chunk_id)
-
-    @cache
-    def ordered_chunk_sim(a: str, b: str) -> float:
-        return cosine(entry(a)[1], entry(b)[1])
+        found = entry_memo.get(chunk_id)
+        if found is None:
+            found = entry_memo[chunk_id] = index.get_entry(config.namespace, chunk_id)
+        return found
 
     def chunk_sim(a: str, b: str) -> float:
-        return ordered_chunk_sim(a, b) if a < b else ordered_chunk_sim(b, a)
+        pair = (a, b) if a < b else (b, a)
+        sim = chunk_sim_memo.get(pair)
+        if sim is None:
+            sim = chunk_sim_memo[pair] = cosine(entry(pair[0])[1], entry(pair[1])[1])
+        return sim
 
-    @cache
     def query_sim(chunk_id: str, query: str) -> float:
-        return cosine(entry(chunk_id)[1], index.embedder.embed_one(query))
+        key = (chunk_id, query)
+        sim = query_sim_memo.get(key)
+        if sim is None:
+            sim = query_sim_memo[key] = cosine(entry(chunk_id)[1], index.embedder.embed_one(query))
+        return sim
 
     def score(chunk: Chunk, evidence: Sequence[Chunk]) -> TermBreakdown:
         chunk_id = chunk.chunk_id

@@ -105,8 +105,10 @@ def load_examples(path: str | Path, limit: int | None = None) -> list[Example]:
     HotpotQA-style file, in file order, reading no line past them.
 
     Raises ParseError naming the offending record index for malformed
-    records, and ValidationError when a gold title is absent from the
-    context paragraphs or an ``_id`` repeats an earlier record's.
+    records, among them a question whose ``SLOT[*N|...]`` names slot 0,
+    itself or a later slot, and ValidationError when a gold title is
+    absent from the context paragraphs or an ``_id`` repeats an earlier
+    record's.
     """
     examples = []
     first_index: dict[str, int] = {}
@@ -186,6 +188,11 @@ def _example_from_record(record: dict, index: int) -> Example:
     for name, value in texts:
         if type(value) is not str:
             raise ParseError(f"record {index}: {name} must be a string, not {json.dumps(value)}")
+    from .oracle import dangling_back_references  # oracle imports this module
+
+    dangling = dangling_back_references(record["question"])
+    if dangling:
+        raise ParseError(f"record {index}: {dangling[0]} names no earlier slot")
     try:
         return Example(
             id=record["_id"],

@@ -107,7 +107,6 @@ above) the whole store loaded in 57 ms and its 1,000 noise records alone in
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import re
@@ -618,12 +617,18 @@ def _postings_top_k(postings: Postings, query: Vector, k: int) -> list[tuple[str
     order, exactly as ``cosine`` sums the intersection, so the scores
     are the same floats. A bucket lists every chunk with a coordinate
     of that bucket; a chunk whose vector lacks the query's coordinate
-    only shares the bucket and adds nothing. Chunks sharing no
-    coordinate with the query score 0.0, below every touched chunk, and
-    fill the remaining places in ascending id order, as the scan's sort
-    puts them: the first untouched ids of the sorted vector map. The
-    postings are those of the one map the query read, so it sees that
-    map whole, even while an upsert swaps in another; it takes no lock.
+    only shares the bucket and adds nothing. The touched chunks are
+    ranked by one sort of their ``(-score, chunk_id)`` pairs, the scan's
+    order. A query touches few chunks (1.87 on average over the queries
+    of ``retrieval-5k``, most of them one or two), where the sort's fixed
+    cost is about half that of ``heapq.nsmallest`` over a generator: 1.9
+    against 4.0 µs for one touched chunk and 10.4 against 23.7 for twenty
+    (CPython 3.11 on a shared 2-vCPU host). Chunks sharing no coordinate
+    with the query score 0.0, below every touched chunk, and fill the
+    remaining places in ascending id order, as the scan's sort puts them:
+    the first untouched ids of the sorted vector map. The postings are
+    those of the one map the query read, so it sees that map whole, even
+    while an upsert swaps in another; it takes no lock.
 
     A namespace of at most ``_ONE_BUCKET_MAX_CHUNKS`` chunks is one bucket
     (mask 0) that lists every id once: each query coordinate reads every
@@ -642,12 +647,8 @@ def _postings_top_k(postings: Postings, query: Vector, k: int) -> list[tuple[str
             value = vectors[chunk_id].get(coord)
             if value is not None:  # not just a chunk sharing the bucket
                 acc[chunk_id] = acc.get(chunk_id, 0.0) + value * qv
-    ranked = [
-        (chunk_id, -neg)
-        for neg, chunk_id in heapq.nsmallest(
-            k, ((-max(-1.0, min(1.0, score)), chunk_id) for chunk_id, score in acc.items())
-        )
-    ]
+    by_rank = sorted([(-max(-1.0, min(1.0, score)), chunk_id) for chunk_id, score in acc.items()])
+    ranked = [(chunk_id, -neg) for neg, chunk_id in by_rank[:k]]
     if len(ranked) < k:
         untouched = (chunk_id for chunk_id in vectors if chunk_id not in acc)  # ascending ids
         ranked += [(chunk_id, 0.0) for chunk_id in islice(untouched, k - len(ranked))]

@@ -17,7 +17,8 @@ synthetic markup convention used by all offline fixtures:
   the smallest value, then the smallest source chunk, and a full tie keeps
   ledger order. A ``*N`` that names slot 0, itself, a later slot or an
   unresolved slot resolves to nothing and raises no gap of its own: the
-  gap of the slot it names covers the hop.
+  gap of the slot it names covers the hop. ``load_examples`` refuses the
+  first three (``dangling_back_references``), which can never resolve.
 
 The live backend talks to any chat-completion HTTP endpoint with fixed
 prompts (below) at temperature 0. Transport failures are retried and then
@@ -198,6 +199,19 @@ def resolve_slots(question: str, ledger: Ledger) -> list[tuple[str | None, str, 
             fact = min(matches, key=lambda f: (-f.confidence, f.value, f.source_chunk), default=None)
         resolved.append((entity, relation, fact))
     return resolved
+
+
+def dangling_back_references(question: str) -> list[str]:
+    """The markup of each ``SLOT[*N|...]`` of ``question`` whose ``*N`` names slot 0, itself or a later slot.
+
+    Such a slot can never resolve, whatever the ledger, so ``load_examples``
+    refuses a question that has one.
+    """
+    return [
+        slot[0]
+        for position, slot in enumerate(SLOT_PATTERN.finditer(question), 1)
+        if (ref := _BACKREF.match(slot[1].strip())) and not 1 <= int(ref[1]) < position
+    ]
 
 
 def split_sentences(text: str) -> list[str]:

@@ -72,10 +72,6 @@ def combine(weights: UtilityWeights, gap_cov: float, corr: float, nov: float, re
     )
 
 
-def _clamp01(value: float) -> float:
-    return max(0.0, min(1.0, value))
-
-
 def _containment(fact_text: str, chunk_tokens: set[str]) -> float:
     fact_tokens = normalize_tokens(fact_text)
     if not fact_tokens:
@@ -102,9 +98,10 @@ def score_candidate(
     parallel. Empty gaps, an empty evidence set, and a chunk with no
     extractable pairs all yield 0 for their respective terms.
     """
+    # Each term's clamp to [0, 1] is written out: a call per term cost more than the term.
     gap_cov = 0.0
     for sim in gap_sims:
-        gap_cov = max(gap_cov, _clamp01(sim))
+        gap_cov = max(gap_cov, max(0.0, min(1.0, sim)))
 
     corr = 0.0
     low = ledger.low_confidence(CORROBORATION_CEILING)
@@ -113,13 +110,13 @@ def score_candidate(
         for fact in low:
             corr = max(corr, _containment(fact.as_text(), chunk_tokens))
 
-    nov = _clamp01(oracle.novelty(candidate, ledger))
+    nov = max(0.0, min(1.0, oracle.novelty(candidate, ledger)))
 
     red = 0.0
     for sim in evidence_sims:
-        red = max(red, _clamp01(sim))
+        red = max(red, max(0.0, min(1.0, sim)))
 
-    rel_q = _clamp01(question_sim)
+    rel_q = max(0.0, min(1.0, question_sim))
 
     return TermBreakdown(
         gap_cov=gap_cov,

@@ -1,18 +1,20 @@
-"""Shared builders for test fixtures, HTTP doubles, and the references for retrieval and slot resolution."""
+"""Shared builders for test fixtures, HTTP doubles, and the references for retrieval, ranking and slot resolution."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
 from adagate.corpus import Chunk, chunk_corpus
-from adagate.index import HashingEmbedder, RemoteEmbedder, Vector, VectorIndex, cosine
+from adagate.index import HashingEmbedder, Postings, RemoteEmbedder, Vector, VectorIndex, cosine
 from adagate.oracle import SLOT_PATTERN, Fact, Ledger
 from adagate.synthetic import WorldSpec, generate_world
 
@@ -119,6 +121,34 @@ def brute_force_top_k(
     scored = [(c.chunk_id, cosine(embedder.embed_one(c.text), query)) for c in chunks]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
+
+
+def reference_postings_top_k(postings: Postings, query: Vector, k: int) -> list[tuple[str, float]]:
+    """``_postings_top_k`` with its touched chunks ranked by ``heapq.nsmallest`` over a generator.
+
+    The reference for the one sort that ranks them: the same sums, the same
+    ``(-clamped score, chunk id)`` order and the same zero-score fill.
+    """
+    ids, starts, vectors = postings
+    mask = len(starts) - 2
+    acc: dict[str, float] = {}
+    for coord in sorted(query):
+        qv = query[coord]
+        bucket = coord & mask
+        for chunk_id in ids[starts[bucket] : starts[bucket + 1]]:
+            value = vectors[chunk_id].get(coord)
+            if value is not None:
+                acc[chunk_id] = acc.get(chunk_id, 0.0) + value * qv
+    ranked = [
+        (chunk_id, -neg)
+        for neg, chunk_id in heapq.nsmallest(
+            k, ((-max(-1.0, min(1.0, score)), chunk_id) for chunk_id, score in acc.items())
+        )
+    ]
+    if len(ranked) < k:
+        untouched = (chunk_id for chunk_id in vectors if chunk_id not in acc)
+        ranked += [(chunk_id, 0.0) for chunk_id in islice(untouched, k - len(ranked))]
+    return ranked
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from adagate.controller import (
     run_baseline,
     run_example,
 )
-from adagate.corpus import Example, count_tokens
+from adagate.corpus import Chunk, Example, count_tokens
 from adagate.evaluate import evidence_prf
 from adagate.index import HashingEmbedder, RemoteEmbedder, VectorIndex
 from adagate.oracle import ABSTAIN, RuleBasedOracle
@@ -124,6 +124,30 @@ def test_no_useful_repair_when_nothing_new_retrievable(oracle):
     trace = run_adagate(example, config, solo, oracle)
     assert trace.termination_reason == REASON_NO_USEFUL_REPAIR
     assert len(trace.iterations) == 2  # stopped on the first repair pass
+
+
+def test_a_repair_that_re_selects_its_start_ends_with_no_useful_repair(oracle):
+    # The gap query "beta city" brings in a new passage with no fact. It fits B=50 only
+    # in place of the member, and it scores below the member, so the repair re-selects
+    # the one id it started from. Unlike the 60-question world of the pinned outputs,
+    # this run ends no_useful_repair whatever other questions do.
+    member = fact_chunk("a", "alpha", "born", "beta")
+    notes = Chunk("b", "beta notes", "the beta notes. " + " ".join(f"w{i}" for i in range(40)), "ex")
+    assert member.token_len + notes.token_len > 50 >= notes.token_len
+    index = VectorIndex(HashingEmbedder(dim=WORLD_DIM))
+    index.upsert("clean", [member, notes])
+    question = "where was alpha born SLOT[alpha|born] then SLOT[*1|city]"
+    example = Example("q", question, "x", frozenset({"alpha page"}), (("alpha page", ()),))
+    config = dataclasses.replace(WORLD_CONFIG, max_iterations=3, budget=50)
+    trace = run_adagate(example, config, index, oracle)
+    assert trace.termination_reason == REASON_NO_USEFUL_REPAIR
+    assert len(trace.iterations) == 2
+    first, repair = trace.iterations
+    assert first.selected_ids == repair.selected_ids == ["a"]
+    assert repair.gaps == [("beta", "city")]
+    assert [chunk_id for chunk_id, _ in repair.hits["gap"]] == ["a", "b"]
+    assert list(repair.scores) == ["b"] and repair.scores["b"].utility > 0
+    assert trace.final_answer == ABSTAIN
 
 
 def test_an_unchanged_repair_stops_even_when_a_new_candidate_outranks_a_member(oracle, monkeypatch):

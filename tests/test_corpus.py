@@ -18,6 +18,7 @@ from adagate.corpus import (
 )
 from adagate.errors import ParseError, ValidationError
 from adagate.perturb import PerturbConfig, inject_noise, inject_redundancy
+from adagate.synthetic import WorldSpec, example_to_record, generate_world
 
 from helpers import builtin_fixture_path
 
@@ -159,6 +160,34 @@ def test_example_texts_must_be_json_strings(tmp_path, change, message):
     path.write_text(json.dumps({**record, **change}) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=f"^record 0: {message}$"):
         load_examples(path)
+
+
+# The first question of a seed-7 world is "... SLOT[subj000|rel000a] and then SLOT[*1|rel000b] ...".
+@pytest.mark.parametrize(
+    "slot, at",
+    [
+        ("SLOT[*0|rel000b]", 1),  # slot 0
+        ("SLOT[ *0 |rel000b]", 1),  # padded, as resolve_slots strips it
+        ("SLOT[*2|rel000b]", 1),  # itself
+        ("SLOT[*3|rel000b]", 1),  # a later slot
+        ("SLOT[*1|rel000a]", 0),  # the first slot names itself
+    ],
+    ids=["zero", "padded-zero", "itself", "later", "first-slot"],
+)
+def test_a_back_reference_to_no_earlier_slot_is_a_parse_error(tmp_path, slot, at):
+    # Such a slot can never resolve: the rules oracle would end no_useful_repair with no gap.
+    records = [example_to_record(e) for e in generate_world(WorldSpec(n_questions=2, seed=7))]
+    slots = ["SLOT[subj000|rel000a]", "SLOT[*1|rel000b]"]
+    assert all(s in records[0]["question"] for s in slots)
+    path = tmp_path / "world.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert len(load_examples(path)) == 2
+    records[0]["question"] = records[0]["question"].replace(slots[at], slot)
+    # q000 second, so the error names the record that holds the slot.
+    path.write_text("".join(json.dumps(r) + "\n" for r in reversed(records)), encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_examples(path)
+    assert str(exc.value) == f"record 1: {slot} names no earlier slot"
 
 
 def test_chunk_corpus_empty():

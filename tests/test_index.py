@@ -28,6 +28,7 @@ from adagate.index import (
     _coordinates,
     _Namespace,
     _postings_top_k,
+    _scan_top_k,
     _unit_vector,
     cosine,
     normalize_tokens,
@@ -42,6 +43,7 @@ from helpers import (
     densify,
     reference_cosine,
     reference_normalize_tokens,
+    reference_postings_top_k,
     reference_unit_vector,
     sized_chunk,
 )
@@ -976,6 +978,54 @@ def test_one_bucket_and_bucketed_postings_give_the_brute_force_hits(size, seed, 
         expected = [(cid, score.hex()) for cid, score in brute_force_top_k(embedder, chunks, query, k)]
         for postings in layouts.values():
             assert [(cid, score.hex()) for cid, score in _postings_top_k(postings, vector, k)] == expected
+
+
+# Each chunk holds its own word and at most two of four shared ones, so many
+# chunks tie on a query of shared words; k runs past the touched chunks, and the
+# empty and unseen queries touch none.
+@settings(deadline=None)
+@given(
+    shared=st.lists(st.lists(st.sampled_from(_VOCAB[:4]), max_size=2), min_size=1, max_size=40),
+    queries=st.lists(st.lists(st.sampled_from(_VOCAB[:4] + ["unseen"]), max_size=3).map(" ".join), max_size=3),
+    dim=st.sampled_from([64, 2**20]),
+    extra=st.integers(min_value=0, max_value=5),
+)
+def test_postings_ranking_equals_the_heap_reference_and_the_scan(shared, queries, dim, extra):
+    ids = [f"c{i:02d}" for i in range(len(shared))]
+    chunks = [Chunk(cid, "page", " ".join([f"own{cid}", *words]), "ex") for cid, words in zip(ids, shared)]
+    embedder = HashingEmbedder(dim=dim)
+    space = _Namespace(zip(ids, zip(chunks, embedder.embed([c.text for c in chunks]))))
+    layouts = []
+    for limit in (len(space), 0):  # one bucket, then bucketed (several buckets from 8 components)
+        with mock.patch("adagate.index._ONE_BUCKET_MAX_CHUNKS", limit):
+            layouts.append(_Namespace(space).postings)
+    assert len(layouts[0][1]) == 2
+    for query in [*queries, "", "unseen", chunks[0].text]:
+        vector = embedder.embed_one(query)
+        touched = sum(1 for _, vec in space.values() if vec.keys() & vector.keys())
+        for k in {1, touched, touched + 1 + extra}:
+            if k < 1:
+                continue
+            expected = [(cid, score.hex()) for cid, score in _scan_top_k(space, vector, k)]
+            for postings in layouts:
+                assert [(cid, score.hex()) for cid, score in reference_postings_top_k(postings, vector, k)] == expected
+                assert [(cid, score.hex()) for cid, score in _postings_top_k(postings, vector, k)] == expected
+
+
+def test_a_query_equal_to_three_chunk_texts_scores_each_one_and_ranks_them_by_id():
+    # Three unit components of 3 ** -0.5 sum to 1.0000000000000002; the clamp makes each 1.0.
+    embedder = HashingEmbedder(dim=2**20)
+    vector = embedder.embed_one("page alpha beta")
+    raw = 0.0
+    for coord in sorted(vector):
+        raw += vector[coord] * vector[coord]
+    assert raw == 1.0000000000000002
+    chunks = [Chunk(cid, "page", "alpha beta", "ex") for cid in ("c2", "c0", "c1")]
+    chunks.append(Chunk("c3", "other", "gamma", "ex"))  # shares no token with the query
+    space = _Namespace((c.chunk_id, (c, embedder.embed_one(c.text))) for c in chunks)
+    expected = [("c0", 1.0), ("c1", 1.0), ("c2", 1.0), ("c3", 0.0)]
+    assert _postings_top_k(space.postings, vector, 4) == reference_postings_top_k(space.postings, vector, 4) == expected
+    assert _scan_top_k(space, vector, 4) == expected
 
 
 def test_postings_of_a_large_namespace_take_under_half_a_coordinate_map():
